@@ -1,0 +1,190 @@
+"""Operations on parameterized CStrees: estimation, sampling, densities,
+exact KL divergence, and random model generation."""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .core import (
+    CStree,
+    ResourceCapError,
+    Staging,
+    StateSpace,
+    ValidationError,
+)
+from .counts import Dataset, compute_counts
+from .enumeration import EnumSpec, sample_staging_uniform
+from .scoring import PriorSpec
+
+DEFAULT_JOINT_CAP = 1 << 25
+
+
+def estimate_parameters(
+    tree: CStree,
+    data: Dataset,
+    mode: str = "map",
+    prior: Optional[PriorSpec] = None,
+) -> CStree:
+    """Fit per-stage categorical distributions.
+
+    "mle" uses stage-count ratios, falling back to uniform for empty stages.
+    "map" uses the Dirichlet posterior mode when every posterior cell weight
+    exceeds 1, else the posterior mean.
+    """
+    if mode not in ("map", "mle"):
+        raise ValidationError(f"mode must be map or mle, got {mode!r}")
+    if data.space.cards != tree.space.cards:
+        raise ValidationError("dataset and tree have different state spaces")
+    if mode == "map" and prior is None:
+        prior = PriorSpec()
+    params = []
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
+        d = tree.space.cards[var]
+        level_params = []
+        for stage in staging.stages:
+            counts = compute_counts(data, var, stage.context).astype(np.float64)
+            n = counts.sum()
+            if mode == "mle":
+                theta = counts / n if n > 0 else np.full(d, 1.0 / d)
+            else:
+                a = prior.alpha_cell(tree.space, var, stage.context.vars)
+                post = counts + a
+                if np.all(post > 1.0):
+                    theta = (post - 1.0) / (post.sum() - d)
+                else:
+                    theta = post / post.sum()
+            theta = theta / theta.sum()
+            level_params.append(tuple(float(t) for t in theta))
+        params.append(tuple(level_params))
+    return tree.with_params(tuple(params))
+
+
+def _stage_index(tree: CStree, lvl: int, outcome: Sequence[int]) -> int:
+    staging = tree.stagings[lvl]
+    for idx, stage in enumerate(staging.stages):
+        if all(outcome[v] == x for v, x in stage.context.items):
+            return idx
+    from .core import CorruptStagingError
+
+    raise CorruptStagingError(f"no level-{lvl} stage covers outcome {tuple(outcome)}")
+
+
+def log_density(tree: CStree, outcome: Sequence[int]) -> float:
+    """Log probability of a full outcome (indexed by variable, not by order
+    position).  Zero-probability stages yield -inf rather than an error."""
+    if tree.params is None:
+        raise ValidationError("tree has no parameters")
+    if len(outcome) != tree.p:
+        raise ValidationError(f"outcome has {len(outcome)} values, expected {tree.p}")
+    total = 0.0
+    for lvl in range(tree.p):
+        var = tree.governed_var(lvl)
+        idx = _stage_index(tree, lvl, outcome)
+        theta = tree.params[lvl][idx][outcome[var]]
+        if theta == 0.0:
+            return -math.inf
+        total += math.log(theta)
+    return total
+
+
+def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
+    """Exhaustive joint probability table, axes in natural variable order."""
+    if tree.params is None:
+        raise ValidationError("tree has no parameters")
+    size = tree.space.joint_size()
+    if size > max_joint:
+        raise ResourceCapError(
+            f"joint state space has {size} outcomes, above the cap {max_joint}"
+        )
+    order = tree.order
+    cards = tree.space.cards
+    probs = np.asarray(tree.params[0][0], dtype=np.float64)
+    for lvl in range(1, tree.p):
+        var = order[lvl]
+        d = cards[var]
+        level_shape = tuple(cards[v] for v in order[:lvl])
+        theta = np.empty(level_shape + (d,), dtype=np.float64)
+        grid = np.indices(level_shape)
+        for idx, stage in enumerate(tree.stagings[lvl].stages):
+            mask = np.ones(level_shape, dtype=bool)
+            for v, x in stage.context.items:
+                mask &= grid[order.index(v)] == x
+            theta[mask] = np.asarray(tree.params[lvl][idx])
+        probs = probs[..., np.newaxis] * theta
+    # probs axes follow the ordering; rearrange to natural variable axes
+    return probs.transpose([order.index(v) for v in range(tree.p)])
+
+
+def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
+    """Forward-sample n rows along the tree's ordering; deterministic given
+    the generator state."""
+    if tree.params is None:
+        raise ValidationError("tree has no parameters")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    p = tree.p
+    rows = np.zeros((n, p), dtype=np.int64)
+    for lvl in range(p):
+        var = tree.governed_var(lvl)
+        d = tree.space.cards[var]
+        for idx, stage in enumerate(tree.stagings[lvl].stages):
+            mask = np.ones(n, dtype=bool)
+            for v, x in stage.context.items:
+                mask &= rows[:, v] == x
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            theta = np.asarray(tree.params[lvl][idx])
+            rows[mask, var] = rng.choice(d, size=cnt, p=theta)
+    return Dataset(rows, tree.space, names=tree.names)
+
+
+def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> float:
+    """Exact KL divergence D(P || Q) by exhaustive enumeration of the joint
+    space.  Returns +inf when Q puts zero mass where P does not."""
+    if p_tree.space.cards != q_tree.space.cards:
+        raise ValidationError("trees have different state spaces")
+    table_p = joint_table(p_tree, max_joint).ravel()
+    table_q = joint_table(q_tree, max_joint).ravel()
+    support = table_p > 0
+    if np.any(table_q[support] == 0):
+        return math.inf
+    pvals = table_p[support]
+    qvals = table_q[support]
+    return float(np.sum(pvals * (np.log(pvals) - np.log(qvals))))
+
+
+def random_cstree(
+    space: StateSpace,
+    beta: int,
+    rng: np.random.Generator,
+    theta: str = "dirichlet1",
+) -> CStree:
+    """A random CStree: uniformly random ordering, each level's staging drawn
+    uniformly from the admissible set, and (optionally) flat-Dirichlet stage
+    distributions."""
+    if theta not in ("dirichlet1", "none"):
+        raise ValidationError(f"theta must be dirichlet1 or none, got {theta!r}")
+    p = space.p
+    order = tuple(int(v) for v in rng.permutation(p))
+    stagings = [Staging.full_level(0)]
+    for lvl in range(1, p):
+        spec = EnumSpec.for_level(space, order, lvl, beta)
+        stagings.append(sample_staging_uniform(spec, rng))
+    tree = CStree(order, space, stagings)
+    if theta == "none":
+        return tree
+    params = []
+    for lvl, staging in enumerate(tree.stagings):
+        d = space.cards[tree.governed_var(lvl)]
+        level_params = []
+        for _ in staging.stages:
+            draw = rng.dirichlet(np.ones(d))
+            draw = draw / draw.sum()
+            level_params.append(tuple(float(t) for t in draw))
+        params.append(tuple(level_params))
+    return tree.with_params(tuple(params))
