@@ -30,13 +30,7 @@ from .enumeration import (
     sample_staging_uniform,
 )
 from .ldag import Ldag, export_dot, ldag_to_json_dict, to_ldag
-from .learn import (
-    LearnConfig,
-    learn,
-    load_possible_parents,
-    optimal_staging,
-    possible_parents_from_cpdag,
-)
+from .learn import LearnConfig, learn, load_possible_parents, possible_parents_from_cpdag
 from .model_ops import (
     estimate_parameters,
     joint_table,
@@ -55,6 +49,7 @@ from .scoring import (
     log_marginal_likelihood,
     log_order_score,
     log_staging_score,
+    optimal_staging,
 )
 
 __version__ = "0.1.0"

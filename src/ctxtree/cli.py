@@ -66,8 +66,13 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _add_common(sub):
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+def _add_threads(sub):
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker threads for the count-table build",
+    )
 
 
 def _build_parser() -> _Parser:
@@ -93,27 +98,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
-    _add_common(p)
+    _add_threads(p)
 
     p = subs.add_parser("sample", help="draw rows from a model")
     p.add_argument("--model", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = subs.add_parser("kl", help="exact KL divergence between two models")
     p.add_argument("--p", required=True, dest="p_model")
     p.add_argument("--q", required=True, dest="q_model")
     p.add_argument("--both-directions", action="store_true")
-    _add_common(p)
 
     p = subs.add_parser("enumerate", help="list or count admissible level stagings")
     p.add_argument("--cards", required=True)
     p.add_argument("--beta", type=int, default=2)
     p.add_argument("--usable", default=None)
     p.add_argument("--count-only", action="store_true")
-    _add_common(p)
 
     p = subs.add_parser("generate", help="generate a random model")
     p.add_argument("--cards", required=True)
@@ -121,13 +123,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--theta", choices=("dirichlet1", "none"), default="dirichlet1")
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = subs.add_parser("ldag", help="export a model's LDAG")
     p.add_argument("--model", required=True)
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None, dest="json_out")
-    _add_common(p)
 
     p = subs.add_parser("score", help="score an ordering or model against data")
     p.add_argument("--data", required=True)
@@ -139,7 +139,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--possible-parents", default=None)
     p.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--dump-scores", default=None)
-    _add_common(p)
+    _add_threads(p)
     return parser
 
 
@@ -230,7 +230,7 @@ def _cmd_score(args) -> int:
         else None
     )
     count_table = build_count_table(data, pp, args.beta, threads=args.threads)
-    tables = build_score_tables(count_table, prior, threads=args.threads)
+    tables = build_score_tables(count_table, prior)
     if args.dump_scores:
         with open(args.dump_scores, "w") as fh:
             tables.dump_z(fh)

@@ -59,6 +59,8 @@ class Dataset:
                 raise ValidationError(
                     f"column {j} has values outside 0..{space.cards[j] - 1}"
                 )
+        # freeze a view, so the caller's own array stays writable
+        rows = rows.view()
         rows.setflags(write=False)
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -246,11 +248,19 @@ class CountTable:
     def total(self, var: int, context: Context) -> int:
         return int(self.counts(var, context).sum())
 
+    def tables(self, var: int):
+        """Each count table of ``var``, in deterministic order: its context
+        variables S, the context of each row as (variable, value) pairs, and
+        the (cells x d_var) counts."""
+        for svars in _context_sets(self.pp, var, self.beta):
+            values = product(*(range(self.space.cards[v]) for v in svars))
+            yield svars, [tuple(zip(svars, xs)) for xs in values], self._tables[(var, svars)]
+
     def contexts(self, var: int):
         """All admissible contexts for ``var``, in deterministic order."""
-        for svars in _context_sets(self.pp, var, self.beta):
-            for values in product(*(range(self.space.cards[v]) for v in svars)):
-                yield Context(tuple(zip(svars, values)))
+        for _, cell_contexts, _ in self.tables(var):
+            for items in cell_contexts:
+                yield Context(items)
 
     def n(self) -> int:
         return int(self._tables[(0, ())].sum())

@@ -222,24 +222,9 @@ def _stratum_counts(spec: EnumSpec) -> tuple[int, int, int, int]:
 
 
 def count_stagings(spec: EnumSpec) -> int:
-    """Closed-form count of admissible stagings (exact big integer)."""
-    m = len(spec.usable)
-    if spec.beta == 0:
-        return 1
-    if spec.beta == 1:
-        return 1 + m
-    return 1 - math.comb(m, 2) + sum(m ** spec.card_of(v) for v in spec.usable)
-
-
-def _level_count(cards: Sequence[int], beta: int) -> int:
-    if not cards:
-        return 1
-    m = len(cards)
-    if beta == 0:
-        return 1
-    if beta == 1:
-        return 1 + m
-    return 1 - math.comb(m, 2) + sum(m**dk for dk in cards)
+    """Closed-form count of admissible stagings (exact big integer): the sum
+    of the stratum counts that ``sample_staging_uniform`` draws from."""
+    return sum(_stratum_counts(spec))
 
 
 def count_cstrees(space: StateSpace, beta: int = 2, fixed_order: Optional[Sequence[int]] = None) -> int:
@@ -259,7 +244,7 @@ def count_cstrees(space: StateSpace, beta: int = 2, fixed_order: Optional[Sequen
         order = tuple(fixed_order)
         total = 1
         for i in range(1, p):
-            total *= _level_count([space.cards[v] for v in order[:i]], beta)
+            total *= count_stagings(EnumSpec.of_cards([space.cards[v] for v in order[:i]], beta))
         return total
 
     distinct = sorted(set(space.cards))
@@ -278,7 +263,7 @@ def count_cstrees(space: StateSpace, beta: int = 2, fixed_order: Optional[Sequen
                 # which concrete variable of this cardinality comes next
                 ways = pool[t] - state[t]
                 cards_now = [d2 for u, d2 in enumerate(distinct) for _ in range(new_state[u])]
-                w = _level_count(cards_now, beta) if size <= p - 1 else 1
+                w = count_stagings(EnumSpec.of_cards(cards_now, beta)) if size <= p - 1 else 1
                 nxt[new_state] = nxt.get(new_state, 0) + acc * ways * w
         dp = nxt
     return dp[tuple(pool)]

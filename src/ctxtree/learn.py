@@ -10,24 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from .core import (
-    Context,
-    CStree,
-    ParseError,
-    PossibleParents,
-    Stage,
-    Staging,
-    ValidationError,
-)
+from .core import CStree, ParseError, PossibleParents, ValidationError
 from .counts import Dataset, build_count_table
-from .enumeration import EnumSpec, iter_raw_stagings
+from .enumeration import EnumSpec
 from .order_mcmc import ChainConfig, map_order, run_chain
-from .scoring import PriorSpec, ScoreTables, build_score_tables
+from .scoring import PriorSpec, build_score_tables, optimal_staging
 
 logger = logging.getLogger(__name__)
 
@@ -102,26 +93,6 @@ def load_possible_parents(path: Union[str, Path], p: int) -> PossibleParents:
     return PossibleParents(sets)
 
 
-def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
-    """Exact argmax of the staging score over the admissible stagings.
-
-    The uniform staging prior and the order-position prior are constant
-    within a level, so the argmax is by summed stage evidences; ties keep
-    the first staging in canonical enumeration order.
-    """
-    z_i = tables._z[var]
-    best_raw = None
-    best = -math.inf
-    for raw in iter_raw_stagings(spec):
-        total = 0.0
-        for items in raw:
-            total += z_i[items]
-        if total > best:
-            best, best_raw = total, raw
-    level = spec.level
-    return Staging(level, tuple(Stage(Context(a), level) for a in best_raw))
-
-
 def _resolve_pp(config: LearnConfig, p: int) -> PossibleParents:
     src = config.possible_parents
     if src is None:
@@ -147,7 +118,7 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     count_table = build_count_table(
         data, pp, config.beta, max_cells=config.max_cells, threads=config.threads
     )
-    tables = build_score_tables(count_table, config.prior, threads=config.threads)
+    tables = build_score_tables(count_table, config.prior)
     trace = run_chain(tables, config.chain)
     order = map_order(trace)
     logger.info("best sampled ordering %s (log score %.6g)", order, tables.order_score(order))

@@ -7,6 +7,14 @@ evidences plus a uniform log prior over the admissible stagings of its
 level; a local order score log-sum-exps the staging scores over that set;
 an order scores the sum of local order scores along its positions.
 
+This module is the one place where counts become evidence and where the
+admissible stagings of a level are reduced to a score.  ``_log_evidences``
+turns a (cells x d) count table into evidences, for the score tables and
+for ``log_context_marginal_likelihood`` alike.  ``_staging_evidences`` sums
+the stage evidences of every staging in ``iter_raw_stagings`` order; local
+order scores (table entries and ``log_local_order_score``) log-sum-exp that
+list, and ``optimal_staging`` takes its first maximum.
+
 The per-cell hyperparameter allocation "bdeu-path" spreads the equivalent
 sample size uniformly over root-to-leaf paths of the tree:
 alpha_isk = ess * |stage| / (|level| * d_i), which simplifies to
@@ -25,9 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +44,7 @@ from .core import (
     Context,
     CStree,
     ResourceCapError,
+    Stage,
     Staging,
     StateSpace,
     ValidationError,
@@ -73,6 +81,22 @@ class PriorSpec:
         return self.ess / (space.cards[var] * q)
 
 
+def _log_evidences(counts: np.ndarray, alpha: float, var: int, context_vars) -> np.ndarray:
+    """Log Dirichlet-multinomial evidence of each row of a (cells x d) count
+    table for ``var``, every cell carrying the hyperparameter ``alpha``."""
+    a_tot = alpha * counts.shape[1]
+    values = (
+        gammaln(a_tot)
+        - gammaln(a_tot + counts.sum(axis=1))
+        + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1)
+    )
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            f"non-finite evidence for variable {var}, context variables {context_vars}"
+        )
+    return values
+
+
 def log_context_marginal_likelihood(
     space: StateSpace,
     var: int,
@@ -86,36 +110,7 @@ def log_context_marginal_likelihood(
     if counts.shape != (d,):
         raise ValidationError(f"expected {d} counts for variable {var}, got {counts.shape}")
     a = prior.alpha_cell(space, var, context.vars)
-    a_tot = a * d
-    n_tot = counts.sum()
-    value = float(
-        gammaln(a_tot) - gammaln(a_tot + n_tot) + (gammaln(a + counts) - gammaln(a)).sum()
-    )
-    if not math.isfinite(value):
-        raise ValidationError(
-            f"non-finite evidence for variable {var}, context {context}"
-        )
-    return value
-
-
-class _StreamingLogSumExp:
-    __slots__ = ("m", "s")
-
-    def __init__(self):
-        self.m = -math.inf
-        self.s = 0.0
-
-    def add(self, x: float) -> None:
-        if x <= self.m:
-            self.s += math.exp(x - self.m)
-        else:
-            self.s = self.s * math.exp(self.m - x) + 1.0 if self.s else 1.0
-            self.m = x
-
-    def value(self) -> float:
-        if self.m == -math.inf:
-            return -math.inf
-        return self.m + math.log(self.s)
+    return float(_log_evidences(counts[None, :], a, var, context.vars)[0])
 
 
 class ScoreTables:
@@ -172,11 +167,23 @@ class ScoreTables:
                 fh.write(f"{var}\t{ctx}\t{value:.12g}\n")
 
 
-def _staging_score_raw(var, contexts, z_i, log_n_stagings) -> float:
-    total = -log_n_stagings
-    for items in contexts:
-        total += z_i[items]
-    return total
+def _staging_evidences(z_i: dict, spec: EnumSpec) -> list[float]:
+    """Summed stage evidence of each admissible staging of the level, in
+    ``iter_raw_stagings`` order."""
+    evidences = []
+    for raw in iter_raw_stagings(spec):
+        total = 0.0
+        for items in raw:
+            total += z_i[items]
+        evidences.append(total)
+    return evidences
+
+
+def _local_order_score(z_i: dict, spec: EnumSpec) -> float:
+    evidences = _staging_evidences(z_i, spec)
+    top = max(evidences)
+    total = sum([math.exp(e - top) for e in evidences])
+    return top + math.log(total) - math.log(count_stagings(spec))
 
 
 def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: EnumSpec) -> float:
@@ -190,14 +197,22 @@ def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: Enu
 
 
 def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> float:
-    """Log-sum-exp of staging scores over all admissible stagings of a level,
-    streamed from the enumeration without materializing the list."""
-    z_i = tables._z[var]
-    log_n = math.log(count_stagings(spec))
-    acc = _StreamingLogSumExp()
-    for raw in iter_raw_stagings(spec):
-        acc.add(_staging_score_raw(var, raw, z_i, log_n))
-    return acc.value()
+    """Log-sum-exp of staging scores over all admissible stagings of a level."""
+    return _local_order_score(tables._z[var], spec)
+
+
+def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
+    """Exact argmax of the staging score over the admissible stagings.
+
+    The uniform staging prior and the order-position prior are constant
+    within a level, so the argmax is by summed stage evidences; ties keep
+    the first staging in canonical enumeration order.
+    """
+    evidences = _staging_evidences(tables._z[var], spec)
+    best = evidences.index(max(evidences))
+    raw = next(islice(iter_raw_stagings(spec), best, None))
+    level = spec.level
+    return Staging(level, tuple(Stage(Context(a), level) for a in raw))
 
 
 def log_order_score(order: Sequence[int], tables: ScoreTables) -> float:
@@ -207,7 +222,6 @@ def log_order_score(order: Sequence[int], tables: ScoreTables) -> float:
 def build_score_tables(
     count_table: CountTable,
     prior: PriorSpec,
-    threads: int = 1,
     max_k: int = DEFAULT_MAX_K,
 ) -> ScoreTables:
     """Precompute z for every admissible (variable, context) and los for
@@ -230,46 +244,19 @@ def build_score_tables(
                 f"possible-parent sets (e.g. from a CPDAG) or lower beta"
             )
 
-    def build_var(i: int):
-        d_i = space.cards[i]
-        z_i: dict[tuple, float] = {}
-        for svars, table in ((s, t) for (v, s), t in count_table._tables.items() if v == i):
+    z: dict[int, dict[tuple, float]] = {}
+    los: dict[int, dict[frozenset, float]] = {}
+    for i in range(space.p):
+        z_i = z[i] = {}
+        for svars, contexts, table in count_table.tables(i):
             a = prior.alpha_cell(space, i, svars)
-            a_tot = a * d_i
-            n_tot = table.sum(axis=1)
-            vals = (
-                gammaln(a_tot)
-                - gammaln(a_tot + n_tot)
-                + (gammaln(a + table) - gammaln(a)).sum(axis=1)
-            )
-            radices = [space.cards[v] for v in svars]
-            for cell in range(table.shape[0]):
-                rem, values = cell, []
-                for r in reversed(radices):
-                    values.append(rem % r)
-                    rem //= r
-                values.reverse()
-                z_i[tuple(zip(svars, values))] = float(vals[cell])
-        los_i: dict[frozenset, float] = {}
+            z_i.update(zip(contexts, _log_evidences(table, a, i, svars).tolist()))
+        los_i = los[i] = {}
         k_i = sorted(pp[i])
-        cards_of = {v: space.cards[v] for v in k_i}
         for size in range(len(k_i) + 1):
             for subset in combinations(k_i, size):
-                spec = EnumSpec(subset, [cards_of[v] for v in subset], subset, beta)
-                log_n = math.log(count_stagings(spec))
-                acc = _StreamingLogSumExp()
-                for raw in iter_raw_stagings(spec):
-                    acc.add(_staging_score_raw(i, raw, z_i, log_n))
-                los_i[frozenset(subset)] = acc.value()
-        return i, z_i, los_i
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build_var, range(space.p)))
-    else:
-        results = [build_var(i) for i in range(space.p)]
-    z = {i: z_i for i, z_i, _ in results}
-    los = {i: los_i for i, _, los_i in results}
+                spec = EnumSpec(subset, [space.cards[v] for v in subset], subset, beta)
+                los_i[frozenset(subset)] = _local_order_score(z_i, spec)
     return ScoreTables(space, pp, beta, prior, z, los)
 
 

@@ -106,6 +106,15 @@ def test_csv_roundtrip(tmp_path):
     assert again.names == ("u", "v")
 
 
+def test_dataset_leaves_caller_array_writable():
+    rows = np.zeros((4, 2), dtype=np.int64)
+    data = Dataset(rows, StateSpace([2, 2]))
+    assert rows.flags.writeable
+    assert not data.rows.flags.writeable
+    with pytest.raises(ValueError):
+        data.rows[0, 0] = 1
+
+
 def test_dataset_validation():
     with pytest.raises(ValidationError):
         Dataset(np.zeros((0, 2), dtype=int), StateSpace([2, 2]))

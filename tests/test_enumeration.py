@@ -18,7 +18,6 @@ from ctxtree import (
     max_stage_count,
     sample_staging_uniform,
 )
-from ctxtree.enumeration import _level_count
 
 from oracles import brute_force_stagings
 
@@ -146,7 +145,7 @@ def test_count_cstrees_all_orders_matches_permutation_sum():
 
 def test_count_cstrees_equal_cards_shortcut():
     space = StateSpace([2] * 11)
-    per_level = [_level_count([2] * i, 2) for i in range(1, 11)]
+    per_level = [count_stagings(EnumSpec.of_cards([2] * i, 2)) for i in range(1, 11)]
     assert count_cstrees(space, 2) == math.factorial(11) * math.prod(per_level)
 
 

@@ -121,10 +121,10 @@ def test_optimal_staging_prefers_coarse_under_independence():
 
 def test_optimal_staging_matches_enumerated_max():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        rows = rng.integers(0, 2, size=(25, 3))
-        tables = make_tables(rows, [2, 2, 2])
-        spec = EnumSpec([0, 1], [2, 2], beta=2)
+    for cards in [[2, 2, 2]] * 50 + [[3, 2, 3]] * 10:
+        rows = rng.integers(0, cards, size=(25, 3))
+        tables = make_tables(rows, cards)
+        spec = EnumSpec([0, 1], cards[:2], beta=2)
         got = optimal_staging(2, spec, tables)
         scores = {
             staging.canonical_key(): log_staging_score(2, staging, tables, spec)
