@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    CorruptStagingError,
     CStree,
     ResourceCapError,
     Staging,
@@ -68,8 +69,6 @@ def _stage_index(tree: CStree, lvl: int, outcome: Sequence[int]) -> int:
     for idx, stage in enumerate(staging.stages):
         if all(outcome[v] == x for v, x in stage.context.items):
             return idx
-    from .core import CorruptStagingError
-
     raise CorruptStagingError(f"no level-{lvl} stage covers outcome {tuple(outcome)}")
 
 
@@ -92,7 +91,10 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
 
 
 def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-    """Exhaustive joint probability table, axes in natural variable order."""
+    """Exhaustive joint probability table, axes in natural variable order.
+
+    Raises CorruptStagingError when a level has an outcome that no stage
+    covers."""
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     size = tree.space.joint_size()
@@ -108,12 +110,17 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
         d = cards[var]
         level_shape = tuple(cards[v] for v in order[:lvl])
         theta = np.empty(level_shape + (d,), dtype=np.float64)
+        covered = np.zeros(level_shape, dtype=bool)
         grid = np.indices(level_shape)
         for idx, stage in enumerate(tree.stagings[lvl].stages):
             mask = np.ones(level_shape, dtype=bool)
             for v, x in stage.context.items:
                 mask &= grid[order.index(v)] == x
             theta[mask] = np.asarray(tree.params[lvl][idx])
+            covered |= mask
+        if not covered.all():
+            outcome = {order[a]: int(x) for a, x in enumerate(np.argwhere(~covered)[0])}
+            raise CorruptStagingError(f"no level-{lvl} stage covers outcome {outcome}")
         probs = probs[..., np.newaxis] * theta
     # probs axes follow the ordering; rearrange to natural variable axes
     return probs.transpose([order.index(v) for v in range(tree.p)])

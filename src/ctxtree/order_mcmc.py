@@ -150,14 +150,18 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
 
 
 def map_order(trace: ChainTrace) -> tuple[int, ...]:
-    """The sampled ordering with maximal recorded score; first occurrence wins ties."""
+    """The first sampled ordering whose recorded score is within 1e-12
+    relative (at least 1e-12 absolute) of the maximal one.
+
+    The chain's running score drifts by a few ulps from the exact order
+    score, so orderings that tie exactly can differ in their last bits; the
+    tolerance lets the sampling order, not that drift, break such ties.
+    """
     if not trace.samples:
         raise ValidationError("trace holds no samples")
-    best_order, best_score = trace.samples[0]
-    for order, score in trace.samples[1:]:
-        if score > best_score:
-            best_order, best_score = order, score
-    return best_order
+    best = max(score for _, score in trace.samples)
+    floor = best - max(1e-12 * abs(best), 1e-12)
+    return next(order for order, score in trace.samples if score >= floor)
 
 
 def dump_trace(trace: ChainTrace, fh) -> None:

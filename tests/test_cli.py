@@ -99,6 +99,23 @@ def test_kl_self_is_zero(tmp_path, capsys):
     assert abs(float(out.strip())) <= 1e-12
 
 
+def test_kl_rejects_uncovered_outcome(tmp_path, capsys):
+    # level 1 has the stage {X0=0} only: a data error (exit 2), not KL 0
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "order": [0, 1],
+        "cards": [2, 2],
+        "stagings": [
+            [{"context": {}, "probs": [0.5, 0.5]}],
+            [{"context": {"0": 0}, "probs": [0.3, 0.7]}],
+        ],
+    }))
+    code, out, err = run(capsys, "kl", "--p", str(model), "--q", str(model))
+    assert code == 2
+    assert out == ""
+    assert "covers outcome" in err
+
+
 def test_model_roundtrip_byte_identical(tmp_path, capsys):
     model = tmp_path / "m.json"
     run(capsys, "generate", "--cards", "2,3,2", "--seed", "5", "--out", str(model))

@@ -5,6 +5,7 @@ import pytest
 
 from ctxtree import (
     Context,
+    CorruptStagingError,
     CStree,
     Dataset,
     PriorSpec,
@@ -107,6 +108,21 @@ def test_joint_table_matches_log_density():
         assert table[outcome] == pytest.approx(
             math.exp(log_density(tree, outcome)), rel=1e-12
         )
+
+
+def test_joint_table_rejects_uncovered_outcome():
+    # level 1 has the stage {X0=0} only, so the outcomes with X0=1 have no
+    # stage; the table must not fill them from uninitialised memory
+    doc = {
+        "order": [0, 1],
+        "cards": [2, 2],
+        "stagings": [
+            [{"context": {}, "probs": [0.5, 0.5]}],
+            [{"context": {"0": 0}, "probs": [0.3, 0.7]}],
+        ],
+    }
+    with pytest.raises(CorruptStagingError, match="level-1 stage covers outcome"):
+        joint_table(CStree.from_json_dict(doc))
 
 
 def test_joint_table_cap():

@@ -118,6 +118,13 @@ def test_map_order():
     assert map_order(trace) == (0, 1)
     trace = ChainTrace(samples=[((0, 1), -5.0), ((1, 0), -2.0), ((0, 1), -2.0)])
     assert map_order(trace) == (1, 0)  # first occurrence of the best score
+    # orderings 1 ulp apart tie: the first sampled wins, not float drift
+    trace = ChainTrace(samples=[((0, 1), -13499.08329539441), ((1, 0), -13499.083295394408)])
+    assert map_order(trace) == (0, 1)
+    trace = ChainTrace(samples=[((0, 1), -5e-13), ((1, 0), 0.0)])
+    assert map_order(trace) == (0, 1)  # the 1e-12 absolute floor near zero
+    trace = ChainTrace(samples=[((0, 1), -2.0 - 1e-9), ((1, 0), -2.0)])
+    assert map_order(trace) == (1, 0)  # a real difference still decides
     with pytest.raises(ValidationError):
         map_order(ChainTrace())
 

@@ -4,7 +4,11 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ctxtree.enumeration
+import ctxtree.scoring
 from ctxtree import (
     Context,
     CStree,
@@ -42,6 +46,28 @@ BDEU = PriorSpec("bdeu-path", 1.0)
 def make_tables(rows, cards, prior=BDEU, pp=None, beta=2):
     data = Dataset(np.asarray(rows), StateSpace(cards))
     return build_score_tables(build_count_table(data, pp, beta), prior)
+
+
+def subsets(items):
+    items = sorted(items)
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def dump_z_text(tables):
+    buf = io.StringIO()
+    tables.dump_z(buf)
+    return buf.getvalue()
+
+
+def assert_los_match_enumeration(tables, cards, beta):
+    """Every los entry against log-sum-exp over the enumerated stagings."""
+    for i in range(len(cards)):
+        for usable in subsets(tables.pp[i]):
+            spec = EnumSpec(usable, [cards[j] for j in usable], beta=beta)
+            oracle = np.logaddexp.reduce(
+                [log_staging_score(i, s, tables, spec) for s in enumerate_stagings(spec)]
+            )
+            assert tables.los(i, usable) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_prior_spec_validation():
@@ -210,14 +236,46 @@ def test_local_order_score_is_mean_of_evidences():
             np.logaddexp.reduce(scores), rel=1e-12
         )
         # every table entry against the enumeration oracle
-        for i in range(3):
-            others = [j for j in range(3) if j != i]
-            for usable in chain.from_iterable(combinations(others, k) for k in range(3)):
-                spec = EnumSpec(usable, [cards[j] for j in usable], beta=2)
-                oracle = np.logaddexp.reduce(
-                    [log_staging_score(i, s, tables, spec) for s in enumerate_stagings(spec)]
-                )
-                assert tables.los(i, usable) == pytest.approx(oracle, rel=1e-12, abs=0)
+        assert_los_match_enumeration(tables, cards, 2)
+
+
+def test_los_closed_form_matches_enumeration_p6():
+    # |L| up to 5 with cards 2..4: pair subtraction and mixed pivot choices
+    rng = np.random.default_rng(20)
+    cards = [2, 3, 4, 2, 3, 2]
+    rows = rng.integers(0, cards, size=(200, 6))
+    rows[:, 5] = (rows[:, 0] + rows[:, 1]) % 2  # some real dependence
+    for beta in (0, 1, 2):
+        tables = make_tables(rows, cards, beta=beta)
+        assert_los_match_enumeration(tables, cards, beta)
+        for i in range(6):
+            spec = EnumSpec(tables.pp[i], [cards[j] for j in sorted(tables.pp[i])], beta=beta)
+            assert log_local_order_score(i, spec, tables) == tables.los(i, tables.pp[i])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cards=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_los_closed_form_matches_enumeration_random(cards, n, seed):
+    rows = np.random.default_rng(seed).integers(0, cards, size=(n, len(cards)))
+    assert_los_match_enumeration(make_tables(rows, cards), cards, 2)
+
+
+def test_score_build_never_enumerates(monkeypatch):
+    # the los entries come from the closed form alone
+    def refuse(spec):
+        raise AssertionError("staging enumeration on the scoring hot path")
+
+    monkeypatch.setattr(ctxtree.enumeration, "iter_raw_stagings", refuse)
+    monkeypatch.setattr(ctxtree.scoring, "iter_raw_stagings", refuse)
+    rng = np.random.default_rng(21)
+    cards = [2, 3, 2, 3]
+    tables = make_tables(rng.integers(0, cards, size=(60, 4)), cards)
+    spec = EnumSpec([0, 1, 2], cards[:3], beta=2)
+    assert log_local_order_score(3, spec, tables) == tables.los(3, {0, 1, 2})
 
 
 def test_prior_over_stagings_is_proper():
@@ -230,16 +288,19 @@ def test_prior_over_stagings_is_proper():
 def test_tables_shapes_p3_binary():
     rng = np.random.default_rng(7)
     tables = make_tables(rng.integers(0, 2, size=(30, 3)), [2, 2, 2])
+    per_var = [int(line.split("\t")[0]) for line in dump_z_text(tables).splitlines()]
     for i in range(3):
-        assert len(tables._z[i]) == 9
-        assert len(tables._los[i]) == 4
+        assert per_var.count(i) == 9
+        los = {L: tables.los(i, L) for L in subsets(tables.pp[i])}
+        assert len(los) == 4
+        assert all(math.isfinite(v) for v in los.values())
 
 
 def test_tables_beta0_los_constant():
     rng = np.random.default_rng(8)
     tables = make_tables(rng.integers(0, 2, size=(30, 3)), [2, 2, 2], beta=0)
     for i in range(3):
-        values = set(tables._los[i].values())
+        values = {tables.los(i, L) for L in subsets(tables.pp[i])}
         assert len(values) == 1
 
 
@@ -248,8 +309,10 @@ def test_tables_deterministic_rebuild():
     rows = rng.integers(0, 2, size=(50, 3))
     t1 = make_tables(rows, [2, 2, 2])
     t2 = make_tables(rows, [2, 2, 2])
-    assert t1._z == t2._z
-    assert t1._los == t2._los
+    assert dump_z_text(t1) == dump_z_text(t2)
+    for i in range(3):
+        for L in subsets(t1.pp[i]):
+            assert t1.los(i, L) == t2.los(i, L)
 
 
 def test_order_score_p1():
