@@ -16,7 +16,6 @@ from .core import (
     StateSpace,
     UnsupportedBoundError,
     ValidationError,
-    check_partition,
     find_stage,
     stage_members,
 )

@@ -8,6 +8,15 @@ staging of level ``i`` governs the conditional distribution of the variable
 at order position ``i + 1``; the first variable is governed by a root stage
 with empty context, stored here uniformly as the staging of level 0.
 
+Partition invariant: each level of a ``CStree`` is partitioned by its
+stages.  The constructor checks this from the contexts alone, in O(s^2 *
+beta) for s stages of at most beta context variables: every two stages
+must conflict (fix a shared variable to different values), so they are
+disjoint, and the stage sizes (products of the cardinalities of the level
+variables outside the context) must add up to the level size, so they
+cover it.  A violation raises CorruptStagingError; a bare ``Staging`` is
+not checked.
+
 All types are immutable after construction and safe to share across
 threads.
 """
@@ -43,11 +52,6 @@ class UnsupportedBoundError(ValidationError):
 
 class ResourceCapError(CtxTreeError):
     """A configured memory or size cap would be exceeded."""
-
-
-# Stagings with stage contexts above this many outcomes per level are never
-# materialized as explicit member lists.
-DEFAULT_LEVEL_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -225,50 +229,49 @@ class Staging:
 
 
 def find_stage(staging: Staging, prefix: Sequence[int], order: Sequence[int]) -> Stage:
-    """Return the unique stage containing ``prefix``.
+    """Return the first stage containing ``prefix``.
 
     ``prefix`` gives values for the first ``staging.level`` variables of
     ``order``, positionally.  Raises CorruptStagingError when no stage
-    matches, which means the partition invariant is broken.
+    matches, which a staging taken from a ``CStree`` never does.
     """
     if len(prefix) != staging.level:
         raise ValidationError(
             f"prefix length {len(prefix)} != staging level {staging.level}"
         )
     assignment = {order[j]: prefix[j] for j in range(staging.level)}
-    for stage in staging.stages:
+    return staging.stages[stage_index(staging, assignment)]
+
+
+def stage_index(staging: Staging, assignment: Mapping[int, int]) -> int:
+    """Index of the first stage whose context the variable -> value
+    ``assignment`` matches."""
+    for idx, stage in enumerate(staging.stages):
         if stage.context.matches(assignment):
-            return stage
+            return idx
     raise CorruptStagingError(
-        f"no stage of level {staging.level} contains prefix {tuple(prefix)}"
+        f"no stage of level {staging.level} contains {dict(sorted(assignment.items()))}"
     )
 
 
-def check_partition(
-    staging: Staging,
-    order: Sequence[int],
-    space: StateSpace,
-    cap: int = DEFAULT_LEVEL_CAP,
-) -> None:
-    """Exhaustively verify that the staging partitions its level.
-
-    Levels larger than ``cap`` outcomes raise ResourceCapError instead of
-    being scanned; membership is context-defined, so explicit member lists
-    are never materialized above the cap.
-    """
-    level_vars = tuple(order[: staging.level])
-    size = math.prod(space.cards[v] for v in level_vars) if level_vars else 1
-    if size > cap:
-        raise ResourceCapError(
-            f"level has {size} outcomes, above the scan cap {cap}"
+def _check_partition(staging: Staging, order: Sequence[int], space: StateSpace) -> None:
+    """Raise CorruptStagingError unless the stages partition the level,
+    judged from the contexts alone (see the module docstring)."""
+    level = staging.level
+    level_size = math.prod(space.cards[v] for v in order[:level])
+    covered = 0
+    seen: list[tuple[Context, dict[int, int]]] = []
+    for stage in staging.stages:
+        ctx = stage.context
+        covered += level_size // math.prod(space.cards[v] for v in ctx.vars)
+        for other, fixed in seen:
+            if all(fixed.get(v, x) == x for v, x in ctx.items):
+                raise CorruptStagingError(f"level-{level} stages {other} and {ctx} overlap")
+        seen.append((ctx, ctx.as_dict()))
+    if covered != level_size:
+        raise CorruptStagingError(
+            f"level-{level} stages cover {covered} of the level's {level_size} outcomes"
         )
-    for outcome in product(*(range(space.cards[v]) for v in level_vars)):
-        assignment = dict(zip(level_vars, outcome))
-        hits = sum(1 for s in staging.stages if s.context.matches(assignment))
-        if hits != 1:
-            raise CorruptStagingError(
-                f"outcome {outcome} of level {staging.level} lies in {hits} stages"
-            )
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,7 @@ class CStree:
                         f"level-{lvl} stage context uses variables {sorted(outside)} "
                         f"outside the level prefix"
                     )
+            _check_partition(st, order, space)
         if params is not None:
             params = tuple(
                 tuple(tuple(float(t) for t in probs) for probs in level)
@@ -413,10 +417,6 @@ class CStree:
     def with_params(self, params) -> "CStree":
         return CStree(self.order, self.space, self.stagings, params, self.names, self.labels)
 
-    def validate_partitions(self, cap: int = DEFAULT_LEVEL_CAP) -> None:
-        for st in self.stagings:
-            check_partition(st, self.order, self.space, cap)
-
     # -- model document (JSON) ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -450,39 +450,38 @@ class CStree:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "CStree":
+        """The tree a model document describes.  A malformed document raises
+        ParseError; stagings that are not partitions, CorruptStagingError."""
+        if not isinstance(doc, Mapping):
+            raise ParseError(f"model document must be a JSON object, got {type(doc).__name__}")
         try:
             space = StateSpace(doc["cards"])
-            order = doc["order"]
-            raw_stagings = doc["stagings"]
+            stagings = []
+            params = []
+            for lvl, entries in enumerate(doc["stagings"]):
+                stages = [
+                    Stage(Context({int(v): int(x) for v, x in entry["context"].items()}), lvl)
+                    for entry in entries
+                ]
+                level_order = sorted(range(len(stages)), key=lambda s: stages[s].sort_key())
+                stagings.append(Staging(lvl, [stages[j] for j in level_order]))
+                params.append([entries[j].get("probs") for j in level_order])
+            bare = [q is None for level in params for q in level]
+            if any(bare) and not all(bare):
+                raise ParseError("model document mixes parameterized and bare stages")
+            labels = doc.get("labels")
+            return CStree(
+                doc["order"],
+                space,
+                stagings,
+                params=None if all(bare) else params,
+                names=doc.get("names"),
+                labels={int(v): seq for v, seq in labels.items()} if labels else None,
+            )
         except KeyError as exc:
             raise ParseError(f"model document is missing field {exc}") from None
-        stagings = []
-        params = []
-        has_params = False
-        for lvl, entries in enumerate(raw_stagings):
-            stages = []
-            probs = []
-            for entry in entries:
-                ctx = Context({int(v): int(x) for v, x in entry["context"].items()})
-                stages.append(Stage(ctx, lvl))
-                probs.append(entry.get("probs"))
-            level_order = sorted(range(len(stages)), key=lambda s: stages[s].sort_key())
-            stagings.append(Staging(lvl, [stages[j] for j in level_order]))
-            params.append([probs[j] for j in level_order])
-            if any(q is not None for q in probs):
-                has_params = True
-        if has_params:
-            if any(q is None for level in params for q in level):
-                raise ParseError("model document mixes parameterized and bare stages")
-        labels = doc.get("labels")
-        return CStree(
-            order,
-            space,
-            stagings,
-            params=params if has_params else None,
-            names=doc.get("names"),
-            labels={int(v): seq for v, seq in labels.items()} if labels else None,
-        )
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"malformed model document ({exc})") from None
 
     @staticmethod
     def from_json(path) -> "CStree":

@@ -9,12 +9,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    CorruptStagingError,
     CStree,
     ResourceCapError,
     Staging,
     StateSpace,
     ValidationError,
+    stage_index,
 )
 from .counts import Dataset, compute_counts
 from .enumeration import EnumSpec, sample_staging_uniform
@@ -64,14 +64,6 @@ def estimate_parameters(
     return tree.with_params(tuple(params))
 
 
-def _stage_index(tree: CStree, lvl: int, outcome: Sequence[int]) -> int:
-    staging = tree.stagings[lvl]
-    for idx, stage in enumerate(staging.stages):
-        if all(outcome[v] == x for v, x in stage.context.items):
-            return idx
-    raise CorruptStagingError(f"no level-{lvl} stage covers outcome {tuple(outcome)}")
-
-
 def log_density(tree: CStree, outcome: Sequence[int]) -> float:
     """Log probability of a full outcome (indexed by variable, not by order
     position).  Zero-probability stages yield -inf rather than an error."""
@@ -79,11 +71,14 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
         raise ValidationError("tree has no parameters")
     if len(outcome) != tree.p:
         raise ValidationError(f"outcome has {len(outcome)} values, expected {tree.p}")
+    assignment = dict(enumerate(outcome))
+    for v, d in enumerate(tree.space.cards):
+        if not 0 <= assignment[v] < d:
+            raise ValidationError(f"value {assignment[v]} of variable {v} is outside 0..{d - 1}")
     total = 0.0
-    for lvl in range(tree.p):
-        var = tree.governed_var(lvl)
-        idx = _stage_index(tree, lvl, outcome)
-        theta = tree.params[lvl][idx][outcome[var]]
+    for lvl, staging in enumerate(tree.stagings):
+        idx = stage_index(staging, assignment)
+        theta = tree.params[lvl][idx][assignment[tree.governed_var(lvl)]]
         if theta == 0.0:
             return -math.inf
         total += math.log(theta)
@@ -91,10 +86,7 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
 
 
 def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-    """Exhaustive joint probability table, axes in natural variable order.
-
-    Raises CorruptStagingError when a level has an outcome that no stage
-    covers."""
+    """Exhaustive joint probability table, axes in natural variable order."""
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     size = tree.space.joint_size()
@@ -109,18 +101,14 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
         var = order[lvl]
         d = cards[var]
         level_shape = tuple(cards[v] for v in order[:lvl])
+        # every cell is written: the level's stages partition it
         theta = np.empty(level_shape + (d,), dtype=np.float64)
-        covered = np.zeros(level_shape, dtype=bool)
         grid = np.indices(level_shape)
         for idx, stage in enumerate(tree.stagings[lvl].stages):
             mask = np.ones(level_shape, dtype=bool)
             for v, x in stage.context.items:
                 mask &= grid[order.index(v)] == x
             theta[mask] = np.asarray(tree.params[lvl][idx])
-            covered |= mask
-        if not covered.all():
-            outcome = {order[a]: int(x) for a, x in enumerate(np.argwhere(~covered)[0])}
-            raise CorruptStagingError(f"no level-{lvl} stage covers outcome {outcome}")
         probs = probs[..., np.newaxis] * theta
     # probs axes follow the ordering; rearrange to natural variable axes
     return probs.transpose([order.index(v) for v in range(tree.p)])

@@ -47,6 +47,44 @@ def four_var_tree_b() -> CStree:
     return CStree((0, 1, 2, 3), space, stagings)
 
 
+@pytest.fixture(params=["missing", "overlapping"])
+def non_partition_doc(request) -> dict:
+    """A two-variable model document whose level 1 is not a partition: it
+    holds only the stage {X0=0}, so X0=1 is in no stage ("missing"), or the
+    stages {} and {X0=0}, so X0=0 is in both ("overlapping")."""
+    level_1 = [{"context": {"0": 0}, "probs": [0.3, 0.7]}]
+    if request.param == "overlapping":
+        level_1.insert(0, {"context": {}, "probs": [0.6, 0.4]})
+    return {
+        "order": [0, 1],
+        "cards": [2, 2],
+        "stagings": [[{"context": {}, "probs": [0.5, 0.5]}], level_1],
+    }
+
+
+MALFORMED_MODEL_DOCS = {
+    "no-context": {"order": [0], "cards": [2], "stagings": [[{"probs": [0.5, 0.5]}]]},
+    "non-integer-key": {
+        "order": [0, 1],
+        "cards": [2, 2],
+        "stagings": [[{"context": {}}], [{"context": {"a": 0}}]],
+    },
+    "list-document": [{"order": [0], "cards": [2], "stagings": [[{"context": {}}]]}],
+    "non-numeric-probs": {
+        "order": [0],
+        "cards": [2],
+        "stagings": [[{"context": {}, "probs": ["a", "b"]}]],
+    },
+    "cards-not-a-list": {"order": [0], "cards": 2, "stagings": [[{"context": {}}]]},
+}
+
+
+@pytest.fixture(params=list(MALFORMED_MODEL_DOCS))
+def malformed_model_doc(request):
+    """A model document the loader must refuse with ParseError."""
+    return MALFORMED_MODEL_DOCS[request.param]
+
+
 def pytest_runtest_logreport(report):
     """Print one pass/fail line per acceptance criterion."""
     if report.when != "call" or "test_acceptance" not in report.nodeid:

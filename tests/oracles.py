@@ -58,6 +58,21 @@ def brute_force_stagings(level_vars, cards, usable, beta):
     return found
 
 
+def is_partition(staging, order, space):
+    """True when every outcome of the staging's level lies in exactly one
+    stage, found by scanning all the level's outcomes."""
+    level_vars = tuple(order[: staging.level])
+    for outcome in product(*(range(space.cards[v]) for v in level_vars)):
+        assignment = dict(zip(level_vars, outcome))
+        hits = sum(
+            all(assignment[v] == x for v, x in stage.context.items)
+            for stage in staging.stages
+        )
+        if hits != 1:
+            return False
+    return True
+
+
 def polya_log_evidence(counts, alphas):
     """Log marginal likelihood of a count vector under a Dirichlet prior,
     via the sequential predictive product."""

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ctxtree import CStree, StateSpace, random_cstree, sample, write_csv
 from ctxtree.cli import main
@@ -100,7 +101,7 @@ def test_kl_self_is_zero(tmp_path, capsys):
 
 
 def test_kl_rejects_uncovered_outcome(tmp_path, capsys):
-    # level 1 has the stage {X0=0} only: a data error (exit 2), not KL 0
+    # level 1 has the stage {X0=0} only: refused at load (exit 2), not KL 0
     model = tmp_path / "m.json"
     model.write_text(json.dumps({
         "order": [0, 1],
@@ -113,7 +114,37 @@ def test_kl_rejects_uncovered_outcome(tmp_path, capsys):
     code, out, err = run(capsys, "kl", "--p", str(model), "--q", str(model))
     assert code == 2
     assert out == ""
-    assert "covers outcome" in err
+    assert "level-1 stages cover 1 of the level's 2 outcomes" in err
+
+
+def model_commands(model, out):
+    """Subcommands that load ``model``; those that write a file write ``out``."""
+    return {
+        "sample": ["sample", "--model", model, "-n", "20", "--seed", "1", "--out", out],
+        "kl": ["kl", "--p", model, "--q", model],
+        "ldag": ["ldag", "--model", model],
+        "ldag-dot": ["ldag", "--model", model, "--dot", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["sample", "kl", "ldag", "ldag-dot"])
+def test_non_partition_model_exit_2(tmp_path, capsys, non_partition_doc, command):
+    model, out = tmp_path / "m.json", tmp_path / "out"
+    model.write_text(json.dumps(non_partition_doc))
+    code, stdout, err = run(capsys, *model_commands(str(model), str(out))[command])
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
+    assert "level-1 stages" in err
+
+
+def test_malformed_model_exit_2(tmp_path, capsys, malformed_model_doc):
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    model.write_text(json.dumps(malformed_model_doc))
+    code, stdout, _ = run(capsys, *model_commands(str(model), str(out))["sample"])
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_model_roundtrip_byte_identical(tmp_path, capsys):

@@ -9,16 +9,16 @@ from ctxtree import (
     Context,
     CorruptStagingError,
     CStree,
+    ParseError,
     PossibleParents,
-    ResourceCapError,
     Stage,
     Staging,
     StateSpace,
     ValidationError,
-    check_partition,
     find_stage,
     stage_members,
 )
+from oracles import is_partition
 
 
 def test_state_space_validation():
@@ -158,21 +158,88 @@ def test_find_stage_corrupt():
         find_stage(staging, (1, 0), (0, 1))
 
 
+def tree_with_last_level(staging: Staging, cards) -> CStree:
+    """A tree over variables 0..level in natural order whose last level has
+    ``staging`` and whose other levels are whole."""
+    level = staging.level
+    stagings = [Staging.full_level(lvl) for lvl in range(level)] + [staging]
+    return CStree(tuple(range(level + 1)), StateSpace(cards), stagings)
+
+
 def test_check_partition(four_var_tree_a):
-    four_var_tree_a.validate_partitions()
-    bad = Staging(1, [Stage(Context({0: 0}), 1)])
-    with pytest.raises(CorruptStagingError):
-        check_partition(bad, (0, 1), StateSpace([2, 2]))
+    assert all(
+        is_partition(st, four_var_tree_a.order, four_var_tree_a.space)
+        for st in four_var_tree_a.stagings
+    )
+    missing = Staging(1, [Stage(Context({0: 0}), 1)])
+    with pytest.raises(CorruptStagingError, match="level-1 stages cover 1 of the level's 2 outcomes"):
+        tree_with_last_level(missing, [2, 2])
     overlapping = Staging(2, [Stage(Context(), 2), Stage(Context({0: 0}), 2)])
-    with pytest.raises(CorruptStagingError):
-        check_partition(overlapping, (0, 1), StateSpace([2, 2]))
+    with pytest.raises(CorruptStagingError, match="overlap"):
+        tree_with_last_level(overlapping, [2, 2, 2])
+    # the sizes add up to the level's 4 outcomes, yet (0,0) lies in both
+    # stages and (1,1) in neither
+    sizes_add_up = Staging(2, [Stage(Context({0: 0}), 2), Stage(Context({1: 0}), 2)])
+    with pytest.raises(CorruptStagingError, match=r"stages \{0=0\} and \{1=0\} overlap"):
+        tree_with_last_level(sizes_add_up, [2, 2, 2])
 
 
-def test_check_partition_cap():
-    space = StateSpace([2] * 25)
-    staging = Staging.full_level(25)
-    with pytest.raises(ResourceCapError):
-        check_partition(staging, tuple(range(25)), space, cap=1 << 20)
+def test_from_json_dict_rejects_non_partition(non_partition_doc):
+    with pytest.raises(CorruptStagingError, match="level-1 stages"):
+        CStree.from_json_dict(non_partition_doc)
+
+
+def test_from_json_dict_malformed_document(malformed_model_doc):
+    with pytest.raises(ParseError):
+        CStree.from_json_dict(malformed_model_doc)
+
+
+def contexts_of(cards, level):
+    """Contexts over the level's variables 0..level-1, each fixed or free."""
+    values = st.tuples(*(st.none() | st.integers(0, cards[v] - 1) for v in range(level)))
+    return values.map(lambda xs: {v: x for v, x in enumerate(xs) if x is not None})
+
+
+@st.composite
+def level_stagings(draw):
+    """A level (0-4 variables, cards 2-4) and a staging of it: either random
+    distinct contexts, or a partition grown by splitting stages on a free
+    variable, then maybe broken by dropping or adding one stage."""
+    level = draw(st.integers(0, 4))
+    cards = draw(st.lists(st.integers(2, 4), min_size=level + 1, max_size=level + 1))
+    if draw(st.booleans()):
+        contexts = draw(
+            st.lists(contexts_of(cards, level), min_size=1, max_size=8, unique_by=str)
+        )
+    else:
+        contexts = [{}]
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(contexts) - 1))
+            free = [v for v in range(level) if v not in contexts[at]]
+            if free:
+                v = draw(st.sampled_from(free))
+                ctx = contexts.pop(at)
+                contexts += [{**ctx, v: x} for x in range(cards[v])]
+        change = draw(st.sampled_from(["keep", "drop", "add"]))
+        if change == "drop" and len(contexts) > 1:
+            contexts.pop(draw(st.integers(0, len(contexts) - 1)))
+        elif change == "add":
+            extra = draw(contexts_of(cards, level))
+            if extra not in contexts:
+                contexts.append(extra)
+    staging = Staging(level, [Stage(Context(ctx), level) for ctx in contexts])
+    return cards, staging
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_stagings())
+def test_constructor_accepts_exactly_the_partitions(case):
+    cards, staging = case
+    if is_partition(staging, tuple(range(staging.level + 1)), StateSpace(cards)):
+        tree_with_last_level(staging, cards)
+    else:
+        with pytest.raises(CorruptStagingError):
+            tree_with_last_level(staging, cards)
 
 
 def test_possible_parents():

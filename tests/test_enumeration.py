@@ -11,7 +11,6 @@ from ctxtree import (
     StateSpace,
     UnsupportedBoundError,
     ValidationError,
-    check_partition,
     count_cstrees,
     count_stagings,
     enumerate_stagings,
@@ -19,7 +18,7 @@ from ctxtree import (
     sample_staging_uniform,
 )
 
-from oracles import brute_force_stagings
+from oracles import brute_force_stagings, is_partition
 
 
 def staging_key(staging):
@@ -99,7 +98,7 @@ def test_enumeration_invariants(cards, beta, data):
         seen.add(key)
         assert staging.max_context_size() <= beta
         assert len(staging.stages) <= cap
-        check_partition(staging, order, space)
+        assert is_partition(staging, order, space)
     assert n == count_stagings(spec)
 
 

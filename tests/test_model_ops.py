@@ -21,6 +21,7 @@ from ctxtree import (
     random_cstree,
     sample,
 )
+from oracles import is_partition
 
 
 def binary_pair_tree(theta0, theta1_by_x0):
@@ -85,6 +86,13 @@ def test_log_density_uniform_tree():
         assert log_density(tree, outcome) == pytest.approx(-math.log(6))
 
 
+def test_log_density_rejects_out_of_range_values():
+    tree = binary_pair_tree((0.5, 0.5), [(0.5, 0.5), (0.5, 0.5)])
+    for outcome in [(0, -1), (2, 0), (-1, 0)]:
+        with pytest.raises(ValidationError, match="outside 0..1"):
+            log_density(tree, outcome)
+
+
 def test_log_density_zero_prob_is_neg_inf():
     tree = binary_pair_tree((1.0, 0.0), [(0.5, 0.5), (0.5, 0.5)])
     assert log_density(tree, (1, 0)) == -math.inf
@@ -112,7 +120,7 @@ def test_joint_table_matches_log_density():
 
 def test_joint_table_rejects_uncovered_outcome():
     # level 1 has the stage {X0=0} only, so the outcomes with X0=1 have no
-    # stage; the table must not fill them from uninitialised memory
+    # stage; the document is refused at load, before any table is filled
     doc = {
         "order": [0, 1],
         "cards": [2, 2],
@@ -121,8 +129,8 @@ def test_joint_table_rejects_uncovered_outcome():
             [{"context": {"0": 0}, "probs": [0.3, 0.7]}],
         ],
     }
-    with pytest.raises(CorruptStagingError, match="level-1 stage covers outcome"):
-        joint_table(CStree.from_json_dict(doc))
+    with pytest.raises(CorruptStagingError, match="level-1 stages cover 1 of the level's 2"):
+        CStree.from_json_dict(doc)
 
 
 def test_joint_table_cap():
@@ -214,7 +222,7 @@ def test_kl_space_mismatch():
 def test_random_cstree_beta0_is_independence_model():
     rng = np.random.default_rng(11)
     tree = random_cstree(StateSpace([2] * 4), 0, rng)
-    tree.validate_partitions()
+    assert all(is_partition(st, tree.order, tree.space) for st in tree.stagings)
     for staging in tree.stagings:
         assert len(staging.stages) == 1
     table = joint_table(tree)
@@ -231,7 +239,7 @@ def test_random_cstree_respects_beta():
         tree = random_cstree(StateSpace([2] * 6), 2, rng, theta="none")
         assert tree.max_context_size() <= 2
         if trial < 20:
-            tree.validate_partitions()
+            assert all(is_partition(st, tree.order, tree.space) for st in tree.stagings)
 
 
 def test_random_cstree_level_staging_uniform():
