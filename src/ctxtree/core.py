@@ -17,17 +17,24 @@ variables outside the context) must add up to the level size, so they
 cover it.  A violation raises CorruptStagingError; a bare ``Staging`` is
 not checked.
 
+Stage lookup lives here: ``stage_index`` (one outcome) and ``stage_ids`` (a
+block of outcomes) share ``Context.mask``, and since every ``CStree`` level
+is a partition, the first stage matching an outcome is its only one.
+
 All types are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 
 class CtxTreeError(Exception):
@@ -121,9 +128,17 @@ class Context:
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
+    def mask(self, column: Callable):
+        """Where every context variable takes its context value; ``column(v)``
+        gives v's values as scalars or as arrays that broadcast together."""
+        hit = True
+        for v, x in self.items:
+            hit = hit & (column(v) == x)
+        return hit
+
     def matches(self, assignment: Mapping[int, int]) -> bool:
         """True if every context variable takes its context value in ``assignment``."""
-        return all(assignment.get(v) == x for v, x in self.items)
+        return bool(self.mask(assignment.get))
 
     def check_in_space(self, space: StateSpace) -> None:
         for v, x in self.items:
@@ -254,6 +269,16 @@ def stage_index(staging: Staging, assignment: Mapping[int, int]) -> int:
     )
 
 
+def stage_ids(staging: Staging, column: Callable, shape) -> np.ndarray:
+    """The stage of each outcome in a block of level outcomes (``column`` as in
+    ``Context.mask``), as an array of ``shape``.  Stage 0 takes what no other
+    stage claims, which in a partition is exactly its own outcomes."""
+    ids = np.zeros(shape, dtype=np.intp)
+    for idx in range(len(staging.stages) - 1, 0, -1):
+        np.copyto(ids, idx, where=staging.stages[idx].context.mask(column))
+    return ids
+
+
 def _check_partition(staging: Staging, order: Sequence[int], space: StateSpace) -> None:
     """Raise CorruptStagingError unless the stages partition the level,
     judged from the contexts alone (see the module docstring)."""
@@ -360,28 +385,6 @@ class CStree:
                         f"outside the level prefix"
                     )
             _check_partition(st, order, space)
-        if params is not None:
-            params = tuple(
-                tuple(tuple(float(t) for t in probs) for probs in level)
-                for level in params
-            )
-            if len(params) != p:
-                raise ValidationError("params must align with stagings (one entry per level)")
-            for lvl, level_params in enumerate(params):
-                d = space.cards[order[lvl]]
-                if len(level_params) != len(stagings[lvl].stages):
-                    raise ValidationError(f"params at level {lvl} do not align with stages")
-                for probs in level_params:
-                    if len(probs) != d:
-                        raise ValidationError(
-                            f"stage distribution at level {lvl} has length {len(probs)}, expected {d}"
-                        )
-                    if any(t < 0 for t in probs):
-                        raise ValidationError("stage probabilities must be nonnegative")
-                    if abs(sum(probs) - 1.0) > 1e-12:
-                        raise ValidationError(
-                            f"stage probabilities at level {lvl} sum to {sum(probs)!r}, not 1"
-                        )
         if names is not None:
             names = tuple(str(n) for n in names)
             if len(names) != p:
@@ -391,7 +394,7 @@ class CStree:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "stagings", stagings)
-        object.__setattr__(self, "params", params)
+        self._set_params(params)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "labels", labels)
 
@@ -414,8 +417,37 @@ class CStree:
             raise ValidationError("tree has no parameters")
         return self.params[level][stage_index]
 
+    def _set_params(self, params) -> None:
+        """Check ``params`` against the stagings and store them as float tuples."""
+        if params is not None:
+            params = tuple(
+                tuple(tuple(float(t) for t in probs) for probs in level)
+                for level in params
+            )
+            if len(params) != self.p:
+                raise ValidationError("params must align with stagings (one entry per level)")
+            for lvl, level_params in enumerate(params):
+                d = self.space.cards[self.order[lvl]]
+                if len(level_params) != len(self.stagings[lvl].stages):
+                    raise ValidationError(f"params at level {lvl} do not align with stages")
+                for probs in level_params:
+                    if len(probs) != d:
+                        raise ValidationError(
+                            f"stage distribution at level {lvl} has length {len(probs)}, expected {d}"
+                        )
+                    if not all(math.isfinite(t) and t >= 0 for t in probs):
+                        raise ValidationError("stage probabilities must be finite and nonnegative")
+                    if abs(sum(probs) - 1.0) > 1e-12:
+                        raise ValidationError(
+                            f"stage probabilities at level {lvl} sum to {sum(probs)!r}, not 1"
+                        )
+        object.__setattr__(self, "params", params)
+
     def with_params(self, params) -> "CStree":
-        return CStree(self.order, self.space, self.stagings, params, self.names, self.labels)
+        """This tree with ``params``; only they are checked, the rest already was."""
+        tree = copy.copy(self)
+        tree._set_params(params)
+        return tree
 
     # -- model document (JSON) ------------------------------------------------
 

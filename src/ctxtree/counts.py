@@ -24,8 +24,10 @@ from .core import (
     ParseError,
     PossibleParents,
     ResourceCapError,
+    Staging,
     StateSpace,
     ValidationError,
+    stage_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -203,10 +205,17 @@ def compute_counts(data: Dataset, var: int, context: Context) -> np.ndarray:
     if var in context.vars:
         raise ValidationError(f"context conditions on the target variable {var}")
     context.check_in_space(data.space)
-    mask = np.ones(data.n, dtype=bool)
-    for v, x in context.items:
-        mask &= data.rows[:, v] == x
+    mask = np.broadcast_to(context.mask(lambda v: data.rows[:, v]), data.n)
     return np.bincount(data.rows[mask, var], minlength=data.space.cards[var])
+
+
+def stage_counts(data: Dataset, var: int, staging: Staging) -> np.ndarray:
+    """The (stages x d_var) counts N_isk of ``var``'s values over the rows each
+    stage holds; ``staging`` must partition its level, as in a ``CStree``."""
+    d = data.space.cards[var]
+    ids = stage_ids(staging, lambda v: data.rows[:, v], data.n)
+    counts = np.bincount(ids * d + data.rows[:, var], minlength=len(staging.stages) * d)
+    return counts.reshape(-1, d)
 
 
 def _context_sets(pp: PossibleParents, var: int, beta: int):

@@ -14,9 +14,10 @@ from .core import (
     Staging,
     StateSpace,
     ValidationError,
+    stage_ids,
     stage_index,
 )
-from .counts import Dataset, compute_counts
+from .counts import Dataset, stage_counts
 from .enumeration import EnumSpec, sample_staging_uniform
 from .scoring import PriorSpec
 
@@ -46,8 +47,7 @@ def estimate_parameters(
         var = tree.governed_var(lvl)
         d = tree.space.cards[var]
         level_params = []
-        for stage in staging.stages:
-            counts = compute_counts(data, var, stage.context).astype(np.float64)
+        for stage, counts in zip(staging.stages, stage_counts(data, var, staging).astype(float)):
             n = counts.sum()
             if mode == "mle":
                 theta = counts / n if n > 0 else np.full(d, 1.0 / d)
@@ -96,27 +96,19 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
         )
     order = tree.order
     cards = tree.space.cards
-    probs = np.asarray(tree.params[0][0], dtype=np.float64)
-    for lvl in range(1, tree.p):
-        var = order[lvl]
-        d = cards[var]
-        level_shape = tuple(cards[v] for v in order[:lvl])
-        # every cell is written: the level's stages partition it
-        theta = np.empty(level_shape + (d,), dtype=np.float64)
-        grid = np.indices(level_shape)
-        for idx, stage in enumerate(tree.stagings[lvl].stages):
-            mask = np.ones(level_shape, dtype=bool)
-            for v, x in stage.context.items:
-                mask &= grid[order.index(v)] == x
-            theta[mask] = np.asarray(tree.params[lvl][idx])
-        probs = probs[..., np.newaxis] * theta
+    probs = np.ones(())
+    for lvl, staging in enumerate(tree.stagings):
+        shape = tuple(cards[v] for v in order[:lvl])
+        grid = dict(zip(order[:lvl], np.ix_(*map(np.arange, shape))))
+        ids = stage_ids(staging, grid.get, shape)
+        probs = probs[..., np.newaxis] * np.asarray(tree.params[lvl])[ids]
     # probs axes follow the ordering; rearrange to natural variable axes
     return probs.transpose([order.index(v) for v in range(tree.p)])
 
 
 def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
-    """Forward-sample n rows along the tree's ordering; deterministic given
-    the generator state."""
+    """Forward-sample n rows along the tree's ordering, one ``rng.choice`` per
+    stage holding rows, in stage order; deterministic given the generator state."""
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     if n < 1:
@@ -126,15 +118,11 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     for lvl in range(p):
         var = tree.governed_var(lvl)
         d = tree.space.cards[var]
-        for idx, stage in enumerate(tree.stagings[lvl].stages):
-            mask = np.ones(n, dtype=bool)
-            for v, x in stage.context.items:
-                mask &= rows[:, v] == x
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            theta = np.asarray(tree.params[lvl][idx])
-            rows[mask, var] = rng.choice(d, size=cnt, p=theta)
+        ids = stage_ids(tree.stagings[lvl], lambda v: rows[:, v], n)
+        for idx, theta in enumerate(tree.params[lvl]):
+            held = np.flatnonzero(ids == idx)
+            if held.size:
+                rows[held, var] = rng.choice(d, size=held.size, p=theta)
     return Dataset(rows, tree.space, names=tree.names)
 
 

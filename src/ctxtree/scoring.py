@@ -73,7 +73,7 @@ from .core import (
     StateSpace,
     ValidationError,
 )
-from .counts import CountTable, Dataset, compute_counts
+from .counts import CountTable, Dataset, stage_counts
 from .enumeration import EnumSpec, count_stagings, iter_raw_stagings
 
 
@@ -164,7 +164,7 @@ class ScoreTables:
             self._los[i] = dict(zip(keys, scores.tolist()))
 
     def z(self, var: int, context) -> float:
-        items = context.items if isinstance(context, Context) else tuple(context)
+        items = (context if isinstance(context, Context) else Context(context)).items
         try:
             return self._z[var][items]
         except KeyError:
@@ -354,8 +354,7 @@ def log_marginal_likelihood(tree: CStree, data: Dataset, prior: PriorSpec) -> fl
     total = 0.0
     for lvl, staging in enumerate(tree.stagings):
         var = tree.governed_var(lvl)
-        for stage in staging.stages:
-            counts = compute_counts(data, var, stage.context)
+        for stage, counts in zip(staging.stages, stage_counts(data, var, staging)):
             total += log_context_marginal_likelihood(
                 tree.space, var, stage.context, counts, prior
             )

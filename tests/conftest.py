@@ -62,6 +62,21 @@ def non_partition_doc(request) -> dict:
     }
 
 
+@pytest.fixture
+def nan_probs_doc() -> dict:
+    """A two-variable model document whose root stage has NaN probabilities;
+    ``json.dumps`` writes them as the ``NaN`` token, which ``json.load``
+    accepts."""
+    return {
+        "order": [0, 1],
+        "cards": [2, 2],
+        "stagings": [
+            [{"context": {}, "probs": [float("nan"), float("nan")]}],
+            [{"context": {}, "probs": [0.5, 0.5]}],
+        ],
+    }
+
+
 MALFORMED_MODEL_DOCS = {
     "no-context": {"order": [0], "cards": [2], "stagings": [[{"probs": [0.5, 0.5]}]]},
     "non-integer-key": {

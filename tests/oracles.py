@@ -3,7 +3,10 @@
 Nothing here imports the enumeration generator, the gammaln-based evidence,
 or the score tables; stagings come from raw set partitions and evidences
 from the sequential predictive (Polya urn) product, so the oracles stay
-independent of the code paths they check.
+independent of the code paths they check.  The model-operation oracles at
+the end are the exception: they are the per-stage mask implementations that
+the vectorized stage lookup replaced, and they share the library's evidence
+and estimator formulas, so they check only how stages select outcomes.
 """
 
 from __future__ import annotations
@@ -162,4 +165,104 @@ def brute_force_order_score(rows, cards, order, pp_sets, beta, scheme, ess):
         m = max(log_scores)
         total += m + math.log(sum(math.exp(x - m) for x in log_scores))
         preds.append(var)
+    return total
+
+
+def mask_sample(tree, n, rng):
+    """``sample`` with one row mask per stage."""
+    import numpy as np
+
+    from ctxtree import Dataset
+
+    rows = np.zeros((n, tree.p), dtype=np.int64)
+    for lvl in range(tree.p):
+        var = tree.governed_var(lvl)
+        d = tree.space.cards[var]
+        for idx, stage in enumerate(tree.stagings[lvl].stages):
+            mask = np.ones(n, dtype=bool)
+            for v, x in stage.context.items:
+                mask &= rows[:, v] == x
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            theta = np.asarray(tree.params[lvl][idx])
+            rows[mask, var] = rng.choice(d, size=cnt, p=theta)
+    return Dataset(rows, tree.space, names=tree.names)
+
+
+def mask_joint_table(tree):
+    """``joint_table`` with one mask over the full ``np.indices`` grid per stage."""
+    import numpy as np
+
+    order = tree.order
+    cards = tree.space.cards
+    probs = np.asarray(tree.params[0][0], dtype=np.float64)
+    for lvl in range(1, tree.p):
+        var = order[lvl]
+        d = cards[var]
+        level_shape = tuple(cards[v] for v in order[:lvl])
+        theta = np.empty(level_shape + (d,), dtype=np.float64)
+        grid = np.indices(level_shape)
+        for idx, stage in enumerate(tree.stagings[lvl].stages):
+            mask = np.ones(level_shape, dtype=bool)
+            for v, x in stage.context.items:
+                mask &= grid[order.index(v)] == x
+            theta[mask] = np.asarray(tree.params[lvl][idx])
+        probs = probs[..., np.newaxis] * theta
+    return probs.transpose([order.index(v) for v in range(tree.p)])
+
+
+def mask_counts(data, var, context):
+    """``compute_counts`` with the context's row mask written out."""
+    import numpy as np
+
+    mask = np.ones(data.n, dtype=bool)
+    for v, x in context.items:
+        mask &= data.rows[:, v] == x
+    return np.bincount(data.rows[mask, var], minlength=data.space.cards[var])
+
+
+def per_stage_estimate(tree, data, mode, prior=None):
+    """``estimate_parameters`` with one row-mask count pass per stage."""
+    import numpy as np
+
+    from ctxtree import PriorSpec
+
+    if mode == "map" and prior is None:
+        prior = PriorSpec()
+    params = []
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
+        d = tree.space.cards[var]
+        level_params = []
+        for stage in staging.stages:
+            counts = mask_counts(data, var, stage.context).astype(np.float64)
+            n = counts.sum()
+            if mode == "mle":
+                theta = counts / n if n > 0 else np.full(d, 1.0 / d)
+            else:
+                a = prior.alpha_cell(tree.space, var, stage.context.vars)
+                post = counts + a
+                if np.all(post > 1.0):
+                    theta = (post - 1.0) / (post.sum() - d)
+                else:
+                    theta = post / post.sum()
+            theta = theta / theta.sum()
+            level_params.append(tuple(float(t) for t in theta))
+        params.append(tuple(level_params))
+    return tree.with_params(tuple(params))
+
+
+def per_stage_lml(tree, data, prior):
+    """``log_marginal_likelihood`` with one row-mask count pass per stage."""
+    from ctxtree import log_context_marginal_likelihood
+
+    total = 0.0
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
+        for stage in staging.stages:
+            counts = mask_counts(data, var, stage.context)
+            total += log_context_marginal_likelihood(
+                tree.space, var, stage.context, counts, prior
+            )
     return total

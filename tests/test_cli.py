@@ -138,6 +138,17 @@ def test_non_partition_model_exit_2(tmp_path, capsys, non_partition_doc, command
     assert "level-1 stages" in err
 
 
+@pytest.mark.parametrize("command", ["sample", "kl"])
+def test_nan_probs_model_exit_2(tmp_path, capsys, nan_probs_doc, command):
+    model, out = tmp_path / "m.json", tmp_path / "out"
+    model.write_text(json.dumps(nan_probs_doc))
+    code, stdout, err = run(capsys, *model_commands(str(model), str(out))[command])
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
+    assert "finite" in err
+
+
 def test_malformed_model_exit_2(tmp_path, capsys, malformed_model_doc):
     model, out = tmp_path / "m.json", tmp_path / "out.csv"
     model.write_text(json.dumps(malformed_model_doc))

@@ -281,6 +281,17 @@ def test_cstree_validation():
         tree.with_params((((0.5, 0.5),), ((1.0,),)))  # bad length
 
 
+@pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.nan, 1.0)])
+def test_cstree_rejects_non_finite_probs(probs):
+    # NaN slips past both the sign test and the sum test
+    space = StateSpace([2, 2])
+    params = ((probs,), ((0.5, 0.5),))
+    with pytest.raises(ValidationError, match="finite"):
+        CStree((0, 1), space, [Staging.full_level(1)], params)
+    with pytest.raises(ValidationError, match="finite"):
+        CStree((0, 1), space, [Staging.full_level(1)]).with_params(params)
+
+
 def test_cstree_json_roundtrip(four_var_tree_a):
     text = four_var_tree_a.to_json()
     doc = json.loads(text)

@@ -197,3 +197,22 @@ def test_learn_returned_order_score_is_trace_max():
 def test_learn_config_validation():
     with pytest.raises(ValidationError):
         LearnConfig(estimator="bogus")
+
+
+def test_learn_and_random_cstree_check_each_level_once(monkeypatch):
+    # with_params keeps the checked structure; only the first build of a
+    # tree runs the partition check
+    import ctxtree.core
+
+    calls = []
+    check = ctxtree.core._check_partition
+    monkeypatch.setattr(
+        ctxtree.core, "_check_partition", lambda *args: calls.append(1) or check(*args)
+    )
+    space = StateSpace([2, 3, 2, 2])
+    truth = random_cstree(space, 2, np.random.default_rng(0))
+    assert len(calls) == space.p
+    data = sample(truth, 200, np.random.default_rng(1))
+    calls.clear()
+    learn(data, LearnConfig(chain=ChainConfig(iterations=50, seed=0)))
+    assert len(calls) == space.p

@@ -1,7 +1,10 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxtree import (
     Context,
@@ -18,10 +21,18 @@ from ctxtree import (
     joint_table,
     kl_divergence,
     log_density,
+    log_marginal_likelihood,
     random_cstree,
     sample,
 )
-from oracles import is_partition
+from ctxtree.core import stage_ids, stage_index
+from oracles import (
+    is_partition,
+    mask_joint_table,
+    mask_sample,
+    per_stage_estimate,
+    per_stage_lml,
+)
 
 
 def binary_pair_tree(theta0, theta1_by_x0):
@@ -290,3 +301,72 @@ def test_estimate_requires_matching_space():
     data = Dataset(np.zeros((3, 2), dtype=int), StateSpace([3, 2]))
     with pytest.raises(ValidationError):
         estimate_parameters(tree, data, "mle")
+
+
+def chain_contexts(chain_vars, cards):
+    """{u0=x} for each x > 0, then {u0=0, u1=x} for each x > 0, and so on,
+    ending with every chain variable fixed to 0: a partition of any level
+    holding the chain variables, with contexts as wide as the chain."""
+    if not chain_vars:
+        return [{}]
+    u, rest = chain_vars[0], chain_vars[1:]
+    return [{u: x} for x in range(1, cards[u])] + [
+        {u: 0, **ctx} for ctx in chain_contexts(rest, cards)
+    ]
+
+
+@st.composite
+def parameterized_trees(draw):
+    """A valid parameterized CStree with 1-5 variables of cardinality 2-4:
+    either from ``random_cstree`` with beta 0-2, or a loaded model document
+    whose levels hold chain stagings wider than any beta."""
+    p = draw(st.integers(1, 5))
+    space = StateSpace(draw(st.lists(st.integers(2, 4), min_size=p, max_size=p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_cstree(space, draw(st.integers(0, 2)), rng)
+    order = tuple(int(v) for v in rng.permutation(p))
+    stagings = []
+    for lvl in range(1, p):
+        chain_vars = draw(st.permutations(order[:lvl]))[: draw(st.integers(0, lvl))]
+        contexts = chain_contexts(chain_vars, space.cards)
+        stagings.append(Staging(lvl, [Stage(Context(ctx), lvl) for ctx in contexts]))
+    tree = CStree(order, space, stagings)
+    params = []
+    for lvl, staging in enumerate(tree.stagings):
+        d = space.cards[tree.governed_var(lvl)]
+        draws = [rng.dirichlet(np.ones(d)) for _ in staging.stages]
+        params.append(tuple(tuple((t / t.sum()).tolist()) for t in draws))
+    return CStree.from_json_dict(tree.with_params(tuple(params)).to_json_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(parameterized_trees(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_stage_lookup_matches_per_stage_oracles(tree, n, seed):
+    cards = tree.space.cards
+    for lvl, staging in enumerate(tree.stagings):
+        level_vars = tree.order[:lvl]
+        outcomes = np.array(
+            list(product(*(range(cards[v]) for v in level_vars))), dtype=np.int64
+        ).reshape(math.prod(cards[v] for v in level_vars), lvl)
+        pos = {v: j for j, v in enumerate(level_vars)}
+        ids = stage_ids(staging, lambda v: outcomes[:, pos[v]], len(outcomes))
+        assert ids.tolist() == [
+            stage_index(staging, dict(zip(level_vars, o))) for o in outcomes.tolist()
+        ]
+    data = sample(tree, n, np.random.default_rng(seed))
+    assert np.array_equal(data.rows, mask_sample(tree, n, np.random.default_rng(seed)).rows)
+    assert np.array_equal(joint_table(tree), mask_joint_table(tree))
+    for mode in ("map", "mle"):
+        assert estimate_parameters(tree, data, mode).params == per_stage_estimate(tree, data, mode).params
+    prior = PriorSpec()
+    assert log_marginal_likelihood(tree, data, prior) == per_stage_lml(tree, data, prior)
+
+
+def test_stage_ids_single_stage_level_broadcasts():
+    # the empty context matches without reading a column, so the ids still
+    # take the requested shape
+    rows = np.ones((7, 3), dtype=np.int64)
+    ids = stage_ids(Staging.full_level(2), lambda v: rows[:, v], 7)
+    assert ids.shape == (7,) and not ids.any()
+    assert stage_ids(Staging.full_level(0), {}.get, ()).shape == ()

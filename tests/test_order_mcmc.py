@@ -8,6 +8,7 @@ import pytest
 from ctxtree import (
     ChainConfig,
     Dataset,
+    PossibleParents,
     PriorSpec,
     StateSpace,
     ValidationError,
@@ -146,19 +147,33 @@ def test_map_order_identifies_strong_order():
 
 
 def test_chain_matches_exact_posterior():
+    # p=3 moves a variable at most two places and scores sets of at most two
+    # predecessors; the p=5 cases reach longer moves and larger sets, and the
+    # sparse asymmetric K (v in K_u without u in K_v) makes a swap change u's
+    # term alone.  Sampling noise in the total variation is about 0.02.
     rng = np.random.default_rng(9)
-    rows = rng.integers(0, 2, size=(300, 3))
-    rows[:, 2] = (rows[:, 0] & rows[:, 1]) ^ (rng.random(300) < 0.1)
-    tables = make_tables(rows, [2, 2, 2])
-    orders = list(permutations(range(3)))
-    scores = np.array([tables.order_score(o) for o in orders])
-    exact = np.exp(scores - scores.max())
-    exact /= exact.sum()
-    trace = run_chain(tables, ChainConfig(iterations=20000, burn_in=2000, seed=4))
-    freq = Counter(order for order, _ in trace.samples)
-    emp = np.array([freq.get(o, 0) for o in orders], dtype=float)
-    emp /= emp.sum()
-    assert 0.5 * np.abs(exact - emp).sum() < 0.1
+    rows3 = rng.integers(0, 2, size=(300, 3))
+    rows3[:, 2] = (rows3[:, 0] & rows3[:, 1]) ^ (rng.random(300) < 0.1)
+    rng = np.random.default_rng(9)
+    rows5 = rng.integers(0, 2, size=(200, 5))
+    rows5[:, 1] = rows5[:, 0] ^ (rng.random(200) < 0.2)
+    rows5[:, 2] = rows5[:, 1] ^ (rng.random(200) < 0.2)
+    rows5[:, 3] = (rows5[:, 2] & rows5[:, 4]) ^ (rng.random(200) < 0.1)
+    sparse = PossibleParents([{1, 2}, {0}, {1, 3, 4}, {2, 4}, {0}])
+    cases = [(rows3, None, 20000, 2000), (rows5, None, 40000, 4000), (rows5, sparse, 40000, 4000)]
+    for rows, pp, iterations, burn_in in cases:
+        p = rows.shape[1]
+        data = Dataset(rows, StateSpace([2] * p))
+        tables = build_score_tables(build_count_table(data, pp), PriorSpec())
+        orders = list(permutations(range(p)))
+        scores = np.array([tables.order_score(o) for o in orders])
+        exact = np.exp(scores - scores.max())
+        exact /= exact.sum()
+        trace = run_chain(tables, ChainConfig(iterations=iterations, burn_in=burn_in, seed=4))
+        freq = Counter(order for order, _ in trace.samples)
+        emp = np.array([freq.get(o, 0) for o in orders], dtype=float)
+        emp /= emp.sum()
+        assert 0.5 * np.abs(exact - emp).sum() < 0.1
 
 
 def test_dump_trace_format(tmp_path):

@@ -363,6 +363,14 @@ def test_missing_z_entry_names_context():
         tables.z(0, Context({1: 0, 0: 0}))
 
 
+def test_z_accepts_context_pairs_in_any_order():
+    rng = np.random.default_rng(14)
+    tables = make_tables(rng.integers(0, 2, size=(20, 3)), [2, 2, 2])
+    expected = tables.z(0, Context({1: 0, 2: 1}))
+    assert tables.z(0, ((2, 1), (1, 0))) == expected
+    assert tables.z(0, {2: 1, 1: 0}) == expected
+
+
 def test_max_k_cap():
     rng = np.random.default_rng(15)
     p = 18
