@@ -51,11 +51,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_cards(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
     try:
         return [int(c) for c in text.split(",")]
     except ValueError:
-        raise ValidationError(f"bad cardinality list {text!r}") from None
+        raise ValidationError(f"bad {option} list {text!r}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -183,8 +183,8 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cards = _parse_cards(args.cards)
-    usable = _parse_cards(args.usable) if args.usable else None
+    cards = _parse_ints(args.cards, "--cards")
+    usable = _parse_ints(args.usable, "--usable") if args.usable else None
     spec = EnumSpec.of_cards(cards, beta=args.beta, usable=usable)
     if args.count_only:
         print(count_stagings(spec))
@@ -196,7 +196,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cards = _parse_cards(args.cards)
+    cards = _parse_ints(args.cards, "--cards")
     seed = _resolve_seed(args)
     tree = random_cstree(
         StateSpace(cards), args.beta, np.random.default_rng(seed), theta=args.theta
@@ -239,7 +239,7 @@ def _cmd_score(args) -> int:
         print(f"log_marginal_likelihood\t{_fmt(log_marginal_likelihood(tree, data, prior))}")
         print(f"log_order_score\t{_fmt(tables.order_score(tree.order))}")
     elif args.order is not None:
-        order = _parse_cards(args.order)
+        order = _parse_ints(args.order, "--order")
         print(f"log_order_score\t{_fmt(tables.order_score(order))}")
     elif not args.dump_scores:
         raise ValidationError("score needs --model, --order, or --dump-scores")

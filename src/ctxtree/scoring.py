@@ -72,6 +72,7 @@ from .core import (
     Staging,
     StateSpace,
     ValidationError,
+    validate_order,
 )
 from .counts import CountTable, Dataset, stage_counts
 from .enumeration import EnumSpec, count_stagings, iter_raw_stagings
@@ -143,10 +144,10 @@ class ScoreTables:
     ``z`` covers every (variable, context) with context variables inside the
     variable's possible-parent set and |S| <= beta; ``los`` covers every
     subset L of each possible-parent set.  The local order scores of
-    variable i are stored as a flat array indexed by the bitmask of L over
-    sorted K_i (bit b set when the b-th smallest member of K_i is in L), and
-    ``los`` reads them through a dict keyed by frozenset built from that
-    array.  Both are immutable once built and lookups are plain dict reads.
+    variable i are one list indexed by the bitmask of L over sorted K_i
+    (bit b set when the b-th smallest member of K_i is in L); ``los`` turns
+    L into that mask, and ``order_score`` and the order chain build the
+    masks from an ordering.  Both tables are immutable once built.
     """
 
     def __init__(self, space, pp, beta, prior, z, los):
@@ -155,13 +156,8 @@ class ScoreTables:
         self.beta = beta
         self.prior = prior
         self._z = z
-        self._los_masks = los
-        self._los = {}
-        for i, scores in los.items():
-            keys = [frozenset()]
-            for v in sorted(pp[i]):
-                keys += [s | {v} for s in keys]
-            self._los[i] = dict(zip(keys, scores.tolist()))
+        self._los = los
+        self._bits = [{u: 1 << b for b, u in enumerate(sorted(pp[i]))} for i in range(space.p)]
 
     def z(self, var: int, context) -> float:
         items = (context if isinstance(context, Context) else Context(context)).items
@@ -174,22 +170,33 @@ class ScoreTables:
             ) from None
 
     def los(self, var: int, usable: Iterable[int]) -> float:
-        key = frozenset(usable)
-        try:
-            return self._los[var][key]
-        except KeyError:
+        usable = set(usable)
+        if var not in range(self.space.p) or not usable <= self._bits[var].keys():
             raise ValidationError(
-                f"no local order score for variable {var}, L={sorted(key)}"
-            ) from None
+                f"no local order score for variable {var}, L={sorted(usable)}"
+            )
+        bits = self._bits[var]
+        return self._los[var][sum(bits[u] for u in usable)]
+
+    def _pred_masks(self, order: Sequence[int]) -> list[int]:
+        """Each variable's predecessors in the permutation ``order``, as a
+        bitmask over its sorted possible-parent set."""
+        pos = [0] * len(order)
+        for at, var in enumerate(order):
+            pos[var] = at
+        return [
+            sum(b for u, b in bits.items() if pos[u] < pos[var])
+            for var, bits in enumerate(self._bits)
+        ]
 
     def order_score(self, order: Sequence[int]) -> float:
         """Unnormalized log marginal order posterior, up to a constant shared
         by all orderings."""
+        order = validate_order(order, self.space.p)
+        masks = self._pred_masks(order)
         total = 0.0
-        preds: set[int] = set()
         for var in order:
-            total += self.los(var, self.pp[var] & preds)
-            preds.add(var)
+            total += self._los[var][masks[var]]
         return total
 
     def dump_z(self, fh) -> None:
@@ -331,14 +338,14 @@ def build_score_tables(
             )
 
     z: dict[int, dict[tuple, float]] = {}
-    los: dict[int, np.ndarray] = {}
+    los: list[list[float]] = []
     for i in range(space.p):
         z_i = z[i] = {}
         for svars, contexts, table in count_table.tables(i):
             a = prior.alpha_cell(space, i, svars)
             z_i.update(zip(contexts, _log_evidences(table, a, i, svars).tolist()))
         k_i = sorted(pp[i])
-        los[i] = _local_order_scores(z_i, k_i, [space.cards[v] for v in k_i], beta)
+        los.append(_local_order_scores(z_i, k_i, [space.cards[v] for v in k_i], beta).tolist())
     return ScoreTables(space, pp, beta, prior, z, los)
 
 

@@ -6,7 +6,9 @@ from the sequential predictive (Polya urn) product, so the oracles stay
 independent of the code paths they check.  The model-operation oracles at
 the end are the exception: they are the per-stage mask implementations that
 the vectorized stage lookup replaced, and they share the library's evidence
-and estimator formulas, so they check only how stages select outcomes.
+and estimator formulas, so they check only how stages select outcomes.  The
+set-based order scores at the very end likewise read the score tables'
+``los``; they check only how the order chain forms predecessor sets.
 """
 
 from __future__ import annotations
@@ -266,3 +268,56 @@ def per_stage_lml(tree, data, prior):
                 tree.space, var, stage.context, counts, prior
             )
     return total
+
+
+def set_order_score(order, tables):
+    """``ScoreTables.order_score`` with predecessor sets built by set algebra."""
+    total = 0.0
+    preds = set()
+    for var in order:
+        total += tables.los(var, tables.pp[var] & preds)
+        preds.add(var)
+    return total
+
+
+def set_candidate_scores(order, score, v_pos, tables):
+    """``order_mcmc._candidate_scores`` with predecessor sets built by set
+    algebra: the same four terms per swap, summed in the same order."""
+    pp = tables.pp
+    los = tables.los
+    p = len(order)
+    v = order[v_pos]
+    k_v = pp[v]
+    scores = [0.0] * p
+    scores[v_pos] = score
+
+    preds = set(order[:v_pos])
+    acc = score
+    for a in range(v_pos, 0, -1):
+        u = order[a - 1]
+        k_u = pp[u]
+        preds_wo_u = preds - {u}
+        acc += (
+            los(v, k_v & preds_wo_u)
+            + los(u, k_u & (preds_wo_u | {v}))
+            - los(v, k_v & preds)
+            - los(u, k_u & preds_wo_u)
+        )
+        scores[a - 1] = acc
+        preds = preds_wo_u
+
+    preds = set(order[:v_pos])
+    acc = score
+    for a in range(v_pos, p - 1):
+        u = order[a + 1]
+        k_u = pp[u]
+        preds_w_u = preds | {u}
+        acc += (
+            los(v, k_v & preds_w_u)
+            + los(u, k_u & preds)
+            - los(v, k_v & preds)
+            - los(u, k_u & (preds | {v}))
+        )
+        scores[a + 1] = acc
+        preds = preds_w_u
+    return scores

@@ -225,6 +225,23 @@ def test_score_subcommand(tmp_path, capsys):
     assert code == 2
 
 
+def test_score_bad_order_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = sample(random_cstree(StateSpace([2, 2, 2]), 2, rng), 50, rng)
+    csv_path = tmp_path / "d.csv"
+    write_csv(data, csv_path)
+    for order in ["0,0,1", "0,1", "0,1,7"]:
+        code, out, err = run(capsys, "score", "--data", str(csv_path), "--order", order)
+        assert (code, out) == (2, "")
+        assert "not a permutation" in err
+    code, out, err = run(capsys, "score", "--data", str(csv_path), "--order", "0,x,1")
+    assert (code, out) == (2, "")
+    assert "bad --order list" in err
+    code, out, err = run(capsys, "enumerate", "--cards", "2,2", "--usable", "a", "--count-only")
+    assert (code, out) == (2, "")
+    assert "bad --usable list" in err
+
+
 def test_resource_cap_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(1)
     rows = rng.integers(0, 2, size=(5, 18))

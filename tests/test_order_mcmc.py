@@ -20,6 +20,8 @@ from ctxtree import (
 )
 from ctxtree.order_mcmc import ChainTrace, _candidate_scores, dump_trace
 
+from oracles import set_candidate_scores, set_order_score
+
 
 def make_tables(rows, cards, beta=2, prior=None):
     data = Dataset(np.asarray(rows), StateSpace(cards))
@@ -61,20 +63,34 @@ def test_relocation_uniform_when_scores_equal():
 
 
 def test_incremental_scores_match_full_recompute():
+    # full K, then sparse K: an empty K_0, pairs where only one variable is
+    # in the other's set (so a swap changes one term alone), and 3, 4 in both
+    sparse = PossibleParents([set(), {0, 2}, {0, 5}, {1, 4}, {0, 1, 2, 3}, {3}])
     rng = np.random.default_rng(7)
-    for trial in range(100):
-        p = 6
-        rows = rng.integers(0, 2, size=(40, p))
-        tables = make_tables(rows, [2] * p)
-        order = tuple(rng.permutation(p).tolist())
-        base = tables.order_score(order)
-        v_pos = int(rng.integers(p))
-        scores = _candidate_scores(order, base, v_pos, tables)
-        v = order[v_pos]
-        rest = [x for x in order if x != v]
-        for j in range(p):
-            candidate = tuple(rest[:j] + [v] + rest[j:])
-            assert scores[j] == pytest.approx(tables.order_score(candidate), rel=1e-9)
+    for pp in (None, sparse):
+        for trial in range(100):
+            p = 6
+            rows = rng.integers(0, 2, size=(40, p))
+            data = Dataset(rows, StateSpace([2] * p))
+            tables = build_score_tables(build_count_table(data, pp), PriorSpec())
+            order = tuple(rng.permutation(p).tolist())
+            base = tables.order_score(order)
+            assert base == set_order_score(order, tables)
+            v_pos = int(rng.integers(p))
+            scores = _candidate_scores(order, base, v_pos, tables)
+            assert scores == set_candidate_scores(order, base, v_pos, tables)
+            v = order[v_pos]
+            rest = [x for x in order if x != v]
+            for j in range(p):
+                candidate = tuple(rest[:j] + [v] + rest[j:])
+                assert scores[j] == pytest.approx(tables.order_score(candidate), rel=1e-9)
+
+
+def test_relocation_rejects_non_permutation():
+    tables = make_tables(np.random.default_rng(11).integers(0, 2, size=(30, 3)), [2, 2, 2])
+    for order in [(0, 0, 1), (0, 1), (0, 1, 7)]:
+        with pytest.raises(ValidationError):
+            relocation_step(order, tables, np.random.default_rng(0))
 
 
 def test_run_chain_sample_count_and_determinism():

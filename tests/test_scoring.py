@@ -321,6 +321,22 @@ def test_order_score_p1():
     assert log_order_score((0,), tables) == pytest.approx(tables.z(0, Context()), rel=1e-12)
 
 
+def test_order_score_rejects_non_permutation():
+    tables = make_tables(np.random.default_rng(11).integers(0, 2, size=(30, 3)), [2, 2, 2])
+    for order in [(0, 0, 1), (0, 1), (0, 1, 7), (-1, 0, 1)]:
+        with pytest.raises(ValidationError, match="not a permutation"):
+            log_order_score(order, tables)
+
+
+def test_los_rejects_unknown_variable_or_set():
+    pp = PossibleParents([{1}, {0, 2}, set()])
+    tables = make_tables(np.random.default_rng(12).integers(0, 2, size=(30, 3)), [2, 2, 2], pp=pp)
+    assert tables.los(1, [2, 0, 2]) == tables.los(1, {0, 2})
+    for var, usable in [(-1, ()), (3, ()), (0, {2}), (2, {0}), (1, {0, 1})]:
+        with pytest.raises(ValidationError, match="no local order score"):
+            tables.los(var, usable)
+
+
 def test_order_score_symmetry():
     rows = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1]])
     # swapping the two identical-margin columns leaves both orders equal
