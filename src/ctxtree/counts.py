@@ -2,9 +2,16 @@
 
 The count table stores, for every variable i and every admissible context
 x_S with S inside the possible-parent set K_i and |S| <= beta, the vector of
-cell counts over the values of variable i.  Tables are built in one
-vectorized pass per (variable, context-variable-set) pair and are immutable
-afterwards.
+cell counts over the values of variable i.  The build collapses identical
+rows once, so each distinct row is tabulated once with its multiplicity as a
+weight.  It makes one weighted ``bincount`` pass over the distinct rows per
+variable i and largest context-variable set S, |S| = min(beta, |K_i|), and
+gets every smaller table by summing axes of a largest table that contains
+it.  Tables are int64 and immutable afterwards.
+
+``load_csv`` tokenizes with ``csv.reader`` and makes every other decision
+(integer parsing, missing cells, the cardinality row, label codes) once per
+distinct label of a column rather than once per cell.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ logger = logging.getLogger(__name__)
 MISSING_TOKENS = ("", "?", "NA")
 
 DEFAULT_MAX_CELLS = 1 << 26
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,16 +91,39 @@ class Dataset:
         return self.rows.shape[1]
 
 
-def _is_int(token: str) -> bool:
+def _int_or_none(label: str) -> Optional[int]:
     try:
-        int(token)
-        return True
+        return int(label)
     except ValueError:
+        return None
+
+
+def _read_rows(path) -> list[list[str]]:
+    """The non-blank rows of a UTF-8 CSV file, as csv.reader splits them."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _declares_cards(head: list[int], values: list[list], inverse: np.ndarray) -> bool:
+    """Auto mode: the head row declares the cardinalities when every value
+    is >= 2, later rows exist, and every integer cell in them lies below its
+    column's head value."""
+    if inverse.shape[1] < 2 or min(head) < 2:
         return False
+    for j, d in enumerate(head):
+        seen = np.flatnonzero(np.bincount(inverse[j, 1:], minlength=len(values[j])))
+        if any(values[j][k] is not None and values[j][k] >= d for k in seen.tolist()):
+            return False
+    return True
 
 
 def load_csv(path, cards_row: str = "auto") -> Dataset:
-    """Load a categorical dataset from a CSV file.
+    """Load a categorical dataset from a UTF-8 CSV file.
 
     The first row is a header of variable names.  An optional second header
     row of integers declares per-variable cardinalities; without it,
@@ -103,96 +135,109 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     Values are parsed as integers when a whole column is numeric; otherwise
     the column's string labels are coded in first-appearance order and the
     label table is kept on the dataset.  Rows containing a missing cell
-    ("", "?", or "NA") are dropped with a logged count.
+    ("", "?", or "NA") are dropped with a logged count.  Cells are stripped
+    of surrounding whitespace.
     """
     if cards_row not in ("auto", "yes", "no"):
         raise ValidationError(f"cards_row must be auto/yes/no, got {cards_row!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        table = [[cell.strip() for cell in row] for row in reader if row]
+    table = _read_rows(path)
     if not table:
         raise ParseError(f"{path}: empty file")
-    names = table[0]
+    names = [cell.strip() for cell in table[0]]
     p = len(names)
     body = table[1:]
     for r, row in enumerate(body, start=2):
         if len(row) != p:
             raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {p}")
+    if not body:
+        raise ParseError(f"{path}: no complete data rows")
+
+    # Every per-cell decision is made once per distinct label of a column:
+    # labels[j] lists the column's stripped labels, values[j] holds each
+    # label's int() or None, and inverse[j, r] is the label of cell (r, j).
+    inverse = np.empty((p, len(body)), dtype=np.intp)
+    labels, values = [], []
+    for j, col in enumerate(zip(*body)):
+        raw = list(dict.fromkeys(col))
+        stripped = [s.strip() for s in raw]
+        labels.append(list(dict.fromkeys(stripped)))
+        values.append([_int_or_none(s) for s in labels[j]])
+        label_of = {s: k for k, s in enumerate(labels[j])}
+        code_of = {s: label_of[t] for s, t in zip(raw, stripped)}
+        inverse[j] = np.fromiter(map(code_of.__getitem__, col), dtype=np.intp, count=len(body))
+    # the per-cell Python lists hold most of the memory
+    del table, body
 
     declared: Optional[list[int]] = None
-    if body and cards_row != "no":
-        head = body[0]
-        if all(_is_int(c) for c in head):
-            cand = [int(c) for c in head]
-            if cards_row == "yes":
-                declared = cand
-            elif all(d >= 2 for d in cand):
-                rest = body[1:]
-                ok = bool(rest)
-                for row in rest:
-                    for j, cell in enumerate(row):
-                        if cell in MISSING_TOKENS or not _is_int(cell):
-                            continue
-                        if int(cell) >= cand[j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    declared = cand
+    if cards_row != "no":
+        head = [values[j][inverse[j, 0]] for j in range(p)]
+        if all(v is not None for v in head):
+            if cards_row == "yes" or _declares_cards(head, values, inverse):
+                declared = head
         elif cards_row == "yes":
             raise ParseError(f"{path}: cards row requested but second row is not all integers")
         if declared is not None:
-            body = body[1:]
+            inverse = inverse[:, 1:]
 
-    kept = [row for row in body if not any(c in MISSING_TOKENS for c in row)]
-    dropped = len(body) - len(kept)
+    missing = np.zeros(inverse.shape[1], dtype=bool)
+    for j in range(p):
+        missing |= np.array([s in MISSING_TOKENS for s in labels[j]])[inverse[j]]
+    dropped = int(missing.sum())
     if dropped:
         logger.warning("%s: dropped %d row(s) with missing cells", path, dropped)
-    if not kept:
+        inverse = inverse[:, ~missing]
+    if not inverse.shape[1]:
         raise ParseError(f"{path}: no complete data rows")
 
-    columns = list(zip(*kept))
-    codes = np.empty((len(kept), p), dtype=np.int64)
-    labels: dict[int, tuple[str, ...]] = {}
-    for j, col in enumerate(columns):
-        if all(_is_int(c) for c in col):
-            codes[:, j] = [int(c) for c in col]
+    codes = np.empty(inverse.shape[::-1], dtype=np.int64)
+    label_map: dict[int, tuple[str, ...]] = {}
+    for j, col in enumerate(inverse):
+        present = np.flatnonzero(np.bincount(col, minlength=len(labels[j])))
+        ints = [values[j][k] for k in present.tolist()]
+        lookup = np.zeros(len(labels[j]), dtype=np.int64)
+        if all(v is not None for v in ints):
+            for v in ints:
+                if not _INT64.min <= v <= _INT64.max:
+                    raise ParseError(
+                        f"{path}: column {names[j]!r} has value {v} "
+                        "outside the 64-bit integer range"
+                    )
+            lookup[present] = ints
         else:
-            seen: dict[str, int] = {}
-            for c in col:
-                if c not in seen:
-                    seen[c] = len(seen)
-            codes[:, j] = [seen[c] for c in col]
-            labels[j] = tuple(seen)
-    if codes.min() < 0:
+            present, first = np.unique(col, return_index=True)
+            order = present[np.argsort(first)]
+            lookup[order] = np.arange(len(order))
+            label_map[j] = tuple(labels[j][k] for k in order.tolist())
+        codes[:, j] = lookup[col]
+    lo, hi = codes.min(axis=0).tolist(), codes.max(axis=0).tolist()
+    if min(lo) < 0:
         raise ParseError(f"{path}: negative category codes")
 
     if declared is not None:
         cards = declared
         for j in range(p):
-            if codes[:, j].max() >= cards[j]:
+            if hi[j] >= cards[j]:
                 raise ParseError(
-                    f"{path}: column {names[j]!r} has value {codes[:, j].max()} "
+                    f"{path}: column {names[j]!r} has value {hi[j]} "
                     f">= declared cardinality {cards[j]}"
                 )
     else:
-        cards = [int(codes[:, j].max()) + 1 for j in range(p)]
-        cards = [max(d, 2) for d in cards]
+        cards = [max(h + 1, 2) for h in hi]
     for j in range(p):
-        if len(np.unique(codes[:, j])) == 1:
+        if lo[j] == hi[j]:
             logger.warning(
                 "%s: column %r is constant; inferred cardinality may understate it",
                 path,
                 names[j],
             )
-    return Dataset(codes, StateSpace(cards), names=names, labels=labels or None)
+    return Dataset(codes, StateSpace(cards), names=names, labels=label_map or None)
 
 
 def write_csv(data: Dataset, path, cards_row: bool = True) -> None:
-    """Write a dataset with a names header and (by default) a cardinality row."""
+    """Write a dataset as UTF-8 with a names header and (by default) a
+    cardinality row."""
     names = data.names or tuple(f"X{j}" for j in range(data.p))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         if cards_row:
@@ -294,14 +339,12 @@ def build_count_table(
     if pp.p != space.p:
         raise ValidationError("possible-parent sets do not match the state space")
 
-    jobs = []
-    total_cells = 0
-    for i in range(space.p):
-        d_i = space.cards[i]
-        for svars in _context_sets(pp, i, beta):
-            n_cells = math.prod(space.cards[v] for v in svars)
-            total_cells += n_cells * d_i
-            jobs.append((i, svars, n_cells))
+    cards = space.cards
+    total_cells = sum(
+        math.prod(cards[v] for v in svars) * cards[i]
+        for i in range(space.p)
+        for svars in _context_sets(pp, i, beta)
+    )
     if total_cells > max_cells:
         raise ResourceCapError(
             f"count table needs {total_cells} cells, above the cap {max_cells}; "
@@ -309,22 +352,45 @@ def build_count_table(
             "possible-parent sets or beta"
         )
 
-    rows = data.rows
+    # distinct rows as contiguous columns, and how often each row occurs
+    narrow = np.ascontiguousarray(data.rows, dtype=np.min_scalar_type(max(cards) - 1))
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * space.p))).ravel()
+    _, first, weight = np.unique(keys, return_index=True, return_counts=True)
+    columns = np.ascontiguousarray(data.rows[first].T)
+    weight = weight.astype(np.float64)
 
     def run(job):
-        i, svars, n_cells = job
-        d_i = space.cards[i]
-        code = np.zeros(rows.shape[0], dtype=np.int64)
-        for v in svars:
-            code = code * space.cards[v] + rows[:, v]
-        flat = np.bincount(code * d_i + rows[:, i], minlength=n_cells * d_i)
-        table = flat.reshape(n_cells, d_i)
-        table.setflags(write=False)
-        return (i, svars), table
+        i, svars = job
+        # mixed-radix code of (x_S, x_i), x_i least significant
+        code, radix = columns[i], cards[i]
+        for v in reversed(svars):
+            code = code + radix * columns[v]
+            radix *= cards[v]
+        flat = np.bincount(code, weights=weight, minlength=radix)
+        # every count is an integer <= n < 2**53, so the float sums are exact
+        shape = [cards[v] for v in svars] + [cards[i]]
+        return (i, svars), flat.astype(np.int64).reshape(shape)
 
+    jobs = [
+        (i, svars)
+        for i in range(space.p)
+        for svars in combinations(sorted(pp[i]), min(beta, len(pp[i])))
+    ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            largest = dict(pool.map(run, jobs))
     else:
-        results = [run(job) for job in jobs]
-    return CountTable(space, pp, beta, dict(results))
+        largest = dict(map(run, jobs))
+
+    tables = {}
+    for i in range(space.p):
+        k_i = sorted(pp[i])
+        size = min(beta, len(k_i))
+        for svars in _context_sets(pp, i, beta):
+            fill = [v for v in k_i if v not in svars][: size - len(svars)]
+            sup = tuple(sorted(svars + tuple(fill)))
+            axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)
+            table = largest[(i, sup)].sum(axis=axes).reshape(-1, cards[i])
+            table.setflags(write=False)
+            tables[(i, svars)] = table
+    return CountTable(space, pp, beta, tables)

@@ -8,7 +8,9 @@ the end are the exception: they are the per-stage mask implementations that
 the vectorized stage lookup replaced, and they share the library's evidence
 and estimator formulas, so they check only how stages select outcomes.  The
 set-based order scores at the very end likewise read the score tables'
-``los``; they check only how the order chain forms predecessor sets.
+``los``; they check only how the order chain forms predecessor sets.  The
+cell-by-cell CSV loader and the per-set count build are the data layer as it
+was before it worked on whole columns and collapsed rows.
 """
 
 from __future__ import annotations
@@ -321,3 +323,129 @@ def set_candidate_scores(order, score, v_pos, tables):
         scores[a + 1] = acc
         preds = preds_w_u
     return scores
+
+
+def _is_int(token):
+    try:
+        int(token)
+        return True
+    except ValueError:
+        return False
+
+
+def cellwise_load_csv(path, cards_row="auto"):
+    """``load_csv`` deciding every cell on its own: stripped Python strings,
+    one ``int()`` per cell and a dict for first-appearance label codes.  It
+    logs through the ``oracles`` logger; the file is read as UTF-8."""
+    import csv
+    import logging
+
+    import numpy as np
+
+    from ctxtree import Dataset, ParseError, StateSpace
+
+    logger = logging.getLogger("oracles")
+    missing_tokens = ("", "?", "NA")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        table = [[cell.strip() for cell in row] for row in reader if row]
+    if not table:
+        raise ParseError(f"{path}: empty file")
+    names = table[0]
+    p = len(names)
+    body = table[1:]
+    for r, row in enumerate(body, start=2):
+        if len(row) != p:
+            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {p}")
+
+    declared = None
+    if body and cards_row != "no":
+        head = body[0]
+        if all(_is_int(c) for c in head):
+            cand = [int(c) for c in head]
+            if cards_row == "yes":
+                declared = cand
+            elif all(d >= 2 for d in cand):
+                rest = body[1:]
+                ok = bool(rest)
+                for row in rest:
+                    for j, cell in enumerate(row):
+                        if cell in missing_tokens or not _is_int(cell):
+                            continue
+                        if int(cell) >= cand[j]:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    declared = cand
+        elif cards_row == "yes":
+            raise ParseError(f"{path}: cards row requested but second row is not all integers")
+        if declared is not None:
+            body = body[1:]
+
+    kept = [row for row in body if not any(c in missing_tokens for c in row)]
+    dropped = len(body) - len(kept)
+    if dropped:
+        logger.warning("%s: dropped %d row(s) with missing cells", path, dropped)
+    if not kept:
+        raise ParseError(f"{path}: no complete data rows")
+
+    columns = list(zip(*kept))
+    codes = np.empty((len(kept), p), dtype=np.int64)
+    labels = {}
+    for j, col in enumerate(columns):
+        if all(_is_int(c) for c in col):
+            codes[:, j] = [int(c) for c in col]
+        else:
+            seen = {}
+            for c in col:
+                if c not in seen:
+                    seen[c] = len(seen)
+            codes[:, j] = [seen[c] for c in col]
+            labels[j] = tuple(seen)
+    if codes.min() < 0:
+        raise ParseError(f"{path}: negative category codes")
+
+    if declared is not None:
+        cards = declared
+        for j in range(p):
+            if codes[:, j].max() >= cards[j]:
+                raise ParseError(
+                    f"{path}: column {names[j]!r} has value {codes[:, j].max()} "
+                    f">= declared cardinality {cards[j]}"
+                )
+    else:
+        cards = [int(codes[:, j].max()) + 1 for j in range(p)]
+        cards = [max(d, 2) for d in cards]
+    for j in range(p):
+        if len(np.unique(codes[:, j])) == 1:
+            logger.warning(
+                "%s: column %r is constant; inferred cardinality may understate it",
+                path,
+                names[j],
+            )
+    return Dataset(codes, StateSpace(cards), names=names, labels=labels or None)
+
+
+def per_set_count_tables(data, pp, beta):
+    """Every count table of ``build_count_table``, each from its own
+    ``bincount`` over all n rows, keyed by (variable, context-variable set)."""
+    import math
+    from itertools import combinations
+
+    import numpy as np
+
+    cards = data.space.cards
+    rows = data.rows
+    tables = {}
+    for i in range(data.p):
+        for size in range(beta + 1):
+            for svars in combinations(sorted(pp[i]), size):
+                n_cells = math.prod(cards[v] for v in svars)
+                code = np.zeros(data.n, dtype=np.int64)
+                for v in svars:
+                    code = code * cards[v] + rows[:, v]
+                flat = np.bincount(code * cards[i] + rows[:, i], minlength=n_cells * cards[i])
+                tables[(i, svars)] = flat.reshape(n_cells, cards[i])
+    return tables

@@ -242,6 +242,26 @@ def test_score_bad_order_exit_2(tmp_path, capsys):
     assert "bad --usable list" in err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"a,b\n0,1\n99999999999999999999,0\n1,0\n", "column 'a'"),
+        (b"a,b\n0,1\n\xff\xfe,0\n1,0\n", "not UTF-8"),
+    ],
+)
+def test_learn_unreadable_data_exit_2(tmp_path, capsys, raw, message):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(raw)
+    out_path = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "learn", "--data", str(csv_path), "--cards-row", "auto",
+        "--iterations", "10", "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+    assert not out_path.exists()
+
+
 def test_resource_cap_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(1)
     rows = rng.integers(0, 2, size=(5, 18))

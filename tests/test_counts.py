@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxtree import (
@@ -18,6 +18,7 @@ from ctxtree import (
     load_csv,
     write_csv,
 )
+from oracles import cellwise_load_csv, per_set_count_tables
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -85,6 +86,28 @@ def test_load_errors(tmp_path):
         load_csv(write(tmp_path, "a,b\n2,2\n0,5\n1,0\n", "bad.csv"), cards_row="yes")
     with pytest.raises(ParseError):
         load_csv(write(tmp_path, "a,b\n,\n?,NA\n"))
+
+
+def test_load_integer_outside_int64(tmp_path):
+    # auto mode takes the second row as data: 2 is not above the later 2
+    for value in ("99999999999999999999", "-99999999999999999999"):
+        path = write(tmp_path, f"a,b\n2,2\n0,1\n{value},2\n")
+        for mode in ("auto", "no"):
+            with pytest.raises(ParseError, match="column 'a'"):
+                load_csv(path, cards_row=mode)
+    # the same value among labels is a label
+    data = load_csv(write(tmp_path, "a\nx\n99999999999999999999\n"))
+    assert data.labels == {0: ("x", "99999999999999999999")}
+
+
+def test_load_unreadable_text(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b\n0,1\n\xff\xfe,0\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(path)
+    # a field longer than the csv module's limit
+    with pytest.raises(ParseError):
+        load_csv(write(tmp_path, "a\n" + "1" * 200_000 + "\n"))
 
 
 def test_load_constant_column_warns(tmp_path, caplog):
@@ -208,3 +231,118 @@ def test_table_missing_entry_error():
     table = build_count_table(data, PossibleParents([{1}, {0}, {0}]), beta=1)
     with pytest.raises(ValidationError):
         table.counts(0, Context({2: 0}))
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _load_logged(loader, logger_name, path, cards_row):
+    """The loaded dataset, or the type of the error it raised, and the
+    warnings it logged."""
+    handler = _Warnings()
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return loader(path, cards_row=cards_row), handler.messages
+    except (ParseError, ValidationError) as exc:
+        return type(exc), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+CELL_TOKENS = {
+    "int": ["0", "1", "2", "3"],
+    "label": ["red", "blue", "a b", "x,y", 'q"t', "l\nm", "\x00", "n\x00"],
+    "mixed": ["0", "1", "01", "+1", "-1", "green", "1.0"],
+}
+
+
+@st.composite
+def csv_texts(draw):
+    p = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_TOKENS)), min_size=p, max_size=p))
+
+    def cell(token):
+        pad = st.sampled_from(["", " ", "\t"])
+        token = draw(pad) + token + draw(pad)
+        if draw(st.booleans()) or any(c in token for c in ',"\n'):
+            return '"' + token.replace('"', '""') + '"'
+        return token
+
+    def data_cell(kind):
+        if draw(st.integers(0, 7)) == 0:
+            return cell(draw(st.sampled_from(["", "?", "NA"])))
+        return cell(draw(st.sampled_from(CELL_TOKENS[kind])))
+
+    lines = [",".join(cell(f"c{j}") for j in range(p))]
+    cards = draw(st.sampled_from(["absent", "good", "bad"]))
+    if cards == "good":
+        lines.append(",".join(cell(str(draw(st.integers(2, 5)))) for _ in range(p)))
+    elif cards == "bad":
+        pool = ["1", "2", "3", "x", "NA", "", "-2"]
+        lines.append(",".join(cell(draw(st.sampled_from(pool))) for _ in range(p)))
+    for _ in range(draw(st.integers(0, 8))):
+        width = p + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 15)) == 0 else 0)
+        lines.append(",".join(data_cell(kinds[j % p]) for j in range(width)))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@given(csv_texts())
+# only the first row after a would-be cards row breaks its bound
+@example("c0\n2\n2\n0\n")
+@settings(max_examples=300, deadline=None)
+def test_load_matches_cellwise_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    for mode in ("auto", "yes", "no"):
+        got, got_log = _load_logged(load_csv, "ctxtree.counts", path, mode)
+        want, want_log = _load_logged(cellwise_load_csv, "oracles", path, mode)
+        assert got_log == want_log
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert isinstance(got, Dataset)
+        assert got.rows.dtype == np.int64
+        assert np.array_equal(got.rows, want.rows)
+        assert got.space.cards == want.space.cards
+        assert got.names == want.names
+        assert got.labels == want.labels
+
+
+@st.composite
+def count_problems(draw):
+    p = draw(st.integers(1, 5))
+    cards = draw(st.lists(st.integers(2, 4), min_size=p, max_size=p))
+    n = draw(st.integers(1, 40))
+    rows = np.array(
+        [[draw(st.integers(0, d - 1)) for d in cards] for _ in range(n)], dtype=np.int64
+    ).reshape(n, p)
+    sets = [
+        draw(st.sets(st.sampled_from([j for j in range(p) if j != i]), max_size=3))
+        if p > 1
+        else set()
+        for i in range(p)
+    ]
+    return Dataset(rows, StateSpace(cards)), PossibleParents(sets), draw(st.integers(0, 2))
+
+
+@given(count_problems())
+@settings(max_examples=200, deadline=None)
+def test_table_matches_per_set_oracle(problem):
+    data, pp, beta = problem
+    want = per_set_count_tables(data, pp, beta)
+    table = build_count_table(data, pp, beta)
+    got = {(i, svars): t for i in range(data.p) for svars, _, t in table.tables(i)}
+    assert got.keys() == want.keys()
+    for key, t in got.items():
+        assert t.dtype == np.int64
+        assert not t.flags.writeable
+        assert np.array_equal(t, want[key])
