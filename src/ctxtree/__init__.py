@@ -38,7 +38,7 @@ from .model_ops import (
     random_cstree,
     sample,
 )
-from .order_mcmc import ChainConfig, ChainTrace, dump_trace, map_order, relocation_step, run_chain
+from .order_mcmc import ChainConfig, ChainTrace, dump_trace, map_order, run_chain
 from .scoring import (
     PriorSpec,
     ScoreTables,

@@ -21,7 +21,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .core import (
     ValidationError,
     stage_ids,
 )
+from .enumeration import _check_beta
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +110,14 @@ def _read_rows(path) -> list[list[str]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _record_line(path, record: int) -> int:
+    """The file line on which non-blank CSV record ``record`` (0 is the
+    header) ends; blank lines and quoted line breaks shift it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        return next(islice((reader.line_num for row in reader if row), record, None))
+
+
 def _declares_cards(head: list[int], values: list[list], inverse: np.ndarray) -> bool:
     """Auto mode: the head row declares the cardinalities when every value
     is >= 2, later rows exist, and every integer cell in them lies below its
@@ -146,9 +155,9 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     names = [cell.strip() for cell in table[0]]
     p = len(names)
     body = table[1:]
-    for r, row in enumerate(body, start=2):
+    for r, row in enumerate(body, start=1):
         if len(row) != p:
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {p}")
+            raise ParseError(f"{path}: line {_record_line(path, r)} has {len(row)} cells, expected {p}")
     if not body:
         raise ParseError(f"{path}: no complete data rows")
 
@@ -299,9 +308,6 @@ class CountTable:
             ) from None
         return table[self._cell(svars, context.values)]
 
-    def total(self, var: int, context: Context) -> int:
-        return int(self.counts(var, context).sum())
-
     def tables(self, var: int):
         """Each count table of ``var``, in deterministic order: its context
         variables S, the context of each row as (variable, value) pairs, and
@@ -316,9 +322,6 @@ class CountTable:
             for items in cell_contexts:
                 yield Context(items)
 
-    def n(self) -> int:
-        return int(self._tables[(0, ())].sum())
-
 
 def build_count_table(
     data: Dataset,
@@ -330,9 +333,11 @@ def build_count_table(
     """Tabulate N_isk for every variable and every context with S inside K_i,
     |S| <= beta.
 
-    Raises ResourceCapError when the table would exceed ``max_cells``
-    entries; the table size grows as O(p * C(|K|, beta) * d^beta) cells.
+    ``beta`` is checked first, as ``EnumSpec`` checks it.  Raises
+    ResourceCapError when the table would exceed ``max_cells`` entries; the
+    table size grows as O(p * C(|K|, beta) * d^beta) cells.
     """
+    beta = _check_beta(beta)
     space = data.space
     if pp is None:
         pp = PossibleParents.full(space.p)

@@ -95,6 +95,8 @@ class EnumSpec:
         if usable is None:
             usable = level_vars
         usable = tuple(sorted(int(v) for v in usable))
+        if len(set(usable)) != len(usable):
+            raise ValidationError(f"usable variables must be distinct, got {usable}")
         if not set(usable) <= set(level_vars):
             raise ValidationError(
                 f"usable variables {usable} not contained in level variables {level_vars}"

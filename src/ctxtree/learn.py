@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Union
 
 from .core import CStree, ParseError, PossibleParents, ValidationError
-from .counts import Dataset, build_count_table
+from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
 from .enumeration import EnumSpec
 from .order_mcmc import ChainConfig, map_order, run_chain
 from .scoring import PriorSpec, build_score_tables, optimal_staging
@@ -30,7 +30,7 @@ class LearnConfig:
     chain: ChainConfig = field(default_factory=ChainConfig)
     possible_parents: Union[PossibleParents, str, Path, None] = None
     estimator: str = "map"
-    max_cells: int = 1 << 26
+    max_cells: int = DEFAULT_MAX_CELLS
     threads: int = 1
 
     def __post_init__(self):

@@ -5,8 +5,9 @@ obtained by inserting it at every position, and samples the new position
 with probability proportional to the exponentiated scores.  Because the
 order score is a sum of per-position local order scores, the p candidate
 scores are computed incrementally by adjacent swaps, each touching only the
-two affected terms.  One move builds every variable's predecessor mask once,
-in O(sum_i |K_i|), then makes 4(p-1) reads of the local order score tables.
+two affected terms.  The chain keeps every variable's predecessor mask, built
+once in O(sum_i |K_i|); a step makes 4(p-1) reads of the local order score
+tables, and a move of distance delta flips 2*delta mask bits.
 The move is a Gibbs update on the variable's position, so the normalized
 order posterior is stationary for the chain.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -54,15 +55,15 @@ class ChainTrace:
     config: Optional[ChainConfig] = None
 
 
-def _candidate_scores(order, score, v_pos, tables) -> list[float]:
-    """Scores of the orderings with order[v_pos] relocated to each position.
+def _candidate_scores(order, score, v_pos, masks, tables) -> list[float]:
+    """Scores of the orderings with order[v_pos] relocated to each position,
+    given each variable's predecessor mask ``masks`` in ``order``.
 
     Moving v one place past its neighbour u, in either direction, flips u's
     bit in v's predecessor mask and v's bit in u's; no other term changes.
     """
     los = tables._los
     bits = tables._bits
-    masks = tables._pred_masks(order)
     p = len(order)
     v = order[v_pos]
     los_v = los[v]
@@ -89,36 +90,6 @@ def _candidate_scores(order, score, v_pos, tables) -> list[float]:
     return scores
 
 
-def relocation_step(
-    order: Sequence[int],
-    tables: ScoreTables,
-    rng: np.random.Generator,
-    score: Optional[float] = None,
-) -> tuple[tuple[int, ...], float, int]:
-    """One Gibbs update: relocate a uniformly chosen variable.
-
-    Returns (new order, its log score, relocation distance).  ``score`` may
-    pass in the current order's score to avoid recomputation.
-    """
-    order = tuple(order)
-    p = len(order)
-    if score is None:
-        score = tables.order_score(order)
-    if p == 1:
-        return order, score, 0
-    v_pos = int(rng.integers(p))
-    scores = _candidate_scores(order, score, v_pos, tables)
-    arr = np.array(scores)
-    w = np.exp(arr - arr.max())
-    new_pos = int(rng.choice(p, p=w / w.sum()))
-    if new_pos == v_pos:
-        return order, score, 0
-    lst = list(order)
-    v = lst.pop(v_pos)
-    lst.insert(new_pos, v)
-    return tuple(lst), scores[new_pos], abs(new_pos - v_pos)
-
-
 def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
     """Run the relocation sampler; deterministic given config.seed.
 
@@ -128,16 +99,33 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
     rng = np.random.default_rng(config.seed)
     p = tables.space.p
     if config.init == "random":
-        order = tuple(int(v) for v in rng.permutation(p))
+        order = [int(v) for v in rng.permutation(p)]
     else:
-        order = validate_order(config.init, p)
+        order = list(validate_order(config.init, p))
     score = tables.order_score(order)
+    masks = tables._pred_masks(order)
+    bits = tables._bits
     trace = ChainTrace(config=config)
     for step in range(1, config.iterations + 1):
-        order, score, dist = relocation_step(order, tables, rng, score)
+        dist = 0
+        if p > 1:
+            v_pos = int(rng.integers(p))
+            scores = _candidate_scores(order, score, v_pos, masks, tables)
+            arr = np.array(scores)
+            w = np.exp(arr - arr.max())
+            new_pos = int(rng.choice(p, p=w / w.sum()))
+            if new_pos != v_pos:
+                v = order.pop(v_pos)
+                # the variables v passes swap their predecessor bits with v
+                for u in order[min(v_pos, new_pos) : max(v_pos, new_pos)]:
+                    masks[v] ^= bits[v].get(u, 0)
+                    masks[u] ^= bits[u].get(v, 0)
+                order.insert(new_pos, v)
+                score = scores[new_pos]
+                dist = abs(new_pos - v_pos)
         trace.move_distances[dist] += 1
         if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
-            trace.samples.append((order, score))
+            trace.samples.append((tuple(order), score))
     return trace
 
 

@@ -35,8 +35,8 @@ subtracted as ``pos + log1p(-exp(neg - pos))``, with exp(neg - pos) summed
 as sum_{j<k} e^{P(j,k) - pos}.  Each pair staging is counted in two pivot
 products, so neg <= pos - log 2 and the log1p argument stays in
 [-1/2, 0], where it loses no precision.  Entries match the enumeration
-oracle within 1e-12 relative.  ``optimal_staging`` still reduces the
-enumerated stagings (``_staging_evidences``) and takes the first maximum in
+oracle within 1e-12 relative.  ``optimal_staging`` still walks the
+enumerated stagings once and keeps the first strict maximum in
 ``iter_raw_stagings`` order.
 
 The per-cell hyperparameter allocation "bdeu-path" spreads the equivalent
@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -207,18 +207,6 @@ class ScoreTables:
                 fh.write(f"{var}\t{ctx}\t{value:.12g}\n")
 
 
-def _staging_evidences(z_i: dict, spec: EnumSpec) -> list[float]:
-    """Summed stage evidence of each admissible staging of the level, in
-    ``iter_raw_stagings`` order."""
-    evidences = []
-    for raw in iter_raw_stagings(spec):
-        total = 0.0
-        for items in raw:
-            total += z_i[items]
-        evidences.append(total)
-    return evidences
-
-
 def _subset_logsumexp(terms: np.ndarray) -> np.ndarray:
     """``out[L] = log sum_{b in L} exp(terms[b])`` for every bitmask L over
     the rows of ``terms`` (bit b is row b), column by column; -inf for the
@@ -301,9 +289,14 @@ def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
     within a level, so the argmax is by summed stage evidences; ties keep
     the first staging in canonical enumeration order.
     """
-    evidences = _staging_evidences(tables._z[var], spec)
-    best = evidences.index(max(evidences))
-    raw = next(islice(iter_raw_stagings(spec), best, None))
+    z_i = tables._z[var]
+    best, raw = -math.inf, None
+    for candidate in iter_raw_stagings(spec):
+        total = 0.0
+        for items in candidate:
+            total += z_i[items]
+        if total > best:
+            best, raw = total, candidate
     level = spec.level
     return Staging(level, tuple(Stage(Context(a), level) for a in raw))
 

@@ -8,7 +8,10 @@ the end are the exception: they are the per-stage mask implementations that
 the vectorized stage lookup replaced, and they share the library's evidence
 and estimator formulas, so they check only how stages select outcomes.  The
 set-based order scores at the very end likewise read the score tables'
-``los``; they check only how the order chain forms predecessor sets.  The
+``los``; they check only how the order chain forms predecessor sets, and
+the stateless chain rebuilds every predecessor mask at each step, so it
+checks only how ``run_chain`` keeps them.  The list-then-index staging argmax
+walks the library's enumeration; it checks only the tie rule.  The
 cell-by-cell CSV loader and the per-set count build are the data layer as it
 was before it worked on whole columns and collapsed rows.
 """
@@ -324,6 +327,72 @@ def set_candidate_scores(order, score, v_pos, tables):
         preds = preds_w_u
     return scores
 
+
+def stateless_relocation_step(order, tables, rng, score):
+    """One relocation Gibbs update of ``order`` (a tuple) that rebuilds every
+    predecessor mask from the ordering; returns (order, score, distance)."""
+    import numpy as np
+
+    from ctxtree.order_mcmc import _candidate_scores
+
+    p = len(order)
+    if p == 1:
+        return order, score, 0
+    v_pos = int(rng.integers(p))
+    scores = _candidate_scores(order, score, v_pos, tables._pred_masks(order), tables)
+    arr = np.array(scores)
+    w = np.exp(arr - arr.max())
+    new_pos = int(rng.choice(p, p=w / w.sum()))
+    if new_pos == v_pos:
+        return order, score, 0
+    lst = list(order)
+    v = lst.pop(v_pos)
+    lst.insert(new_pos, v)
+    return tuple(lst), scores[new_pos], abs(new_pos - v_pos)
+
+
+def stateless_run_chain(tables, config):
+    """``order_mcmc.run_chain`` with every step a ``stateless_relocation_step``."""
+    import numpy as np
+
+    from ctxtree import ChainTrace
+    from ctxtree.core import validate_order
+
+    rng = np.random.default_rng(config.seed)
+    p = tables.space.p
+    if config.init == "random":
+        order = tuple(int(v) for v in rng.permutation(p))
+    else:
+        order = validate_order(config.init, p)
+    score = tables.order_score(order)
+    trace = ChainTrace(config=config)
+    for step in range(1, config.iterations + 1):
+        order, score, dist = stateless_relocation_step(order, tables, rng, score)
+        trace.move_distances[dist] += 1
+        if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
+            trace.samples.append((order, score))
+    return trace
+
+
+def enumerated_argmax(var, spec, tables):
+    """``optimal_staging`` as a list of every staging's summed stage evidence,
+    the index of its first maximum, and a second walk to that staging."""
+    from itertools import islice
+
+    from ctxtree import Context, Stage, Staging
+    from ctxtree.enumeration import iter_raw_stagings
+
+    z_i = tables._z[var]
+    evidences = []
+    for raw in iter_raw_stagings(spec):
+        total = 0.0
+        for items in raw:
+            total += z_i[items]
+        evidences.append(total)
+    best = evidences.index(max(evidences))
+    raw = next(islice(iter_raw_stagings(spec), best, None))
+    level = spec.level
+    return Staging(level, tuple(Stage(Context(a), level) for a in raw))
 
 def _is_int(token):
     try:

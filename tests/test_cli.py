@@ -38,6 +38,11 @@ def test_enumerate_usable_restriction(capsys):
     )
     assert code == 0
     assert out.strip() == "2"
+    code, out, err = run(
+        capsys, "enumerate", "--cards", "2,2", "--usable", "0,0", "--count-only"
+    )
+    assert (code, out) == (2, "")
+    assert "distinct" in err
 
 
 def test_enumerate_beta3_rejected(capsys):
@@ -259,6 +264,22 @@ def test_learn_unreadable_data_exit_2(tmp_path, capsys, raw, message):
     )
     assert (code, out) == (2, "")
     assert message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("beta, message", [("-1", "nonnegative"), ("3", "not supported")])
+def test_bad_beta_exit_2(tmp_path, capsys, beta, message):
+    rng = np.random.default_rng(2)
+    csv_path = tmp_path / "d.csv"
+    write_csv(sample(random_cstree(StateSpace([2, 2, 2]), 2, rng), 30, rng), csv_path)
+    out_path = tmp_path / "m.json"
+    for argv in (
+        ["learn", "--iterations", "10", "--out", str(out_path)],
+        ["score", "--order", "0,1,2"],
+    ):
+        code, out, err = run(capsys, *argv, "--data", str(csv_path), "--beta", beta)
+        assert (code, out) == (2, "")
+        assert message in err
     assert not out_path.exists()
 
 

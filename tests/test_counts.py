@@ -12,6 +12,7 @@ from ctxtree import (
     PossibleParents,
     ResourceCapError,
     StateSpace,
+    UnsupportedBoundError,
     ValidationError,
     build_count_table,
     compute_counts,
@@ -86,6 +87,11 @@ def test_load_errors(tmp_path):
         load_csv(write(tmp_path, "a,b\n2,2\n0,5\n1,0\n", "bad.csv"), cards_row="yes")
     with pytest.raises(ParseError):
         load_csv(write(tmp_path, "a,b\n,\n?,NA\n"))
+    # a ragged row is named by the file line it starts on
+    with pytest.raises(ParseError, match="line 5 has 1 cells, expected 2"):
+        load_csv(write(tmp_path, "a,b\n\n\n0,1\n0\n"))
+    with pytest.raises(ParseError, match="line 5 has 1 cells, expected 2"):
+        load_csv(write(tmp_path, 'a,b\n"x\ny",1\n\n0\n'))
 
 
 def test_load_integer_outside_int64(tmp_path):
@@ -223,6 +229,17 @@ def test_table_memory_cap():
     data = Dataset(rng.integers(0, 2, size=(10, 6)), StateSpace([2] * 6))
     with pytest.raises(ResourceCapError):
         build_count_table(data, beta=2, max_cells=10)
+
+
+def test_table_rejects_beta_before_sizing():
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.integers(0, 2, size=(10, 3)), StateSpace([2] * 3))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        build_count_table(data, beta=-1)
+    # full K at p=100 would need far more cells than the cap at beta=3
+    data = Dataset(rng.integers(0, 2, size=(10, 100)), StateSpace([2] * 100))
+    with pytest.raises(UnsupportedBoundError):
+        build_count_table(data, beta=3)
 
 
 def test_table_missing_entry_error():

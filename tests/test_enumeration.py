@@ -121,6 +121,8 @@ def test_spec_validation():
         EnumSpec.of_cards([2, 1])
     with pytest.raises(ValidationError):
         EnumSpec([0, 1], [2, 2], usable=[2])
+    with pytest.raises(ValidationError, match="distinct"):
+        EnumSpec([0, 1], [2, 2], usable=[0, 0])
 
 
 def test_count_cstrees_fixed_order():

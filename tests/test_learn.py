@@ -26,7 +26,8 @@ from ctxtree import (
     random_cstree,
     sample,
 )
-from oracles import is_partition
+from ctxtree.enumeration import iter_raw_stagings
+from oracles import enumerated_argmax, is_partition
 
 
 def make_tables(rows, cards, pp=None):
@@ -133,6 +134,29 @@ def test_optimal_staging_matches_enumerated_max():
         }
         best = max(scores.values())
         assert scores[got.canonical_key()] == pytest.approx(best, rel=1e-12)
+
+
+def test_optimal_staging_tie_rule_matches_enumerated_argmax():
+    # 2-6 rows leave most contexts empty or equal, so many stagings share the
+    # maximal summed evidence exactly; the first in iter_raw_stagings order wins
+    rng = np.random.default_rng(13)
+    ties = 0
+    for trial in range(150):
+        cards = rng.integers(2, 4, size=4).tolist()
+        rows = rng.integers(0, cards, size=(int(rng.integers(2, 7)), 4))
+        data = Dataset(rows, StateSpace(cards))
+        for prior in (PriorSpec(), PriorSpec("unit")):
+            tables = build_score_tables(build_count_table(data), prior)
+            order = rng.permutation(4).tolist()
+            for lvl in range(1, 4):
+                usable = [v for v in order[:lvl] if rng.random() < 0.8]
+                spec = EnumSpec.for_level(data.space, order, lvl, 2, usable)
+                var = order[lvl]
+                assert optimal_staging(var, spec, tables) == enumerated_argmax(var, spec, tables)
+                z_i = tables._z[var]
+                evidences = [sum(z_i[items] for items in raw) for raw in iter_raw_stagings(spec)]
+                ties += evidences.count(max(evidences)) > 1
+    assert ties > 100
 
 
 def test_learn_p1():

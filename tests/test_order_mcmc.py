@@ -15,12 +15,11 @@ from ctxtree import (
     build_count_table,
     build_score_tables,
     map_order,
-    relocation_step,
     run_chain,
 )
 from ctxtree.order_mcmc import ChainTrace, _candidate_scores, dump_trace
 
-from oracles import set_candidate_scores, set_order_score
+from oracles import set_candidate_scores, set_order_score, stateless_run_chain
 
 
 def make_tables(rows, cards, beta=2, prior=None):
@@ -37,10 +36,17 @@ def test_chain_config_validation():
     assert cfg.burn_in == 20  # default 20%
 
 
+def one_step(tables, init, seed=0):
+    """The state after one relocation step from ``init``, and its distance."""
+    trace = run_chain(tables, ChainConfig(iterations=1, burn_in=0, seed=seed, init=init))
+    [(order, score)] = trace.samples
+    [dist] = trace.move_distances
+    return order, score, dist
+
+
 def test_relocation_p1():
-    rng = np.random.default_rng(0)
     tables = make_tables(np.zeros((5, 1), dtype=int) % 2, [2])
-    order, score, dist = relocation_step((0,), tables, rng)
+    order, score, dist = one_step(tables, (0,))
     assert order == (0,) and dist == 0
 
 
@@ -51,11 +57,10 @@ def test_relocation_uniform_when_scores_equal():
     # like (1,0,2,3) is reached two ways, so 2/16
     rows = np.random.default_rng(1).integers(0, 2, size=(60, 4))
     tables = make_tables(rows, [2] * 4, beta=0)
-    rng = np.random.default_rng(42)
     counts = Counter()
     n = 10_000
-    for _ in range(n):
-        order, _, _ = relocation_step((0, 1, 2, 3), tables, rng)
+    for trial in range(n):
+        order, _, _ = one_step(tables, (0, 1, 2, 3), seed=trial)
         counts[order] += 1
     for target, prob in [((0, 1, 2, 3), 4 / 16), ((1, 0, 2, 3), 2 / 16)]:
         sigma = math.sqrt(n * prob * (1 - prob))
@@ -77,7 +82,7 @@ def test_incremental_scores_match_full_recompute():
             base = tables.order_score(order)
             assert base == set_order_score(order, tables)
             v_pos = int(rng.integers(p))
-            scores = _candidate_scores(order, base, v_pos, tables)
+            scores = _candidate_scores(order, base, v_pos, tables._pred_masks(order), tables)
             assert scores == set_candidate_scores(order, base, v_pos, tables)
             v = order[v_pos]
             rest = [x for x in order if x != v]
@@ -90,7 +95,38 @@ def test_relocation_rejects_non_permutation():
     tables = make_tables(np.random.default_rng(11).integers(0, 2, size=(30, 3)), [2, 2, 2])
     for order in [(0, 0, 1), (0, 1), (0, 1, 7)]:
         with pytest.raises(ValidationError):
-            relocation_step(order, tables, np.random.default_rng(0))
+            one_step(tables, order)
+
+
+def test_run_chain_matches_stateless_oracle():
+    # the chain keeps each predecessor mask across moves; the oracle rebuilds
+    # them all at every step, so samples, score floats and move distances
+    # must agree bit for bit.  The sparse asymmetric K makes a passed
+    # variable flip one mask alone.
+    rng = np.random.default_rng(12)
+    sparse = PossibleParents([set(), {0, 2}, {0, 5}, {1, 4}, {0, 1, 2, 3}, {3}])
+    data = Dataset(rng.integers(0, 2, size=(40, 6)), StateSpace([2] * 6))
+    configs = [
+        ChainConfig(iterations=400, burn_in=0, seed=1),
+        ChainConfig(iterations=400, burn_in=150, seed=2, thin=7),
+        ChainConfig(iterations=300, burn_in=20, seed=3, init=(5, 4, 3, 2, 1, 0)),
+    ]
+    for pp in (None, sparse):
+        tables = build_score_tables(build_count_table(data, pp), PriorSpec())
+        for cfg in configs:
+            trace = run_chain(tables, cfg)
+            oracle = stateless_run_chain(tables, cfg)
+            assert trace.samples == oracle.samples
+            assert trace.move_distances == oracle.move_distances
+            assert len(trace.move_distances) > 3  # moves of several distances ran
+    for p in (1, 2):
+        tables = make_tables(rng.integers(0, 2, size=(20, p)), [2] * p)
+        init = tuple(range(p))
+        for cfg in (ChainConfig(iterations=50, seed=4), ChainConfig(iterations=50, seed=5, init=init)):
+            trace = run_chain(tables, cfg)
+            oracle = stateless_run_chain(tables, cfg)
+            assert trace.samples == oracle.samples
+            assert trace.move_distances == oracle.move_distances
 
 
 def test_run_chain_sample_count_and_determinism():
