@@ -15,6 +15,7 @@ import logging
 import os
 import secrets
 import sys
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
@@ -26,14 +27,13 @@ from .core import (
     StateSpace,
     ValidationError,
 )
-from .counts import load_csv, write_csv
+from .counts import Dataset, load_csv, write_csv
 from .enumeration import EnumSpec, count_stagings, enumerate_stagings
 from .ldag import export_dot, ldag_to_json_dict, to_ldag
-from .learn import LearnConfig, learn, load_possible_parents
+from .learn import LearnConfig, _score_tables, learn, load_possible_parents
 from .model_ops import kl_divergence, random_cstree, sample
 from .order_mcmc import ChainConfig, dump_trace
-from .scoring import PriorSpec, build_score_tables, log_marginal_likelihood
-from .counts import build_count_table
+from .scoring import PriorSpec, log_marginal_likelihood
 
 logger = logging.getLogger("ctxtree")
 
@@ -60,19 +60,12 @@ def _parse_ints(text: str, option: str) -> list[int]:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.seed
     seed = secrets.randbits(63)
     print(f"seed: {seed}", file=sys.stderr)
     return seed
-
-
-def _add_threads(sub):
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for the count-table build",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -84,21 +77,26 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ctxtree {pkg_version}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("learn", help="estimate a CStree from a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--beta", type=int, default=2)
-    p.add_argument("--prior", choices=("bdeu-path", "unit"), default="bdeu-path")
-    p.add_argument("--ess", type=float, default=1.0)
+    tables = argparse.ArgumentParser(add_help=False)  # flags of learn and score
+    tables.add_argument("--data", required=True)
+    tables.add_argument("--beta", type=int, default=2)
+    tables.add_argument("--prior", choices=("bdeu-path", "unit"), default="bdeu-path")
+    tables.add_argument("--ess", type=float, default=1.0)
+    tables.add_argument("--possible-parents", default=None)
+    tables.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
+    tables.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="worker threads for the count-table build",
+    )
+
+    p = subs.add_parser("learn", parents=[tables], help="estimate a CStree from a CSV dataset")
     p.add_argument("--iterations", type=int, default=5000)
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--possible-parents", default=None)
     p.add_argument("--estimator", choices=("map", "mle", "none"), default="map")
-    p.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
-    _add_threads(p)
 
     p = subs.add_parser("sample", help="draw rows from a model")
     p.add_argument("--model", required=True)
@@ -129,31 +127,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None, dest="json_out")
 
-    p = subs.add_parser("score", help="score an ordering or model against data")
-    p.add_argument("--data", required=True)
-    p.add_argument("--beta", type=int, default=2)
-    p.add_argument("--prior", choices=("bdeu-path", "unit"), default="bdeu-path")
-    p.add_argument("--ess", type=float, default=1.0)
+    p = subs.add_parser("score", parents=[tables], help="score an ordering or model against data")
     p.add_argument("--order", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--possible-parents", default=None)
-    p.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--dump-scores", default=None)
-    _add_threads(p)
     return parser
 
 
-def _cmd_learn(args) -> int:
+def _load_tables_inputs(args) -> tuple[Dataset, LearnConfig]:
+    """The dataset and table settings that ``learn`` and ``score`` share."""
     data = load_csv(args.data, cards_row=args.cards_row)
-    seed = _resolve_seed(args)
-    config = LearnConfig(
-        beta=args.beta,
-        prior=PriorSpec(args.prior, args.ess),
-        chain=ChainConfig(args.iterations, args.burn_in, seed, args.thin),
-        possible_parents=args.possible_parents,
-        estimator=args.estimator,
-        threads=args.threads,
-    )
+    prior = PriorSpec(args.prior, args.ess)
+    pp = load_possible_parents(args.possible_parents, data.p) if args.possible_parents else None
+    return data, LearnConfig(args.beta, prior, possible_parents=pp, threads=args.threads)
+
+
+def _cmd_learn(args) -> int:
+    data, config = _load_tables_inputs(args)
+    chain = ChainConfig(args.iterations, args.burn_in, _resolve_seed(args), args.thin)
+    config = replace(config, chain=chain, estimator=args.estimator)
     tree, trace = learn(data, config, return_trace=True)
     tree.to_json(args.out)
     if args.trace:
@@ -222,21 +214,14 @@ def _cmd_ldag(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    data = load_csv(args.data, cards_row=args.cards_row)
-    prior = PriorSpec(args.prior, args.ess)
-    pp = (
-        load_possible_parents(args.possible_parents, data.p)
-        if args.possible_parents
-        else None
-    )
-    count_table = build_count_table(data, pp, args.beta, threads=args.threads)
-    tables = build_score_tables(count_table, prior)
+    data, config = _load_tables_inputs(args)
+    tables = _score_tables(data, config)
     if args.dump_scores:
         with open(args.dump_scores, "w") as fh:
             tables.dump_z(fh)
     if args.model:
         tree = CStree.from_json(args.model)
-        print(f"log_marginal_likelihood\t{_fmt(log_marginal_likelihood(tree, data, prior))}")
+        print(f"log_marginal_likelihood\t{_fmt(log_marginal_likelihood(tree, data, config.prior))}")
         print(f"log_order_score\t{_fmt(tables.order_score(tree.order))}")
     elif args.order is not None:
         order = _parse_ints(args.order, "--order")

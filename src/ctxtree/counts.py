@@ -57,7 +57,10 @@ class Dataset:
     labels: Optional[dict] = None
 
     def __init__(self, rows, space: StateSpace, names=None, labels=None):
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.dtype.kind == "f" and not (np.isfinite(rows) & (np.trunc(rows) == rows)).all():
+            raise ValidationError("rows must hold whole numbers")
+        rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2:
             raise ValidationError("rows must be a 2-d array")
         n, p = rows.shape

@@ -12,23 +12,32 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .core import CStree, ParseError, PossibleParents, ValidationError
 from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
-from .enumeration import EnumSpec
+from .enumeration import EnumSpec, _check_beta
 from .order_mcmc import ChainConfig, map_order, run_chain
-from .scoring import PriorSpec, build_score_tables, optimal_staging
+from .scoring import PriorSpec, ScoreTables, _check_k_cap, build_score_tables, optimal_staging
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class LearnConfig:
+    """Settings of one ``learn`` run.
+
+    ``possible_parents`` holds the sets K_i that stage contexts are drawn
+    from, None letting every variable use all the others; read a file with
+    ``load_possible_parents``.  Each |K_i| may be at most ``scoring.MAX_K``
+    (16), checked before any row is counted.  ``max_cells`` caps the count
+    table and ``threads`` sets the worker threads of its build.
+    """
+
     beta: int = 2
     prior: PriorSpec = field(default_factory=PriorSpec)
     chain: ChainConfig = field(default_factory=ChainConfig)
-    possible_parents: Union[PossibleParents, str, Path, None] = None
+    possible_parents: Optional[PossibleParents] = None
     estimator: str = "map"
     max_cells: int = DEFAULT_MAX_CELLS
     threads: int = 1
@@ -36,70 +45,78 @@ class LearnConfig:
     def __post_init__(self):
         if self.estimator not in ("map", "mle", "none"):
             raise ValidationError(f"estimator must be map/mle/none, got {self.estimator!r}")
+        if not isinstance(self.possible_parents, (PossibleParents, type(None))):
+            raise ValidationError(
+                "possible_parents must be a PossibleParents or None; read a file "
+                "with load_possible_parents"
+            )
 
 
-def possible_parents_from_cpdag(doc: Union[dict, str, Path], p: int) -> PossibleParents:
+def _vars(items, p: int, what: str) -> list[int]:
+    """``items``, checked to be a JSON list of variable indices: integers,
+    not bools, in 0..p-1."""
+    if not (isinstance(items, list) and all(type(x) is int and 0 <= x < p for x in items)):
+        raise ParseError(f"{what} must be a list of integers in 0..{p - 1}, got {items!r}")
+    return items
+
+
+def possible_parents_from_cpdag(doc: dict, p: int) -> PossibleParents:
     """K_i = undirected neighbors of i plus directed parents of i.
 
-    ``doc`` is a mapping with "directed" and "undirected" edge lists, or a
-    path to a JSON file holding one.
+    ``doc`` is a parsed mapping with "directed" and "undirected" lists of
+    [u, v] edges; ``load_possible_parents`` reads one from a file.
     """
     if not isinstance(doc, dict):
-        with open(doc) as fh:
-            doc = json.load(fh)
-    directed = doc.get("directed", [])
-    undirected = doc.get("undirected", [])
+        raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     sets: list[set[int]] = [set() for _ in range(p)]
-
-    def check(u, v):
-        u, v = int(u), int(v)
-        if u == v:
-            raise ParseError(f"self-loop on node {u}")
-        if not (0 <= u < p and 0 <= v < p):
-            raise ParseError(f"edge ({u}, {v}) out of range for p={p}")
-        return u, v
-
-    for u, v in directed:
-        u, v = check(u, v)
-        sets[v].add(u)
-    for u, v in undirected:
-        u, v = check(u, v)
-        sets[u].add(v)
-        sets[v].add(u)
+    for kind in ("directed", "undirected"):
+        edges = doc.get(kind, [])
+        pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
+        if not pairs:
+            raise ParseError(f"{kind} must be a list of [u, v] edges, got {edges!r}")
+        for u, v in edges:
+            _vars([u, v], p, f"{kind} edge")
+            if u == v:
+                raise ParseError(f"self-loop on node {u}")
+            sets[v].add(u)
+            if kind == "undirected":
+                sets[u].add(v)
     return PossibleParents(sets)
 
 
 def load_possible_parents(path: Union[str, Path], p: int) -> PossibleParents:
     """Read a possible-parents file: either a mapping from variable index to
-    a list of indices, or a CPDAG document with edge lists."""
-    with open(path) as fh:
+    a list of integer indices, or a CPDAG document with edge lists.  This is
+    the one reader of such files; anything malformed raises ParseError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if "directed" in doc or "undirected" in doc:
-        return possible_parents_from_cpdag(doc, p)
-    sets: list[set[int]] = [set() for _ in range(p)]
-    for key, value in doc.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise ParseError(f"{path}: non-integer variable key {key!r}") from None
-        if not (0 <= i < p):
-            raise ParseError(f"{path}: variable {i} out of range for p={p}")
-        sets[i] = {int(j) for j in value}
-    return PossibleParents(sets)
+    try:
+        if not isinstance(doc, dict) or "directed" in doc or "undirected" in doc:
+            return possible_parents_from_cpdag(doc, p)
+        sets: list[set[int]] = [set() for _ in range(p)]
+        for key, members in doc.items():
+            if not (key.isdecimal() and int(key) < p):
+                raise ParseError(f"variable key {key!r} is not an integer in 0..{p - 1}")
+            sets[int(key)] = set(_vars(members, p, f"K_{key}"))
+        return PossibleParents(sets)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _resolve_pp(config: LearnConfig, p: int) -> PossibleParents:
-    src = config.possible_parents
-    if src is None:
-        return PossibleParents.full(p)
-    if isinstance(src, PossibleParents):
-        return src
-    return load_possible_parents(src, p)
+def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
+    """Count and score tables of ``data`` under ``config``; beta and the
+    |K_i| cap are checked before any row is counted."""
+    _check_beta(config.beta)
+    pp = config.possible_parents
+    pp = PossibleParents.full(data.p) if pp is None else pp
+    _check_k_cap(pp)
+    count_table = build_count_table(
+        data, pp, config.beta, max_cells=config.max_cells, threads=config.threads
+    )
+    return build_score_tables(count_table, config.prior)
 
 
 def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
@@ -114,11 +131,7 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     from .model_ops import estimate_parameters  # local import to avoid a cycle
 
     space = data.space
-    pp = _resolve_pp(config, space.p)
-    count_table = build_count_table(
-        data, pp, config.beta, max_cells=config.max_cells, threads=config.threads
-    )
-    tables = build_score_tables(count_table, config.prior)
+    tables = _score_tables(data, config)
     trace = run_chain(tables, config.chain)
     order = map_order(trace)
     logger.info("best sampled ordering %s (log score %.6g)", order, tables.order_score(order))
@@ -126,7 +139,7 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     stagings = []
     for lvl in range(1, space.p):
         var = order[lvl]
-        usable = sorted(pp[var] & set(order[:lvl]))
+        usable = sorted(tables.pp[var] & set(order[:lvl]))
         spec = EnumSpec.for_level(space, order, lvl, config.beta, usable)
         stagings.append(optimal_staging(var, spec, tables))
     tree = CStree(order, space, stagings, names=data.names, labels=data.labels)

@@ -34,6 +34,8 @@ class ChainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         burn = self.iterations // 5 if self.burn_in is None else self.burn_in
         object.__setattr__(self, "burn_in", int(burn))
         if not (self.iterations > self.burn_in >= 0):

@@ -67,6 +67,7 @@ from scipy.special import gammaln
 from .core import (
     Context,
     CStree,
+    PossibleParents,
     ResourceCapError,
     Stage,
     Staging,
@@ -78,7 +79,7 @@ from .counts import CountTable, Dataset, stage_counts
 from .enumeration import EnumSpec, count_stagings, iter_raw_stagings
 
 
-DEFAULT_MAX_K = 16
+MAX_K = 16
 
 PRIOR_SCHEMES = ("bdeu-path", "unit")
 
@@ -305,30 +306,30 @@ def log_order_score(order: Sequence[int], tables: ScoreTables) -> float:
     return tables.order_score(order)
 
 
-def build_score_tables(
-    count_table: CountTable,
-    prior: PriorSpec,
-    max_k: int = DEFAULT_MAX_K,
-) -> ScoreTables:
+def _check_k_cap(pp: PossibleParents) -> None:
+    """Reject any |K_i| above ``MAX_K``: a variable has 2^|K_i| local order
+    scores whatever beta is."""
+    for i, k in enumerate(pp.sets):
+        if len(k) > MAX_K:
+            raise ResourceCapError(
+                f"|K_{i}| = {len(k)} exceeds the cap {MAX_K}: local order scores take "
+                f"2^|K| entries per variable; supply sparser possible-parent sets (e.g. a CPDAG)"
+            )
+
+
+def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables:
     """Precompute z for every admissible (variable, context) and los for
     every (variable, L subset of K_i).
 
     Each possible-parent set contributes 2^{|K_i|} local order scores, so
-    |K_i| above ``max_k`` is rejected.  The closed form builds them all in
+    |K_i| above ``MAX_K`` is rejected.  The closed form builds them all in
     O(2^{|K|} * |K| * d) time and memory per variable, plus the
     O(C(|K|, beta) * d^beta) z entries it reads.
     """
     space = count_table.space
     pp = count_table.pp
     beta = count_table.beta
-    for i in range(space.p):
-        if len(pp[i]) > max_k:
-            raise ResourceCapError(
-                f"|K_{i}| = {len(pp[i])} exceeds the cap {max_k}: local order "
-                f"scores require 2^|K| entries per variable and "
-                f"O(p * 2^|K| * |K| * d) build time and memory; supply sparser "
-                f"possible-parent sets (e.g. from a CPDAG) or lower beta"
-            )
+    _check_k_cap(pp)
 
     z: dict[int, dict[tuple, float]] = {}
     los: list[list[float]] = []

@@ -1,12 +1,15 @@
+import argparse
+import importlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ctxtree import CStree, StateSpace, random_cstree, sample, write_csv
-from ctxtree.cli import main
+from ctxtree import CStree, Dataset, StateSpace, random_cstree, sample, write_csv
+from ctxtree.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -306,3 +309,114 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "ctxtree" in proc.stdout
+
+
+def test_resource_cap_checked_before_counting(tmp_path, capsys, monkeypatch):
+    # the attribute ``ctxtree.learn`` is the function, so fetch the module
+    learn_module = importlib.import_module("ctxtree.learn")
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("build_count_table called before the |K| cap check")
+
+    monkeypatch.setattr(learn_module, "build_count_table", no_counting)
+    rng = np.random.default_rng(3)
+    csv_path = tmp_path / "wide.csv"
+    write_csv(Dataset(rng.integers(0, 2, size=(50, 20)), StateSpace([2] * 20)), csv_path)
+    out_path = tmp_path / "m.json"
+    for argv in (
+        ["learn", "--iterations", "10", "--seed", "0", "--out", str(out_path)],
+        ["score", "--order", ",".join(map(str, range(20)))],
+    ):
+        code, out, err = run(capsys, *argv, "--data", str(csv_path))
+        assert (code, out) == (3, "")
+        assert "exceeds the cap 16" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "sample", "generate"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    model, csv_path, out_path = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "out"
+    run(capsys, "generate", "--cards", "2,2", "--seed", "1", "--out", str(model))
+    run(capsys, "sample", "--model", str(model), "-n", "20", "--seed", "1", "--out", str(csv_path))
+    argv = {
+        "learn": ["learn", "--data", str(csv_path), "--iterations", "10", "--seed", "-1"],
+        "sample": ["sample", "--model", str(model), "-n", "5", "--seed", "-2"],
+        "generate": ["generate", "--cards", "2,2", "--seed", "-3"],
+    }[command]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+    assert not out_path.exists()
+
+
+def _subcommand_actions(name):
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: a for a in subs.choices[name]._actions for opt in a.option_strings}
+
+
+# each flag of `learn` and `score` that sets up the count and score tables,
+# with its default and choices
+SHARED_FLAGS = {
+    "--data": (None, None),
+    "--beta": (2, None),
+    "--prior": ("bdeu-path", ("bdeu-path", "unit")),
+    "--ess": (1.0, None),
+    "--possible-parents": (None, None),
+    "--cards-row": ("auto", ("auto", "yes", "no")),
+    "--threads": (os.cpu_count() or 1, None),
+}
+
+
+@pytest.mark.parametrize("flag", SHARED_FLAGS)
+def test_learn_and_score_share_flag(flag):
+    actions = [_subcommand_actions(name)[flag] for name in ("learn", "score")]
+    for action in actions:
+        assert (action.default, action.choices) == SHARED_FLAGS[flag]
+    fields = [(a.dest, a.type, a.required, a.nargs) for a in actions]
+    assert fields[0] == fields[1]
+
+
+def test_learn_and_score_flag_sets():
+    shared = set(SHARED_FLAGS) | {"-h", "--help"}
+    assert set(_subcommand_actions("learn")) - shared == {
+        "--iterations", "--burn-in", "--thin", "--seed", "--estimator", "--out", "--trace",
+    }
+    assert set(_subcommand_actions("score")) - shared == {"--order", "--model", "--dump-scores"}
+
+
+MALFORMED_POSSIBLE_PARENTS = {
+    "string-member": {"0": ["x"]},
+    "scalar-members": {"0": 5},
+    "three-node-edge": {"directed": [[0, 1, 2]]},
+    "float-member": {"0": [1.5]},
+    "bool-member": {"0": [True]},
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["cards-row", *MALFORMED_POSSIBLE_PARENTS], ids=lambda b: b
+)
+def test_learn_and_score_fail_alike(tmp_path, capsys, bad):
+    rng = np.random.default_rng(4)
+    csv_path = tmp_path / "d.csv"
+    write_csv(sample(random_cstree(StateSpace([2, 2, 2]), 2, rng), 30, rng), csv_path)
+    if bad == "cards-row":
+        flags, expected = ["--cards-row", "bogus"], 1
+    else:
+        pp_path = tmp_path / "pp.json"
+        pp_path.write_text(json.dumps(MALFORMED_POSSIBLE_PARENTS[bad]))
+        flags, expected = ["--possible-parents", str(pp_path)], 2
+    out_path = tmp_path / "m.json"
+    results = [
+        run(capsys, *argv, "--data", str(csv_path), *flags)
+        for argv in (
+            ["learn", "--iterations", "10", "--seed", "0", "--out", str(out_path)],
+            ["score", "--order", "0,1,2"],
+        )
+    ]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (expected, "")
+    assert err
+    assert not out_path.exists()

@@ -149,6 +149,11 @@ def test_dataset_validation():
         Dataset(np.zeros((0, 2), dtype=int), StateSpace([2, 2]))
     with pytest.raises(ValidationError):
         Dataset(np.array([[0, 3]]), StateSpace([2, 2]))
+    for bad in (0.7, 1.2, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            Dataset(np.array([[bad, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
+    data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
+    assert data.rows.dtype == np.int64 and data.rows.tolist() == [[0, 1], [1, 0]]
 
 
 def test_compute_counts_marginal():

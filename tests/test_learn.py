@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from ctxtree import (
     ParseError,
     PossibleParents,
     PriorSpec,
+    ResourceCapError,
     StateSpace,
     ValidationError,
     build_count_table,
@@ -64,6 +66,34 @@ def test_cpdag_errors():
         possible_parents_from_cpdag({"directed": [[1, 1]]}, 3)
     with pytest.raises(ParseError):
         possible_parents_from_cpdag({"undirected": [[0, 9]]}, 3)
+    for edges in ([[0, 1, 2]], [[0]], [[0, "1"]], [[0, 1.0]], [[True, 2]], [5], 5):
+        with pytest.raises(ParseError):
+            possible_parents_from_cpdag({"directed": edges}, 3)
+    with pytest.raises(ParseError, match="JSON object"):
+        possible_parents_from_cpdag("g.json", 3)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"0": ["x"]},
+        {"0": 5},
+        {"directed": [[0, 1, 2]]},
+        {"0": [1.5]},
+        {"0": [True]},
+        {"0": ["1"]},
+        {"0": [1.0]},
+        {"0": [7]},
+        {"0": [0]},
+        {"0": "12"},
+        [[0, 1]],
+    ],
+)
+def test_load_possible_parents_malformed(tmp_path, doc):
+    path = tmp_path / "pp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="pp.json"):
+        load_possible_parents(path, 3)
 
 
 def test_load_possible_parents_mapping(tmp_path):
@@ -218,9 +248,34 @@ def test_learn_returned_order_score_is_trace_max():
     assert tables.order_score(tree.order) == pytest.approx(best, rel=1e-12)
 
 
-def test_learn_config_validation():
+def test_learn_config_validation(tmp_path):
     with pytest.raises(ValidationError):
         LearnConfig(estimator="bogus")
+    path = tmp_path / "pp.json"
+    path.write_text(json.dumps({"0": [1]}))
+    for src in (str(path), path, {"0": [1]}):
+        with pytest.raises(ValidationError, match="load_possible_parents"):
+            LearnConfig(possible_parents=src)
+
+
+@pytest.mark.parametrize(
+    "pp",
+    [None, PossibleParents([set(range(1, 18))] + [set()] * 17)],
+    ids=["full-K-p20", "one-K-of-17"],
+)
+def test_k_cap_checked_before_counting(monkeypatch, pp):
+    # the attribute ``ctxtree.learn`` is the function, so fetch the module
+    learn_module = importlib.import_module("ctxtree.learn")
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("build_count_table called before the |K| cap check")
+
+    monkeypatch.setattr(learn_module, "build_count_table", no_counting)
+    p = 20 if pp is None else pp.p
+    data = Dataset(np.random.default_rng(0).integers(0, 2, size=(50, p)), StateSpace([2] * p))
+    with pytest.raises(ResourceCapError, match="exceeds the cap 16") as info:
+        learn(data, LearnConfig(possible_parents=pp))
+    assert "beta" not in str(info.value)
 
 
 def test_learn_and_random_cstree_check_each_level_once(monkeypatch):

@@ -32,6 +32,8 @@ def test_chain_config_validation():
         ChainConfig(iterations=10, burn_in=10)
     with pytest.raises(ValidationError):
         ChainConfig(iterations=10, burn_in=2, thin=0)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        ChainConfig(seed=-1)
     cfg = ChainConfig(iterations=100)
     assert cfg.burn_in == 20  # default 20%
 
