@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -84,35 +85,55 @@ def possible_parents_from_cpdag(doc: dict, p: int) -> PossibleParents:
     return PossibleParents(sets)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error rather
+    than a silent overwrite."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def load_possible_parents(path: Union[str, Path], p: int) -> PossibleParents:
     """Read a possible-parents file: either a mapping from variable index to
     a list of integer indices, or a CPDAG document with edge lists.  This is
-    the one reader of such files; anything malformed raises ParseError."""
+    the one reader of such files; anything malformed raises ParseError,
+    including a repeated key and a variable key that is not written in
+    canonical decimal (``"00"`` would name variable 0 a second time)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a repeated key
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
     try:
         if not isinstance(doc, dict) or "directed" in doc or "undirected" in doc:
             return possible_parents_from_cpdag(doc, p)
         sets: list[set[int]] = [set() for _ in range(p)]
         for key, members in doc.items():
-            if not (key.isdecimal() and int(key) < p):
-                raise ParseError(f"variable key {key!r} is not an integer in 0..{p - 1}")
+            if not (key.isdecimal() and key == str(int(key)) and int(key) < p):
+                raise ParseError(
+                    f"variable key {key!r} is not an integer in 0..{p - 1} in canonical decimal"
+                )
             sets[int(key)] = set(_vars(members, p, f"K_{key}"))
         return PossibleParents(sets)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _checked_sets(config: LearnConfig, p: int) -> PossibleParents:
+    """The possible-parent sets ``config`` gives p variables, after checking
+    beta and the |K_i| cap."""
+    _check_beta(config.beta)
+    pp = config.possible_parents
+    pp = PossibleParents.full(p) if pp is None else pp
+    _check_k_cap(pp)
+    return pp
+
+
 def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
     """Count and score tables of ``data`` under ``config``; beta and the
     |K_i| cap are checked before any row is counted."""
-    _check_beta(config.beta)
-    pp = config.possible_parents
-    pp = PossibleParents.full(data.p) if pp is None else pp
-    _check_k_cap(pp)
+    pp = _checked_sets(config, data.p)
     count_table = build_count_table(
         data, pp, config.beta, max_cells=config.max_cells, threads=config.threads
     )

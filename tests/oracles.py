@@ -465,7 +465,10 @@ def cellwise_load_csv(path, cards_row="auto"):
     labels = {}
     for j, col in enumerate(columns):
         if all(_is_int(c) for c in col):
-            codes[:, j] = [int(c) for c in col]
+            ints = [int(c) for c in col]
+            if not all(-(2**63) <= v < 2**63 for v in ints):
+                raise ParseError(f"{path}: column {names[j]!r} is outside the 64-bit range")
+            codes[:, j] = ints
         else:
             seen = {}
             for c in col:

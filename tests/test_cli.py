@@ -11,6 +11,8 @@ import pytest
 from ctxtree import CStree, Dataset, StateSpace, random_cstree, sample, write_csv
 from ctxtree.cli import _build_parser, main
 
+cli_module = importlib.import_module("ctxtree.cli")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -391,6 +393,8 @@ MALFORMED_POSSIBLE_PARENTS = {
     "three-node-edge": {"directed": [[0, 1, 2]]},
     "float-member": {"0": [1.5]},
     "bool-member": {"0": [True]},
+    "repeated-key": '{"0": [1], "0": [2]}',
+    "leading-zero-key": {"0": [1], "00": [2]},
 }
 
 
@@ -405,7 +409,8 @@ def test_learn_and_score_fail_alike(tmp_path, capsys, bad):
         flags, expected = ["--cards-row", "bogus"], 1
     else:
         pp_path = tmp_path / "pp.json"
-        pp_path.write_text(json.dumps(MALFORMED_POSSIBLE_PARENTS[bad]))
+        doc = MALFORMED_POSSIBLE_PARENTS[bad]
+        pp_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         flags, expected = ["--possible-parents", str(pp_path)], 2
     out_path = tmp_path / "m.json"
     results = [
@@ -420,3 +425,24 @@ def test_learn_and_score_fail_alike(tmp_path, capsys, bad):
     assert (code, out) == (expected, "")
     assert err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain-header", "quoted-header"])
+def test_k_cap_checked_before_rows_are_parsed(tmp_path, capsys, monkeypatch, quoted):
+    def no_body(*args, **kwargs):
+        raise AssertionError("load_csv called before the |K| cap check")
+
+    monkeypatch.setattr(cli_module, "load_csv", no_body)
+    names = ",".join(f'"v {j}"' if quoted else f"v{j}" for j in range(20))
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text(names + "\n" + ",".join("0" * 20) + "\n")
+    out_path = tmp_path / "m.json"
+    for argv in (
+        ["learn", "--iterations", "10", "--seed", "0", "--out", str(out_path)],
+        ["score", "--order", ",".join(map(str, range(20)))],
+    ):
+        code, out, err = run(capsys, *argv, "--data", str(csv_path))
+        assert (code, out) == (3, "")
+        assert "exceeds the cap 16" in err
+    assert not out_path.exists()
+

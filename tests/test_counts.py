@@ -1,3 +1,4 @@
+import csv
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ from ctxtree import (
     Dataset,
     ParseError,
     PossibleParents,
+    PriorSpec,
     ResourceCapError,
     StateSpace,
     UnsupportedBoundError,
@@ -17,8 +19,11 @@ from ctxtree import (
     build_count_table,
     compute_counts,
     load_csv,
+    log_marginal_likelihood,
+    random_cstree,
     write_csv,
 )
+from ctxtree.counts import stage_counts
 from oracles import cellwise_load_csv, per_set_count_tables
 
 
@@ -322,6 +327,10 @@ def csv_texts(draw):
 @example("c0\n2\n2\n0\n")
 @settings(max_examples=300, deadline=None)
 def test_load_matches_cellwise_oracle(tmp_path_factory, text):
+    _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+def _assert_loads_as_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
     for mode in ("auto", "yes", "no"):
@@ -368,3 +377,87 @@ def test_table_matches_per_set_oracle(problem):
         assert t.dtype == np.int64
         assert not t.flags.writeable
         assert np.array_equal(t, want[key])
+
+
+INT_CELLS = ["0", "1", "2", "3", "00", "01", "007", "10"]
+# cells that must send a file to the csv.reader path, or that sit at its edge
+ODD_CELLS = [
+    "", "?", "NA", " 1", "+1", "-1", "1_0", "\u0663",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999",
+]
+
+
+@st.composite
+def int_csv_texts(draw):
+    """Texts of plain digit cells, as the integer fast path reads them, with
+    the defects that must send a file to the general path or give its error."""
+    p = draw(st.integers(1, 4))
+    quoted = draw(st.integers(0, 7)) == 0
+    header = ",".join(f'"c{j}"' if quoted and draw(st.booleans()) else f"c{j}" for j in range(p))
+    if draw(st.integers(0, 5)) == 0:
+        header = "\ufeff" + header
+    lines = [header]
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["2", "3", "4", "5"])) for _ in range(p)))
+    for _ in range(draw(st.integers(0, 8))):
+        width = p + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 15)) == 0 else 0)
+        pool = ODD_CELLS if draw(st.integers(0, 31)) == 0 else INT_CELLS
+        line = ",".join(draw(st.sampled_from(pool)) for _ in range(width))
+        lines.append(line + ("," if draw(st.integers(0, 20)) == 0 else ""))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@given(int_csv_texts())
+@example("c0,c1\r\n007,1\r\n\r\n0,1")
+@example("\ufeffc0\n9223372036854775807\n0\n")
+@example("c0,c1\n0,1,\n1,0,\n")
+@settings(max_examples=300, deadline=None)
+def test_load_int_texts_match_cellwise_oracle(tmp_path_factory, text):
+    _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+def test_write_csv_output_takes_fast_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.integers(0, 3, size=(200, 4)), StateSpace([3, 3, 3, 4]), names=("a", "b", "c", "d"))
+    paths = {True: tmp_path / "cards.csv", False: tmp_path / "bare.csv"}
+    for cards_row, path in paths.items():
+        write_csv(data, path, cards_row=cards_row)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called on an integer file")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    for cards_row, path in paths.items():
+        got = load_csv(path)
+        assert np.array_equal(got.rows, data.rows)
+        assert got.names == data.names
+        assert got.space.cards == ((3, 3, 3, 4) if cards_row else (3, 3, 3, 3))
+    # a label file still needs the reader, so the patch is in force
+    with pytest.raises(AssertionError):
+        load_csv(write(tmp_path, "a\nx\n"))
+
+
+def test_dataset_owns_its_rows():
+    rng = np.random.default_rng(6)
+    space = StateSpace([2, 3, 2])
+    rows = rng.integers(0, 2, size=(300, 3))
+    pristine = Dataset(rows.copy(), space)
+    frozen_view = rows.view()
+    frozen_view.setflags(write=False)
+    tree = random_cstree(space, 2, rng)
+    for data in (Dataset(rows, space), Dataset(frozen_view, space)):
+        rows[:] = 1 - rows  # written after construction, before any count
+        table, want = build_count_table(data), build_count_table(pristine)
+        for i in range(space.p):
+            for (_, _, got), (_, _, ref) in zip(table.tables(i), want.tables(i)):
+                assert np.array_equal(got, ref)
+        for lvl, staging in enumerate(tree.stagings):
+            var = tree.governed_var(lvl)
+            assert np.array_equal(stage_counts(data, var, staging), stage_counts(pristine, var, staging))
+        assert log_marginal_likelihood(tree, data, PriorSpec()) == log_marginal_likelihood(
+            tree, pristine, PriorSpec()
+        )
+        rows[:] = 1 - rows

@@ -22,6 +22,7 @@ from ctxtree import (
     kl_divergence,
     learn,
     load_possible_parents,
+    log_marginal_likelihood,
     log_staging_score,
     optimal_staging,
     possible_parents_from_cpdag,
@@ -87,11 +88,16 @@ def test_cpdag_errors():
         {"0": [0]},
         {"0": "12"},
         [[0, 1]],
+        # one variable named twice: a repeated key, a leading zero, a non-ASCII digit
+        '{"0": [1], "0": [2]}',
+        {"0": [1], "00": [2]},
+        {"\u0660": [1]},
+        '{"directed": [[0, 1]], "directed": []}',
     ],
 )
 def test_load_possible_parents_malformed(tmp_path, doc):
     path = tmp_path / "pp.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(ParseError, match="pp.json"):
         load_possible_parents(path, 3)
 
@@ -295,3 +301,20 @@ def test_learn_and_random_cstree_check_each_level_once(monkeypatch):
     calls.clear()
     learn(data, LearnConfig(chain=ChainConfig(iterations=50, seed=0)))
     assert len(calls) == space.p
+
+
+def test_learn_then_lml_collapse_rows_once(monkeypatch):
+    counts_module = importlib.import_module("ctxtree.counts")
+    collapse, calls = counts_module._collapse, []
+
+    def counted(rows, cards):
+        calls.append(rows.shape)
+        return collapse(rows, cards)
+
+    monkeypatch.setattr(counts_module, "_collapse", counted)
+    rng = np.random.default_rng(7)
+    space = StateSpace([2, 3, 2, 2])
+    data = sample(random_cstree(space, 2, rng), 500, rng)
+    tree = learn(data, LearnConfig(chain=ChainConfig(iterations=50, seed=1)))
+    log_marginal_likelihood(tree, data, PriorSpec())
+    assert calls == [(500, 4)]
