@@ -27,7 +27,7 @@ from .core import (
     StateSpace,
     ValidationError,
 )
-from .counts import Dataset, _read_header, load_csv, write_csv
+from .counts import Dataset, _parse_csv, _read_header, write_csv
 from .enumeration import EnumSpec, count_stagings, enumerate_stagings
 from .ldag import export_dot, ldag_to_json_dict, to_ldag
 from .learn import LearnConfig, _checked_sets, _score_tables, learn, load_possible_parents
@@ -137,13 +137,16 @@ def _build_parser() -> _Parser:
 def _load_tables_inputs(args) -> tuple[Dataset, LearnConfig]:
     """The dataset and table settings that ``learn`` and ``score`` share.
     The CSV header gives the variable count, so beta and the |K_i| cap are
-    checked before the rows are parsed."""
-    p = len(_read_header(args.data))
+    checked before the rows are parsed.  The file is read once, so a pipe
+    serves as well as a regular file."""
+    with open(args.data, "rb") as fh:
+        raw = fh.read()
+    p = len(_read_header(args.data, raw))
     prior = PriorSpec(args.prior, args.ess)
     pp = load_possible_parents(args.possible_parents, p) if args.possible_parents else None
     config = LearnConfig(args.beta, prior, possible_parents=pp, threads=args.threads)
     _checked_sets(config, p)
-    return load_csv(args.data, cards_row=args.cards_row), config
+    return _parse_csv(args.data, raw, args.cards_row), config
 
 
 def _cmd_learn(args) -> int:

@@ -123,8 +123,7 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
             held = np.flatnonzero(ids == idx)
             if held.size:
                 rows[held, var] = rng.choice(d, size=held.size, p=theta)
-    rows.setflags(write=False)  # handed to the dataset without a copy
-    return Dataset(rows, tree.space, names=tree.names)
+    return Dataset._adopt(rows, tree.space, names=tree.names)
 
 
 def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> float:

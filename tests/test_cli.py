@@ -430,9 +430,9 @@ def test_learn_and_score_fail_alike(tmp_path, capsys, bad):
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain-header", "quoted-header"])
 def test_k_cap_checked_before_rows_are_parsed(tmp_path, capsys, monkeypatch, quoted):
     def no_body(*args, **kwargs):
-        raise AssertionError("load_csv called before the |K| cap check")
+        raise AssertionError("rows parsed before the |K| cap check")
 
-    monkeypatch.setattr(cli_module, "load_csv", no_body)
+    monkeypatch.setattr(cli_module, "_parse_csv", no_body)
     names = ",".join(f'"v {j}"' if quoted else f"v{j}" for j in range(20))
     csv_path = tmp_path / "wide.csv"
     csv_path.write_text(names + "\n" + ",".join("0" * 20) + "\n")
@@ -446,3 +446,25 @@ def test_k_cap_checked_before_rows_are_parsed(tmp_path, capsys, monkeypatch, quo
         assert "exceeds the cap 16" in err
     assert not out_path.exists()
 
+
+
+def test_learn_reads_data_from_a_pipe(tmp_path, capsys):
+    # a pipe can be read only once, so the header and the rows must come
+    # from one read of the file
+    model, csv_path = tmp_path / "m.json", tmp_path / "d.csv"
+    run(capsys, "generate", "--cards", "2,3,2", "--seed", "4", "--out", str(model))
+    run(capsys, "sample", "--model", str(model), "-n", "200", "--seed", "4", "--out", str(csv_path))
+    flags = ["--iterations", "50", "--burn-in", "5", "--seed", "0"]
+    from_file, from_pipe = tmp_path / "file.json", tmp_path / "pipe.json"
+    assert run(capsys, "learn", "--data", str(csv_path), *flags, "--out", str(from_file))[0] == 0
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxtree.cli", "learn", "--data", "/dev/stdin", *flags, "--out", str(from_pipe)],
+        input=csv_path.read_bytes(),
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert from_pipe.read_text() == from_file.read_text()

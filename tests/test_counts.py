@@ -447,9 +447,16 @@ def test_dataset_owns_its_rows():
     pristine = Dataset(rows.copy(), space)
     frozen_view = rows.view()
     frozen_view.setflags(write=False)
+    owned = rows.copy()
+    owned.setflags(write=False)
     tree = random_cstree(space, 2, rng)
-    for data in (Dataset(rows, space), Dataset(frozen_view, space)):
-        rows[:] = 1 - rows  # written after construction, before any count
+    for given in (rows, frozen_view, owned):
+        data = Dataset(given, space)
+        # written after construction, before any count; a read-only array
+        # that owns its memory can be made writable again
+        target = rows if given.base is rows else given
+        target.setflags(write=True)
+        target[:] = 1 - target
         table, want = build_count_table(data), build_count_table(pristine)
         for i in range(space.p):
             for (_, _, got), (_, _, ref) in zip(table.tables(i), want.tables(i)):
@@ -460,4 +467,4 @@ def test_dataset_owns_its_rows():
         assert log_marginal_likelihood(tree, data, PriorSpec()) == log_marginal_likelihood(
             tree, pristine, PriorSpec()
         )
-        rows[:] = 1 - rows
+        target[:] = 1 - target
