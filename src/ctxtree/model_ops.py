@@ -131,14 +131,18 @@ def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT
     space.  Returns +inf when Q puts zero mass where P does not."""
     if p_tree.space.cards != q_tree.space.cards:
         raise ValidationError("trees have different state spaces")
-    table_p = joint_table(p_tree, max_joint).ravel()
-    table_q = joint_table(q_tree, max_joint).ravel()
-    support = table_p > 0
-    if np.any(table_q[support] == 0):
+    pvals = joint_table(p_tree, max_joint).ravel()
+    qvals = joint_table(q_tree, max_joint).ravel()
+    support = pvals > 0
+    if not support.all():
+        pvals, qvals = pvals[support], qvals[support]
+    if not qvals.all():
         return math.inf
-    pvals = table_p[support]
-    qvals = table_q[support]
-    return float(np.sum(pvals * (np.log(pvals) - np.log(qvals))))
+    # both tables are this call's own: take logs and products in place
+    terms = np.log(pvals)
+    terms -= np.log(qvals, out=qvals)
+    terms *= pvals
+    return float(np.sum(terms))
 
 
 def random_cstree(

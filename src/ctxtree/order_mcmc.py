@@ -1,19 +1,29 @@
 """Gibbs sampler over variable orderings via the relocation move.
 
-Each step picks a variable uniformly at random, scores the orderings
-obtained by inserting it at every position, and samples the new position
-with probability proportional to the exponentiated scores.  Because the
-order score is a sum of per-position local order scores, the p candidate
-scores are computed incrementally by adjacent swaps, each touching only the
-two affected terms.  The chain keeps every variable's predecessor mask, built
-once in O(sum_i |K_i|); a step makes 4(p-1) reads of the local order score
-tables, and a move of distance delta flips 2*delta mask bits.
-The move is a Gibbs update on the variable's position, so the normalized
-order posterior is stationary for the chain.
+Each step picks a variable v uniformly at random and samples its new
+position with probability proportional to the exponentiated score of the
+ordering that inserts v there.  The order score is a sum of per-position
+local order scores, and moving v past u changes only v's term, when u is in
+K_v, and u's term, when v is in K_u.  So the candidate score is piecewise
+constant in v's new position: it changes only where v passes a member of
+its neighbour list K_v | R_v, with R_v = {u : v in K_u}.  A step sorts the
+neighbours' positions, walks the O(|K_v| + |R_v|) constant segments with
+two table reads per relation crossed, draws a segment by its length times
+its exponentiated score and then a position inside it, all from one uniform
+by inverse CDF.  The chain keeps every variable's position and predecessor
+mask; a move of distance delta flips the bits of the passed neighbours and
+updates delta + 1 positions.  A step therefore costs
+O((|K_v| + |R_v|) log(|K_v| + |R_v|) + delta), not O(p).  The move is an
+exact Gibbs update on the variable's position (the relocation move of
+Friedman & Koller 2003), so the normalized order posterior is stationary
+for the chain.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -22,6 +32,19 @@ import numpy as np
 
 from .core import ValidationError, validate_order
 from .scoring import ScoreTables
+
+# steps whose uniforms are drawn at once; blocks concatenate to one stream
+_BLOCK = 4096
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int, if it is a Python or numpy integer (not a bool)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -33,11 +56,12 @@ class ChainConfig:
     init: Union[str, tuple[int, ...]] = "random"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("iterations", "seed", "thin"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         burn = self.iterations // 5 if self.burn_in is None else self.burn_in
-        object.__setattr__(self, "burn_in", int(burn))
+        object.__setattr__(self, "burn_in", _count("burn_in", burn))
         if not (self.iterations > self.burn_in >= 0):
             raise ValidationError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
@@ -57,46 +81,89 @@ class ChainTrace:
     config: Optional[ChainConfig] = None
 
 
-def _candidate_scores(order, score, v_pos, masks, tables) -> list[float]:
-    """Scores of the orderings with order[v_pos] relocated to each position,
-    given each variable's predecessor mask ``masks`` in ``order``.
+def _links(bits: list[dict[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """Each v's neighbours u in K_v | R_v as (u, u's bit in v's predecessor
+    mask or 0, v's bit in u's predecessor mask or 0)."""
+    reverse = [set() for _ in bits]
+    for v, bits_v in enumerate(bits):
+        for u in bits_v:
+            reverse[u].add(v)
+    return [
+        [(u, bits_v.get(u, 0), bits[u].get(v, 0)) for u in sorted(bits_v.keys() | reverse[v])]
+        for v, bits_v in enumerate(bits)
+    ]
 
-    Moving v one place past its neighbour u, in either direction, flips u's
-    bit in v's predecessor mask and v's bit in u's; no other term changes.
+
+def _segments(order, pos, masks, score, v_pos, links, los):
+    """The constant segments of the score of ``order`` with order[v_pos]
+    moved to each position, given every variable's position ``pos`` and
+    predecessor mask ``masks`` in ``order`` and its score ``score``.
+
+    Returns the segments' first positions, ascending from 0, and their
+    scores; each segment runs up to the next one's start (the last to p).
     """
-    los = tables._los
-    bits = tables._bits
-    p = len(order)
     v = order[v_pos]
     los_v = los[v]
-    bits_v = bits[v]
-    scores = [0.0] * p
-    scores[v_pos] = score
-    # sweep the chosen variable toward the front, then toward the back
-    for step, stop in ((-1, -1), (1, p)):
-        mask_v = masks[v]
-        acc = score
-        for a in range(v_pos + step, stop, step):
-            u = order[a]
-            los_u = los[u]
+    before, after = [], []
+    for u, bit_u, bit_v in links[v]:
+        at = pos[u]
+        (before if at < v_pos else after).append((at, u, bit_u, bit_v))
+    before.sort(reverse=True)
+    after.sort()
+    starts, scores = [], []
+    # toward the front, v leaves the segment starting just past each
+    # neighbour it passes, nearest first
+    mask_v, acc = masks[v], score
+    for a, u, bit_u, bit_v in before:
+        starts.append(a + 1)
+        scores.append(acc)
+        if bit_u:
+            acc += los_v[mask_v ^ bit_u] - los_v[mask_v]
+            mask_v ^= bit_u
+        if bit_v:
             mask_u = masks[u]
-            moved_v = mask_v ^ bits_v.get(u, 0)
-            acc += (
-                los_v[moved_v]
-                + los_u[mask_u ^ bits[u].get(v, 0)]
-                - los_v[mask_v]
-                - los_u[mask_u]
-            )
-            scores[a] = acc
-            mask_v = moved_v
-    return scores
+            acc += los[u][mask_u ^ bit_v] - los[u][mask_u]
+    starts.append(0)
+    scores.append(acc)
+    starts.reverse()
+    scores.reverse()
+    # toward the back, it enters the segment starting at each one
+    mask_v, acc = masks[v], score
+    for b, u, bit_u, bit_v in after:
+        if bit_u:
+            acc += los_v[mask_v ^ bit_u] - los_v[mask_v]
+            mask_v ^= bit_u
+        if bit_v:
+            mask_u = masks[u]
+            acc += los[u][mask_u ^ bit_v] - los[u][mask_u]
+        starts.append(b)
+        scores.append(acc)
+    return starts, scores
+
+
+def _draw(starts, scores, p, uniform):
+    """The index of the drawn segment and the drawn position: inverse CDF at
+    ``uniform`` over the positions 0..p-1, each weighted by exp(score - max)
+    of its segment."""
+    top = max(scores)
+    ends = starts[1:] + [p]
+    cum, acc = [], 0.0
+    for start, end, s in zip(starts, ends, scores):
+        acc += math.exp(s - top) * (end - start)
+        cum.append(acc)
+    target = uniform * acc  # < acc, so some segment of positive weight holds it
+    k = bisect_right(cum, target)
+    below = cum[k - 1] if k else 0.0
+    at = starts[k] + int((target - below) / math.exp(scores[k] - top))
+    return k, min(at, ends[k] - 1)
 
 
 def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
     """Run the relocation sampler; deterministic given config.seed.
 
-    Post-burn-in states are recorded every ``thin`` steps along with their
-    scores.
+    After the initial ordering, each step takes two uniforms: one picks the
+    variable (position floor(u * p)), one its new position.  Post-burn-in
+    states are recorded every ``thin`` steps along with their scores.
     """
     rng = np.random.default_rng(config.seed)
     p = tables.space.p
@@ -106,28 +173,36 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
         order = list(validate_order(config.init, p))
     score = tables.order_score(order)
     masks = tables._pred_masks(order)
-    bits = tables._bits
+    pos = [0] * p
+    for at, v in enumerate(order):
+        pos[v] = at
+    links = _links(tables._bits)
+    los = tables._los
     trace = ChainTrace(config=config)
-    for step in range(1, config.iterations + 1):
-        dist = 0
-        if p > 1:
-            v_pos = int(rng.integers(p))
-            scores = _candidate_scores(order, score, v_pos, masks, tables)
-            arr = np.array(scores)
-            w = np.exp(arr - arr.max())
-            new_pos = int(rng.choice(p, p=w / w.sum()))
-            if new_pos != v_pos:
-                v = order.pop(v_pos)
-                # the variables v passes swap their predecessor bits with v
-                for u in order[min(v_pos, new_pos) : max(v_pos, new_pos)]:
-                    masks[v] ^= bits[v].get(u, 0)
-                    masks[u] ^= bits[u].get(v, 0)
-                order.insert(new_pos, v)
-                score = scores[new_pos]
-                dist = abs(new_pos - v_pos)
-        trace.move_distances[dist] += 1
-        if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
-            trace.samples.append((tuple(order), score))
+    for first in range(0, config.iterations, _BLOCK):
+        block = rng.random((min(_BLOCK, config.iterations - first), 2)).tolist()
+        for step, (u_pick, u_at) in enumerate(block, first + 1):
+            dist = 0
+            if p > 1:
+                v_pos = min(int(u_pick * p), p - 1)
+                starts, scores = _segments(order, pos, masks, score, v_pos, links, los)
+                k, new_pos = _draw(starts, scores, p, u_at)
+                if new_pos != v_pos:
+                    lo, hi = min(v_pos, new_pos), max(v_pos, new_pos)
+                    v = order.pop(v_pos)
+                    # the neighbours v passes swap their predecessor bits with v
+                    for u, bit_u, bit_v in links[v]:
+                        if lo <= pos[u] <= hi:
+                            masks[v] ^= bit_u
+                            masks[u] ^= bit_v
+                    order.insert(new_pos, v)
+                    for at in range(lo, hi + 1):
+                        pos[order[at]] = at
+                    score = scores[k]
+                    dist = hi - lo
+            trace.move_distances[dist] += 1
+            if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
+                trace.samples.append((tuple(order), score))
     return trace
 
 

@@ -62,7 +62,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     Context,
@@ -107,14 +106,22 @@ class PriorSpec:
         return self.ess / (space.cards[var] * q)
 
 
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _gammaln(x) -> np.ndarray:
+    """log Gamma(x) elementwise, for positive x, through ``math.lgamma``."""
+    return np.asarray(_lgamma(x), dtype=np.float64)
+
+
 def _log_evidences(counts: np.ndarray, alpha: float, var: int, context_vars) -> np.ndarray:
     """Log Dirichlet-multinomial evidence of each row of a (cells x d) count
     table for ``var``, every cell carrying the hyperparameter ``alpha``."""
     a_tot = alpha * counts.shape[1]
     values = (
-        gammaln(a_tot)
-        - gammaln(a_tot + counts.sum(axis=1))
-        + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1)
+        _gammaln(a_tot)
+        - _gammaln(a_tot + counts.sum(axis=1))
+        + (_gammaln(alpha + counts) - _gammaln(alpha)).sum(axis=1)
     )
     if not np.isfinite(values).all():
         raise ValidationError(

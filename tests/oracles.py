@@ -1,6 +1,6 @@
 """Independent reference implementations used to freeze expected values.
 
-Nothing here imports the enumeration generator, the gammaln-based evidence,
+Nothing here imports the enumeration generator, the library's evidence,
 or the score tables; stagings come from raw set partitions and evidences
 from the sequential predictive (Polya urn) product, so the oracles stay
 independent of the code paths they check.  The model-operation oracles at
@@ -9,8 +9,9 @@ the vectorized stage lookup replaced, and they share the library's evidence
 and estimator formulas, so they check only how stages select outcomes.  The
 set-based order scores at the very end likewise read the score tables'
 ``los``; they check only how the order chain forms predecessor sets, and
-the stateless chain rebuilds every predecessor mask at each step, so it
-checks only how ``run_chain`` keeps them.  The list-then-index staging argmax
+the stateless chain scores every candidate ordering afresh at each step and
+draws over the full per-position vector, so it checks only how
+``run_chain`` keeps positions and masks and draws over constant segments.  The list-then-index staging argmax
 walks the library's enumeration; it checks only the tie rule.  The
 cell-by-cell CSV loader and the per-set count build are the data layer as it
 was before it worked on whole columns and collapsed rows.
@@ -286,8 +287,9 @@ def set_order_score(order, tables):
 
 
 def set_candidate_scores(order, score, v_pos, tables):
-    """``order_mcmc._candidate_scores`` with predecessor sets built by set
-    algebra: the same four terms per swap, summed in the same order."""
+    """Scores of ``order`` (with score ``score``) with order[v_pos] relocated
+    to each position: a sweep over every adjacent swap, four terms each,
+    with predecessor sets built by set algebra."""
     pp = tables.pp
     los = tables.los
     p = len(order)
@@ -328,31 +330,31 @@ def set_candidate_scores(order, score, v_pos, tables):
     return scores
 
 
-def stateless_relocation_step(order, tables, rng, score):
-    """One relocation Gibbs update of ``order`` (a tuple) that rebuilds every
-    predecessor mask from the ordering; returns (order, score, distance)."""
-    import numpy as np
-
-    from ctxtree.order_mcmc import _candidate_scores
-
+def stateless_relocation_step(order, tables, u_pick, u_at):
+    """One relocation Gibbs update of ``order`` (a tuple) from the uniforms
+    ``u_pick`` and ``u_at``: every candidate ordering is scored afresh (so
+    positions and predecessor masks are rebuilt), and the new position is
+    the inverse CDF at ``u_at`` over the p per-position weights.  Returns
+    (order, score of the new order, distance)."""
     p = len(order)
-    if p == 1:
-        return order, score, 0
-    v_pos = int(rng.integers(p))
-    scores = _candidate_scores(order, score, v_pos, tables._pred_masks(order), tables)
-    arr = np.array(scores)
-    w = np.exp(arr - arr.max())
-    new_pos = int(rng.choice(p, p=w / w.sum()))
-    if new_pos == v_pos:
-        return order, score, 0
-    lst = list(order)
-    v = lst.pop(v_pos)
-    lst.insert(new_pos, v)
-    return tuple(lst), scores[new_pos], abs(new_pos - v_pos)
+    v_pos = min(int(u_pick * p), p - 1)
+    rest = list(order)
+    v = rest.pop(v_pos)
+    candidates = [tuple(rest[:j] + [v] + rest[j:]) for j in range(p)]
+    scores = [tables.order_score(c) for c in candidates]
+    top = max(scores)
+    cum, acc = [], 0.0
+    for s in scores:
+        acc += math.exp(s - top)
+        cum.append(acc)
+    target = u_at * acc
+    new_pos = next(j for j, c in enumerate(cum) if c > target)
+    return candidates[new_pos], scores[new_pos], abs(new_pos - v_pos)
 
 
 def stateless_run_chain(tables, config):
-    """``order_mcmc.run_chain`` with every step a ``stateless_relocation_step``."""
+    """``order_mcmc.run_chain`` with every step a ``stateless_relocation_step``,
+    reading the chain's uniforms as one (iterations x 2) block."""
     import numpy as np
 
     from ctxtree import ChainTrace
@@ -366,8 +368,11 @@ def stateless_run_chain(tables, config):
         order = validate_order(config.init, p)
     score = tables.order_score(order)
     trace = ChainTrace(config=config)
-    for step in range(1, config.iterations + 1):
-        order, score, dist = stateless_relocation_step(order, tables, rng, score)
+    uniforms = rng.random((config.iterations, 2)).tolist()
+    for step, (u_pick, u_at) in enumerate(uniforms, 1):
+        dist = 0
+        if p > 1:
+            order, score, dist = stateless_relocation_step(order, tables, u_pick, u_at)
         trace.move_distances[dist] += 1
         if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
             trace.samples.append((order, score))

@@ -222,6 +222,32 @@ def test_kl_nonnegative():
         assert kl_divergence(a, b) >= 0.0
 
 
+def test_kl_memory_bounded():
+    # 2^16 outcomes, full support: beyond building the second joint table
+    # (with the first one live) kl holds at most about one more table; the
+    # support-masked copies and whole-array temporaries took three
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    a = random_cstree(StateSpace([2] * 16), 2, rng)
+    b = random_cstree(StateSpace([2] * 16), 2, rng)
+    table_a, table_b = joint_table(a).ravel(), joint_table(b).ravel()
+    expected = float(np.sum(table_a * (np.log(table_a) - np.log(table_b))))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (lambda: joint_table(b), lambda: kl_divergence(a, b)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    build_peak, kl_peak = peaks
+    assert kl_peak <= build_peak + 1.5 * table_a.nbytes
+    assert kl_divergence(a, b) == expected
+
+
 def test_kl_space_mismatch():
     rng = np.random.default_rng(10)
     a = random_cstree(StateSpace([2, 2]), 2, rng)

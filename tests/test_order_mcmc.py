@@ -17,7 +17,8 @@ from ctxtree import (
     map_order,
     run_chain,
 )
-from ctxtree.order_mcmc import ChainTrace, _candidate_scores, dump_trace
+from ctxtree.order_mcmc import ChainTrace, _draw, _links, _segments, dump_trace
+from ctxtree.scoring import ScoreTables
 
 from oracles import set_candidate_scores, set_order_score, stateless_run_chain
 
@@ -36,6 +37,17 @@ def test_chain_config_validation():
         ChainConfig(seed=-1)
     cfg = ChainConfig(iterations=100)
     assert cfg.burn_in == 20  # default 20%
+
+
+def test_chain_config_rejects_non_integral():
+    for field in ("iterations", "burn_in", "seed", "thin"):
+        for bad in (1e3 if field == "iterations" else 2.5, np.float64(3.0), "7", True):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                ChainConfig(**{"iterations": 100, field: bad})
+    cfg = ChainConfig(iterations=np.int64(100), burn_in=np.int32(10), seed=np.uint8(3), thin=np.int16(2))
+    assert (cfg.iterations, cfg.burn_in, cfg.seed, cfg.thin) == (100, 10, 3, 2)
+    assert all(type(x) is int for x in (cfg.iterations, cfg.burn_in, cfg.seed, cfg.thin))
+    assert ChainConfig(iterations=np.int64(100)).burn_in == 20
 
 
 def one_step(tables, init, seed=0):
@@ -69,28 +81,80 @@ def test_relocation_uniform_when_scores_equal():
         assert abs(counts[target] - n * prob) <= 3 * sigma
 
 
+def expand(starts, scores, p):
+    """The per-position scores of constant segments."""
+    ends = starts[1:] + [p]
+    return [s for start, end, s in zip(starts, ends, scores) for _ in range(end - start)]
+
+
+def chain_state(tables, order):
+    """What ``run_chain`` keeps for ``order``: positions, masks, score."""
+    pos = [0] * len(order)
+    for at, v in enumerate(order):
+        pos[v] = at
+    return pos, tables._pred_masks(order), tables.order_score(order)
+
+
 def test_incremental_scores_match_full_recompute():
     # full K, then sparse K: an empty K_0, pairs where only one variable is
-    # in the other's set (so a swap changes one term alone), and 3, 4 in both
+    # in the other's set (so passing it changes one term alone), and 3, 4 in
+    # both; then random asymmetric K at p = 1, 2, 6 and 9
     sparse = PossibleParents([set(), {0, 2}, {0, 5}, {1, 4}, {0, 1, 2, 3}, {3}])
     rng = np.random.default_rng(7)
-    for pp in (None, sparse):
-        for trial in range(100):
-            p = 6
-            rows = rng.integers(0, 2, size=(40, p))
-            data = Dataset(rows, StateSpace([2] * p))
-            tables = build_score_tables(build_count_table(data, pp), PriorSpec())
-            order = tuple(rng.permutation(p).tolist())
-            base = tables.order_score(order)
-            assert base == set_order_score(order, tables)
-            v_pos = int(rng.integers(p))
-            scores = _candidate_scores(order, base, v_pos, tables._pred_masks(order), tables)
-            assert scores == set_candidate_scores(order, base, v_pos, tables)
+    cases = [(6, None), (6, sparse)] * 40
+    for p in (1, 2, 6, 9):
+        for _ in range(20):
+            sets = [{u for u in range(p) if u != v and rng.random() < 0.4} for v in range(p)]
+            cases.append((p, PossibleParents(sets)))
+    for p, pp in cases:
+        rows = rng.integers(0, 2, size=(40, p))
+        data = Dataset(rows, StateSpace([2] * p))
+        tables = build_score_tables(build_count_table(data, pp), PriorSpec())
+        links = _links(tables._bits)
+        order = tuple(rng.permutation(p).tolist())
+        pos, masks, base = chain_state(tables, order)
+        assert base == set_order_score(order, tables)
+        for v_pos in range(p):
+            starts, scores = _segments(order, pos, masks, base, v_pos, links, tables._los)
+            assert starts[0] == 0 and starts == sorted(set(starts))
+            assert len(starts) <= 1 + len(links[order[v_pos]])
+            expanded = expand(starts, scores, p)
+            assert expanded[v_pos] == base
+            assert expanded == pytest.approx(set_candidate_scores(order, base, v_pos, tables), rel=1e-12)
             v = order[v_pos]
             rest = [x for x in order if x != v]
             for j in range(p):
                 candidate = tuple(rest[:j] + [v] + rest[j:])
-                assert scores[j] == pytest.approx(tables.order_score(candidate), rel=1e-9)
+                assert expanded[j] == pytest.approx(tables.order_score(candidate), rel=1e-12)
+
+
+def test_segment_draw_matches_position_probabilities():
+    # variable 0 at position 3 of (1, 5, 2, 0, 6, 3, 4): K_0 = {1, 3} and
+    # R_0 = {2, 4}, while 5 and 6 are no one's neighbours, so segments span
+    # several positions; every ordering with 1 and 3 before 0 scores about
+    # -2000 against the others' ~1 and its weight underflows to 0
+    pp = PossibleParents([{1, 3}, set(), {0}, set(), {0}, set(), set()])
+    los = [[0.0, 1.0, 0.5, -2000.0], [0.0], [0.0, 0.3], [0.0], [0.0, 0.7], [0.0], [0.0]]
+    tables = ScoreTables(StateSpace([2] * 7), pp, 2, PriorSpec(), {}, los)
+    order = (1, 5, 2, 0, 6, 3, 4)
+    pos, masks, score = chain_state(tables, order)
+    starts, scores = _segments(order, pos, masks, score, 3, _links(tables._bits), tables._los)
+    assert starts == [0, 1, 3, 5, 6]
+    full = np.array(set_candidate_scores(order, score, 3, tables))
+    probs = np.exp(full - full.max())
+    probs /= probs.sum()
+    assert (probs[5:] == 0).all() and (probs[:5] > 0.05).all()
+    n = 20_000
+    counts = Counter(_draw(starts, scores, 7, u)[1] for u in np.random.default_rng(0).random(n))
+    assert set(counts) == {0, 1, 2, 3, 4}  # no position of zero weight is drawn
+    observed = np.array([counts[j] for j in range(5)])
+    expected = n * probs[:5]
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert chi2 < 25  # 4 degrees of freedom: p-value about 5e-5
+    # uniforms at the edges stay inside the support
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        k, at = _draw(starts, scores, 7, u)
+        assert probs[at] > 0 and starts[k] <= at
 
 
 def test_relocation_rejects_non_permutation():
@@ -101,10 +165,12 @@ def test_relocation_rejects_non_permutation():
 
 
 def test_run_chain_matches_stateless_oracle():
-    # the chain keeps each predecessor mask across moves; the oracle rebuilds
-    # them all at every step, so samples, score floats and move distances
-    # must agree bit for bit.  The sparse asymmetric K makes a passed
-    # variable flip one mask alone.
+    # the chain keeps positions and predecessor masks across moves and draws
+    # over constant segments; the oracle scores every candidate ordering
+    # afresh at each step and draws over the p positions from the same
+    # uniforms, so orderings and move distances must agree exactly and
+    # scores within 1e-12.  The sparse asymmetric K makes a passed variable
+    # flip one mask alone; the longest chain crosses a block of uniforms.
     rng = np.random.default_rng(12)
     sparse = PossibleParents([set(), {0, 2}, {0, 5}, {1, 4}, {0, 1, 2, 3}, {3}])
     data = Dataset(rng.integers(0, 2, size=(40, 6)), StateSpace([2] * 6))
@@ -112,23 +178,25 @@ def test_run_chain_matches_stateless_oracle():
         ChainConfig(iterations=400, burn_in=0, seed=1),
         ChainConfig(iterations=400, burn_in=150, seed=2, thin=7),
         ChainConfig(iterations=300, burn_in=20, seed=3, init=(5, 4, 3, 2, 1, 0)),
+        ChainConfig(iterations=4200, burn_in=4000, seed=6),
     ]
+
+    def check(trace, oracle):
+        assert [o for o, _ in trace.samples] == [o for o, _ in oracle.samples]
+        assert [s for _, s in trace.samples] == pytest.approx([s for _, s in oracle.samples], rel=1e-12)
+        assert trace.move_distances == oracle.move_distances
+
     for pp in (None, sparse):
         tables = build_score_tables(build_count_table(data, pp), PriorSpec())
         for cfg in configs:
             trace = run_chain(tables, cfg)
-            oracle = stateless_run_chain(tables, cfg)
-            assert trace.samples == oracle.samples
-            assert trace.move_distances == oracle.move_distances
+            check(trace, stateless_run_chain(tables, cfg))
             assert len(trace.move_distances) > 3  # moves of several distances ran
     for p in (1, 2):
         tables = make_tables(rng.integers(0, 2, size=(20, p)), [2] * p)
         init = tuple(range(p))
         for cfg in (ChainConfig(iterations=50, seed=4), ChainConfig(iterations=50, seed=5, init=init)):
-            trace = run_chain(tables, cfg)
-            oracle = stateless_run_chain(tables, cfg)
-            assert trace.samples == oracle.samples
-            assert trace.move_distances == oracle.move_distances
+            check(run_chain(tables, cfg), stateless_run_chain(tables, cfg))
 
 
 def test_run_chain_sample_count_and_determinism():

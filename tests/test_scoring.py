@@ -83,6 +83,48 @@ def test_evidence_empty_counts_is_one():
         assert log_context_marginal_likelihood(space, 0, Context(), [0, 0], prior) == 0.0
 
 
+def close(value, reference, tol):
+    """Within ``tol`` relative, or ``tol`` absolute where |reference| < 1."""
+    return abs(value - reference) <= tol * max(abs(reference), 1.0)
+
+
+def test_gammaln_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    alphas = [1e-6, 1 / 96, 1 / 16, 0.25, 0.5, 1.0, 1.5, 3.0]
+    counts = [0, 1, 2, 3, 5, 10, 99, 1000, 12345, 199_999]
+    xs = np.array([a + k for a in alphas for k in counts] + rng.uniform(0.5, 3, 200).tolist())
+    values = ctxtree.scoring._gammaln(xs)
+    assert values.dtype == np.float64 and values.shape == xs.shape
+    with mpmath.workdps(40):
+        for x, value in zip(xs.tolist(), values.tolist()):
+            assert close(value, float(mpmath.loggamma(x)), 1e-14), x
+
+
+def test_tables_match_scipy_gammaln(monkeypatch):
+    # z and los from math.lgamma against scipy's gammaln on the same counts:
+    # mixed cardinalities, small and large n, tiny to large alphas
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(21)
+    cards = [2, 3, 2, 4, 2, 3]
+    for n in (30, 20_000):
+        rows = np.column_stack([rng.integers(0, d, size=n) for d in cards])
+        rows[:, 1] = (rows[:, 0] + rows[:, 1] * (rng.random(n) < 0.3)) % 3
+        count_table = build_count_table(Dataset(rows, StateSpace(cards)), beta=2)
+        for prior in (BDEU, UNIT, PriorSpec("bdeu-path", 0.01), PriorSpec("bdeu-path", 50.0)):
+            ours = build_score_tables(count_table, prior)
+            with monkeypatch.context() as m:
+                m.setattr(ctxtree.scoring, "_gammaln", special.gammaln)
+                ref = build_score_tables(count_table, prior)
+            for var in range(len(cards)):
+                assert ours._z[var].keys() == ref._z[var].keys()
+                for items, value in ref._z[var].items():
+                    assert close(ours._z[var][items], value, 1e-12), (var, items)
+                assert len(ours._los[var]) == len(ref._los[var])
+                for value, expected in zip(ours._los[var], ref._los[var]):
+                    assert close(value, expected, 1e-12), var
+
+
 def test_evidence_unit_prior_closed_forms():
     space = StateSpace([2, 2])
     v = log_context_marginal_likelihood(space, 0, Context(), [1, 1], UNIT)
