@@ -33,11 +33,12 @@ import numpy as np
 from .core import ValidationError, validate_order
 from .scoring import ScoreTables
 
-# steps whose uniforms are drawn at once; blocks concatenate to one stream
+# steps whose uniforms are drawn at once, so a long chain holds no more;
+# consecutive blocks read the generator as one (iterations x 2) block would
 _BLOCK = 4096
 
 
-def _count(name: str, value) -> int:
+def _as_int(name: str, value) -> int:
     """``value`` as an int, if it is a Python or numpy integer (not a bool)."""
     try:
         if isinstance(value, bool):
@@ -57,11 +58,11 @@ class ChainConfig:
 
     def __post_init__(self):
         for name in ("iterations", "seed", "thin"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         burn = self.iterations // 5 if self.burn_in is None else self.burn_in
-        object.__setattr__(self, "burn_in", _count("burn_in", burn))
+        object.__setattr__(self, "burn_in", _as_int("burn_in", burn))
         if not (self.iterations > self.burn_in >= 0):
             raise ValidationError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
@@ -182,25 +183,22 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
     for first in range(0, config.iterations, _BLOCK):
         block = rng.random((min(_BLOCK, config.iterations - first), 2)).tolist()
         for step, (u_pick, u_at) in enumerate(block, first + 1):
-            dist = 0
-            if p > 1:
-                v_pos = min(int(u_pick * p), p - 1)
-                starts, scores = _segments(order, pos, masks, score, v_pos, links, los)
-                k, new_pos = _draw(starts, scores, p, u_at)
-                if new_pos != v_pos:
-                    lo, hi = min(v_pos, new_pos), max(v_pos, new_pos)
-                    v = order.pop(v_pos)
-                    # the neighbours v passes swap their predecessor bits with v
-                    for u, bit_u, bit_v in links[v]:
-                        if lo <= pos[u] <= hi:
-                            masks[v] ^= bit_u
-                            masks[u] ^= bit_v
-                    order.insert(new_pos, v)
-                    for at in range(lo, hi + 1):
-                        pos[order[at]] = at
-                    score = scores[k]
-                    dist = hi - lo
-            trace.move_distances[dist] += 1
+            v_pos = min(int(u_pick * p), p - 1)
+            starts, scores = _segments(order, pos, masks, score, v_pos, links, los)
+            k, new_pos = _draw(starts, scores, p, u_at)
+            lo, hi = min(v_pos, new_pos), max(v_pos, new_pos)
+            if lo < hi:
+                v = order.pop(v_pos)
+                # the neighbours v passes swap their predecessor bits with v
+                for u, bit_u, bit_v in links[v]:
+                    if lo <= pos[u] <= hi:
+                        masks[v] ^= bit_u
+                        masks[u] ^= bit_v
+                order.insert(new_pos, v)
+                for at in range(lo, hi + 1):
+                    pos[order[at]] = at
+                score = scores[k]
+            trace.move_distances[hi - lo] += 1
             if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
                 trace.samples.append((tuple(order), score))
     return trace

@@ -106,23 +106,24 @@ class PriorSpec:
         return self.ess / (space.cards[var] * q)
 
 
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
-
-
-def _gammaln(x) -> np.ndarray:
-    """log Gamma(x) elementwise, for positive x, through ``math.lgamma``."""
-    return np.asarray(_lgamma(x), dtype=np.float64)
+def _gammaln(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) elementwise over an array of positive values, through
+    ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _log_evidences(counts: np.ndarray, alpha: float, var: int, context_vars) -> np.ndarray:
     """Log Dirichlet-multinomial evidence of each row of a (cells x d) count
     table for ``var``, every cell carrying the hyperparameter ``alpha``."""
     a_tot = alpha * counts.shape[1]
-    values = (
-        _gammaln(a_tot)
-        - _gammaln(a_tot + counts.sum(axis=1))
-        + (_gammaln(alpha + counts) - _gammaln(alpha)).sum(axis=1)
-    )
+    try:
+        values = (
+            math.lgamma(a_tot)
+            - _gammaln(a_tot + counts.sum(axis=1))
+            + (_gammaln(alpha + counts) - math.lgamma(alpha)).sum(axis=1)
+        )
+    except (ValueError, OverflowError):  # math.lgamma at 0 or past the float range
+        values = np.array([math.inf])
     if not np.isfinite(values).all():
         raise ValidationError(
             f"non-finite evidence for variable {var}, context variables {context_vars}"

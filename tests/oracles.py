@@ -370,9 +370,7 @@ def stateless_run_chain(tables, config):
     trace = ChainTrace(config=config)
     uniforms = rng.random((config.iterations, 2)).tolist()
     for step, (u_pick, u_at) in enumerate(uniforms, 1):
-        dist = 0
-        if p > 1:
-            order, score, dist = stateless_relocation_step(order, tables, u_pick, u_at)
+        order, score, dist = stateless_relocation_step(order, tables, u_pick, u_at)
         trace.move_distances[dist] += 1
         if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
             trace.samples.append((order, score))

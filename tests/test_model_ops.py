@@ -223,9 +223,10 @@ def test_kl_nonnegative():
 
 
 def test_kl_memory_bounded():
-    # 2^16 outcomes, full support: beyond building the second joint table
-    # (with the first one live) kl holds at most about one more table; the
-    # support-masked copies and whole-array temporaries took three
+    # 2^16 outcomes, full support: kl needs the first joint table while it
+    # builds the second, and at most one table's worth of temporaries after;
+    # the bound allows half a table more, so support-masked copies of both
+    # tables fail it
     import tracemalloc
 
     rng = np.random.default_rng(3)

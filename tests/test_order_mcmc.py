@@ -17,7 +17,7 @@ from ctxtree import (
     map_order,
     run_chain,
 )
-from ctxtree.order_mcmc import ChainTrace, _draw, _links, _segments, dump_trace
+from ctxtree.order_mcmc import _BLOCK, ChainTrace, _draw, _links, _segments, dump_trace
 from ctxtree.scoring import ScoreTables
 
 from oracles import set_candidate_scores, set_order_score, stateless_run_chain
@@ -178,7 +178,7 @@ def test_run_chain_matches_stateless_oracle():
         ChainConfig(iterations=400, burn_in=0, seed=1),
         ChainConfig(iterations=400, burn_in=150, seed=2, thin=7),
         ChainConfig(iterations=300, burn_in=20, seed=3, init=(5, 4, 3, 2, 1, 0)),
-        ChainConfig(iterations=4200, burn_in=4000, seed=6),
+        ChainConfig(iterations=_BLOCK + 100, burn_in=_BLOCK - 100, seed=6),
     ]
 
     def check(trace, oracle):

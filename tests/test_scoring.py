@@ -101,9 +101,20 @@ def test_gammaln_matches_mpmath():
             assert close(value, float(mpmath.loggamma(x)), 1e-14), x
 
 
+def test_non_finite_evidence_raises():
+    # alpha underflowing to 0 and a_tot past the float range have no finite
+    # log-gamma; a subnormal alpha still has one
+    ct = build_count_table(Dataset(np.array([[0, 1], [1, 1], [0, 0]]), StateSpace([2, 2])))
+    for ess in (5e-324, 1e308, math.inf):
+        with pytest.raises(ValidationError, match="non-finite evidence"), np.errstate(invalid="ignore"):
+            build_score_tables(ct, PriorSpec("bdeu-path", ess))
+    assert math.isfinite(build_score_tables(ct, PriorSpec("bdeu-path", 1e-320)).order_score((0, 1)))
+
+
 def test_tables_match_scipy_gammaln(monkeypatch):
-    # z and los from math.lgamma against scipy's gammaln on the same counts:
-    # mixed cardinalities, small and large n, tiny to large alphas
+    # z and los from math.lgamma against scipy's gammaln on the same counts,
+    # for the arrays and the scalars of the evidence alike: mixed
+    # cardinalities, small and large n, tiny to large alphas
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(21)
     cards = [2, 3, 2, 4, 2, 3]
@@ -115,6 +126,7 @@ def test_tables_match_scipy_gammaln(monkeypatch):
             ours = build_score_tables(count_table, prior)
             with monkeypatch.context() as m:
                 m.setattr(ctxtree.scoring, "_gammaln", special.gammaln)
+                m.setattr(math, "lgamma", lambda x: float(special.gammaln(x)))
                 ref = build_score_tables(count_table, prior)
             for var in range(len(cards)):
                 assert ours._z[var].keys() == ref._z[var].keys()
