@@ -22,7 +22,6 @@ for the chain.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,12 +39,9 @@ _BLOCK = 4096
 
 def _as_int(name: str, value) -> int:
     """``value`` as an int, if it is a Python or numpy integer (not a bool)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

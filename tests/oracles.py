@@ -11,10 +11,11 @@ set-based order scores at the very end likewise read the score tables'
 ``los``; they check only how the order chain forms predecessor sets, and
 the stateless chain scores every candidate ordering afresh at each step and
 draws over the full per-position vector, so it checks only how
-``run_chain`` keeps positions and masks and draws over constant segments.  The list-then-index staging argmax
-walks the library's enumeration; it checks only the tie rule.  The
-cell-by-cell CSV loader and the per-set count build are the data layer as it
-was before it worked on whole columns and collapsed rows.
+``run_chain`` keeps positions and masks and draws over constant segments.
+The list-then-index staging argmax walks the library's enumeration; it
+checks only the tie rule.  The cell-by-cell CSV loader and the per-set count
+build are the data layer as it was before it worked on whole columns and
+collapsed rows.
 """
 
 from __future__ import annotations
