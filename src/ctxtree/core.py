@@ -61,6 +61,14 @@ class ResourceCapError(CtxTreeError):
     """A configured memory or size cap would be exceeded."""
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int, if it is a Python or numpy integer (not a bool):
+    a float or a bool raises rather than being truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Per-variable category counts; variable ``i`` takes values 0..cards[i]-1."""
@@ -68,7 +76,7 @@ class StateSpace:
     cards: tuple[int, ...]
 
     def __init__(self, cards: Sequence[int]):
-        cards = tuple(int(d) for d in cards)
+        cards = tuple(as_int("cardinality", d) for d in cards)
         if len(cards) < 1:
             raise ValidationError("state space needs at least one variable")
         if any(d < 2 for d in cards):
@@ -89,7 +97,7 @@ class StateSpace:
 
 def validate_order(order: Sequence[int], p: int) -> tuple[int, ...]:
     """Check that ``order`` is a permutation of 0..p-1 and return it as a tuple."""
-    order = tuple(int(v) for v in order)
+    order = tuple(as_int("order entry", v) for v in order)
     if sorted(order) != list(range(p)):
         raise ValidationError(f"order {order} is not a permutation of 0..{p - 1}")
     return order
@@ -106,9 +114,10 @@ class Context:
 
     def __init__(self, items: Union[Mapping[int, int], Sequence[tuple[int, int]]] = ()):
         if isinstance(items, Mapping):
-            pairs = tuple(sorted((int(v), int(x)) for v, x in items.items()))
-        else:
-            pairs = tuple(sorted((int(v), int(x)) for v, x in items))
+            items = items.items()
+        pairs = tuple(
+            sorted((as_int("context variable", v), as_int("context value", x)) for v, x in items)
+        )
         seen = [v for v, _ in pairs]
         if len(set(seen)) != len(seen):
             raise ValidationError(f"context assigns a variable twice: {pairs}")
@@ -306,7 +315,7 @@ class PossibleParents:
     sets: tuple[frozenset[int], ...]
 
     def __init__(self, sets: Sequence[Union[frozenset, set, Sequence[int]]]):
-        frozen = tuple(frozenset(int(j) for j in s) for s in sets)
+        frozen = tuple(frozenset(as_int("possible parent", j) for j in s) for s in sets)
         p = len(frozen)
         for i, k in enumerate(frozen):
             if i in k:
@@ -492,7 +501,7 @@ class CStree:
             params = []
             for lvl, entries in enumerate(doc["stagings"]):
                 stages = [
-                    Stage(Context({int(v): int(x) for v, x in entry["context"].items()}), lvl)
+                    Stage(Context({int(v): x for v, x in entry["context"].items()}), lvl)
                     for entry in entries
                 ]
                 level_order = sorted(range(len(stages)), key=lambda s: stages[s].sort_key())

@@ -107,23 +107,53 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
 
 
 def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
-    """Forward-sample n rows along the tree's ordering, one ``rng.choice`` per
-    stage holding rows, in stage order; deterministic given the generator state."""
+    """Forward-sample n rows along the tree's ordering; deterministic given the
+    generator state.
+
+    Stream contract: each level draws one block ``rng.random(n)`` and hands
+    the uniforms out in stage order, then in row order within each stage.  A
+    row's value is the number of entries of its stage's CDF (``cumsum`` of
+    the probabilities, divided by its last entry) that are <= its uniform.
+    These are the draws, and the generator end state, of one
+    ``rng.choice(d, size=k, p=theta)`` per stage holding k > 0 rows, in
+    stage order.
+    """
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = tree.p
-    rows = np.zeros((n, p), dtype=np.int64)
-    for lvl in range(p):
-        var = tree.governed_var(lvl)
-        d = tree.space.cards[var]
-        ids = stage_ids(tree.stagings[lvl], lambda v: rows[:, v], n)
-        for idx, theta in enumerate(tree.params[lvl]):
-            held = np.flatnonzero(ids == idx)
-            if held.size:
-                rows[held, var] = rng.choice(d, size=held.size, p=theta)
+    rows = np.empty((n, tree.p), dtype=np.int64)
+    # one contiguous narrow column per variable, so stage lookups read
+    # little.  The (p x n) work array lives in the tail of the output's
+    # buffer: no second block sits beside the output, and the level
+    # temporaries, allocated after it, leave no hole below it when freed
+    dtype = np.min_scalar_type(max(tree.space.cards) - 1)
+    tail = rows.reshape(-1).view(np.uint8)[rows.nbytes - rows.size * dtype.itemsize :]
+    cols = tail.view(dtype).reshape(tree.p, n)
+    for lvl, staging in enumerate(tree.stagings):
+        _draw_level(cols, tree.governed_var(lvl), staging, tree.params[lvl], rng)
+    # a narrow copy first: the work array and the rows share memory
+    rows[...] = cols.T.copy()
     return Dataset._adopt(rows, tree.space, names=tree.names)
+
+
+def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, rng) -> None:
+    """Fill ``cols[var]`` by the stream contract of ``sample``; the level's
+    temporaries are freed on return."""
+    uniforms = rng.random(cols.shape[1])
+    cdfs = [cdf / cdf[-1] for cdf in map(np.cumsum, params)]
+    if len(cdfs) == 1:
+        cols[var] = cdfs[0].searchsorted(uniforms, side="right")
+        return
+    ids = stage_ids(staging, cols.__getitem__, cols.shape[1])
+    ends = np.cumsum(np.bincount(ids, minlength=len(cdfs))).tolist()
+    ids = ids.astype(np.min_scalar_type(len(cdfs) - 1))
+    # a stable sort keeps each stage's rows in row order
+    by_stage = np.argsort(ids, kind="stable")
+    start = 0
+    for cdf, end in zip(cdfs, ends):
+        cols[var, by_stage[start:end]] = cdf.searchsorted(uniforms[start:end], side="right")
+        start = end
 
 
 def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> float:

@@ -29,19 +29,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ValidationError, validate_order
+from .core import ValidationError, as_int, validate_order
 from .scoring import ScoreTables
 
 # steps whose uniforms are drawn at once, so a long chain holds no more;
 # consecutive blocks read the generator as one (iterations x 2) block would
 _BLOCK = 4096
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int, if it is a Python or numpy integer (not a bool)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,19 +47,19 @@ class ChainConfig:
 
     def __post_init__(self):
         for name in ("iterations", "seed", "thin"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         burn = self.iterations // 5 if self.burn_in is None else self.burn_in
-        object.__setattr__(self, "burn_in", _as_int("burn_in", burn))
+        object.__setattr__(self, "burn_in", as_int("burn_in", burn))
         if not (self.iterations > self.burn_in >= 0):
             raise ValidationError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
             )
         if self.thin < 1:
             raise ValidationError("thin must be >= 1")
-        if self.init != "random":
-            object.__setattr__(self, "init", tuple(int(v) for v in self.init))
+        if not (isinstance(self.init, str) and self.init == "random"):
+            object.__setattr__(self, "init", tuple(as_int("init entry", v) for v in self.init))
 
 
 @dataclass

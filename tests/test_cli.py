@@ -168,6 +168,24 @@ def test_malformed_model_exit_2(tmp_path, capsys, malformed_model_doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["order", "cards", "context"])
+def test_non_integral_model_exit_2(tmp_path, capsys, field):
+    # each non-integer was once truncated, giving a valid model
+    stage = {"context": {}, "probs": [0.5, 0.5]}
+    doc = {"order": [0, 1], "cards": [2, 2], "stagings": [[stage], [stage]]}
+    if field == "context":
+        doc["stagings"][1] = [{**stage, "context": {"0": x}} for x in (0, 1.7)]
+    else:
+        doc[field] = {"order": [0.2, 1.5], "cards": [2.5, 2]}[field]
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    model.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, *model_commands(str(model), str(out))["sample"])
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
+    assert "must be an integer" in err
+
+
 def test_model_roundtrip_byte_identical(tmp_path, capsys):
     model = tmp_path / "m.json"
     run(capsys, "generate", "--cards", "2,3,2", "--seed", "5", "--out", str(model))

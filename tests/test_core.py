@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,14 @@ def test_state_space_big_joint():
     assert s.joint_size() == 4**40  # exact big integer
 
 
+def test_state_space_rejects_non_integral_cards():
+    for bad in ([2.7, 3.9], [2, 3.0], [True, 2], ["2", 2]):
+        with pytest.raises(ValidationError, match="cardinality must be an integer"):
+            StateSpace(bad)
+    assert StateSpace(np.array([2, 3])).cards == (2, 3)
+    assert all(type(d) is int for d in StateSpace(np.array([2, 3])).cards)
+
+
 def test_context_canonical_form():
     c = Context({3: 1, 0: 2})
     assert c.items == ((0, 2), (3, 1))
@@ -60,6 +69,13 @@ def test_context_matches():
     assert c.matches({0: 1, 1: 0, 2: 1})
     assert not c.matches({1: 1, 2: 1})
     assert not c.matches({1: 0})  # unassigned context variable
+
+
+def test_context_rejects_non_integral_pairs():
+    for bad in ({0: 1.7}, {0: True}, {1.0: 0}, [(0, 1.5)], [(False, 1)]):
+        with pytest.raises(ValidationError, match="context (variable|value) must be an integer"):
+            Context(bad)
+    assert Context({np.int64(1): np.uint8(0)}).items == ((1, 0),)
 
 
 def test_stage_members_whole_level():
@@ -252,6 +268,13 @@ def test_possible_parents():
         PossibleParents([{5}, set()])
 
 
+def test_possible_parents_rejects_non_integral_members():
+    for bad in ([{1.9}, {0}], [{1}, {0.0}], [{True}, set()]):
+        with pytest.raises(ValidationError, match="possible parent must be an integer"):
+            PossibleParents(bad)
+    assert PossibleParents([{np.int64(1)}, set()]).sets == (frozenset({1}), frozenset())
+
+
 def test_cstree_prepends_root(four_var_tree_a):
     assert len(four_var_tree_a.stagings) == 4
     assert four_var_tree_a.stagings[0].level == 0
@@ -279,6 +302,14 @@ def test_cstree_validation():
         tree.with_params((((0.5, 0.5),), ((0.5, 0.6),)))  # bad sum
     with pytest.raises(ValidationError):
         tree.with_params((((0.5, 0.5),), ((1.0,),)))  # bad length
+
+
+def test_cstree_rejects_non_integral_order():
+    space = StateSpace([2, 2])
+    for bad in ((1.5, 0.2), (1.0, 0), (True, False)):
+        with pytest.raises(ValidationError, match="order entry must be an integer"):
+            CStree(bad, space, [Staging.full_level(1)])
+    assert CStree(np.array([1, 0]), space, [Staging.full_level(1)]).order == (1, 0)
 
 
 @pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.nan, 1.0)])

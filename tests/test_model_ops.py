@@ -343,12 +343,13 @@ def chain_contexts(chain_vars, cards):
 
 
 @st.composite
-def parameterized_trees(draw):
-    """A valid parameterized CStree with 1-5 variables of cardinality 2-4:
-    either from ``random_cstree`` with beta 0-2, or a loaded model document
-    whose levels hold chain stagings wider than any beta."""
+def parameterized_trees(draw, max_card=4):
+    """A valid parameterized CStree with 1-5 variables of cardinality 2 to
+    ``max_card``: either from ``random_cstree`` with beta 0-2, or a loaded
+    model document whose levels hold chain stagings wider than any beta and
+    whose stage distributions may hold zeros, so some stages hold no rows."""
     p = draw(st.integers(1, 5))
-    space = StateSpace(draw(st.lists(st.integers(2, 4), min_size=p, max_size=p)))
+    space = StateSpace(draw(st.lists(st.integers(2, max_card), min_size=p, max_size=p)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         return random_cstree(space, draw(st.integers(0, 2)), rng)
@@ -363,6 +364,8 @@ def parameterized_trees(draw):
     for lvl, staging in enumerate(tree.stagings):
         d = space.cards[tree.governed_var(lvl)]
         draws = [rng.dirichlet(np.ones(d)) for _ in staging.stages]
+        if draw(st.booleans()):
+            draws = [np.where((rng.random(d) < 0.5) | (t == t.max()), t, 0.0) for t in draws]
         params.append(tuple(tuple((t / t.sum()).tolist()) for t in draws))
     return CStree.from_json_dict(tree.with_params(tuple(params)).to_json_dict())
 
@@ -388,6 +391,68 @@ def test_stage_lookup_matches_per_stage_oracles(tree, n, seed):
         assert estimate_parameters(tree, data, mode).params == per_stage_estimate(tree, data, mode).params
     prior = PriorSpec()
     assert log_marginal_likelihood(tree, data, prior) == per_stage_lml(tree, data, prior)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parameterized_trees(max_card=5),
+    st.sampled_from([1, 2, 3]) | st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_stream_matches_choice_oracle(tree, n, seed):
+    # the same rows as one rng.choice per stage holding rows, and the
+    # generator left in the same state, so later draws from it agree too
+    g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(sample(tree, n, g1).rows, mask_sample(tree, n, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [256, 257])
+@pytest.mark.parametrize("n", [1, 3000])
+def test_sample_stream_at_work_dtype_boundary(d, n):
+    # a d-valued variable fits the narrow work array up to d = 256; its
+    # level-1 child has one stage per value, so stage ids cross the same
+    # width switch, and value 0 has probability 0, so its stage holds no rows
+    space = StateSpace([d, 3])
+    staging = Staging(1, [Stage(Context({0: x}), 1) for x in range(d)])
+    root = (0.0,) + (1.0 / (d - 1),) * (d - 1)
+    tree = CStree((0, 1), space, [staging]).with_params(
+        (((root,), tuple((0.2, 0.3, 0.5) for _ in range(d))))
+    )
+    g1, g2 = np.random.default_rng(d), np.random.default_rng(d)
+    rows = sample(tree, n, g1).rows
+    assert np.array_equal(rows, mask_sample(tree, n, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    if n > 1:
+        assert (rows[:, 0].min(), rows[:, 0].max()) == (1, d - 1)
+    flipped = CStree((1, 0), space, [Staging.full_level(1)]).with_params(
+        (((0.2, 0.3, 0.5),), ((1.0 / d,) * d,))
+    )
+    g1, g2 = np.random.default_rng(d), np.random.default_rng(d)
+    rows = sample(flipped, n, g1).rows
+    assert np.array_equal(rows, mask_sample(flipped, n, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    if n > 1:
+        assert rows[:, 0].max() == d - 1
+
+
+def test_sample_memory_bounded():
+    # the int64 output is n*p*8 bytes; one level's temporaries and the
+    # narrow copy of the work array fit in the allowance, a second int64
+    # copy of the rows, a work array apart from the output or (n x d) float
+    # gathers kept alive do not
+    import tracemalloc
+
+    n, p = 50_000, 20
+    tree = random_cstree(StateSpace([2] * p), 2, np.random.default_rng(11))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample(tree, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * p * 8
 
 
 def test_stage_ids_single_stage_level_broadcasts():

@@ -50,6 +50,15 @@ def test_chain_config_rejects_non_integral():
     assert ChainConfig(iterations=np.int64(100)).burn_in == 20
 
 
+def test_chain_config_rejects_non_integral_init():
+    for bad in ((0.9, 1.2), (0, 1.0), (True, False)):
+        with pytest.raises(ValidationError, match="init entry must be an integer"):
+            ChainConfig(init=bad)
+    for good in ((np.int64(1), np.int32(0)), np.array([1, 0])):
+        cfg = ChainConfig(init=good)
+        assert cfg.init == (1, 0) and all(type(v) is int for v in cfg.init)
+
+
 def one_step(tables, init, seed=0):
     """The state after one relocation step from ``init``, and its distance."""
     trace = run_chain(tables, ChainConfig(iterations=1, burn_in=0, seed=seed, init=init))
