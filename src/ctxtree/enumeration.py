@@ -45,6 +45,7 @@ from .core import (
     StateSpace,
     UnsupportedBoundError,
     ValidationError,
+    as_int,
 )
 
 # A staging is represented internally as a tuple of contexts, each context a
@@ -55,7 +56,7 @@ RawStaging = tuple[Assignment, ...]
 
 
 def _check_beta(beta: int) -> int:
-    beta = int(beta)
+    beta = as_int("beta", beta)
     if beta < 0:
         raise ValidationError(f"beta must be nonnegative, got {beta}")
     if beta > 2:
@@ -84,8 +85,8 @@ class EnumSpec:
         usable: Optional[Sequence[int]] = None,
         beta: int = 2,
     ):
-        level_vars = tuple(int(v) for v in level_vars)
-        cards = tuple(int(d) for d in cards)
+        level_vars = tuple(as_int("level variable", v) for v in level_vars)
+        cards = tuple(as_int("cardinality", d) for d in cards)
         if len(cards) != len(level_vars):
             raise ValidationError("cards must align with level_vars")
         if any(d < 2 for d in cards):
@@ -94,7 +95,7 @@ class EnumSpec:
             raise ValidationError("level variables must be distinct")
         if usable is None:
             usable = level_vars
-        usable = tuple(sorted(int(v) for v in usable))
+        usable = tuple(sorted(as_int("usable variable", v) for v in usable))
         if len(set(usable)) != len(usable):
             raise ValidationError(f"usable variables must be distinct, got {usable}")
         if not set(usable) <= set(level_vars):

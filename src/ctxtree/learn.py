@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import CStree, ParseError, PossibleParents, ValidationError
+from .core import CStree, ParseError, PossibleParents, ValidationError, as_int
 from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
 from .enumeration import EnumSpec, _check_beta
 from .order_mcmc import ChainConfig, map_order, run_chain
@@ -44,6 +44,8 @@ class LearnConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("beta", "max_cells", "threads"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.estimator not in ("map", "mle", "none"):
             raise ValidationError(f"estimator must be map/mle/none, got {self.estimator!r}")
         if not isinstance(self.possible_parents, (PossibleParents, type(None))):

@@ -8,9 +8,19 @@ level; a local order score log-sum-exps the staging scores over that set;
 an order scores the sum of local order scores along its positions.
 
 This module is the one place where counts become evidence and where the
-admissible stagings of a level are reduced to a score.  ``_log_evidences``
-turns a (cells x d) count table into evidences, for the score tables and
-for ``log_context_marginal_likelihood`` alike.
+admissible stagings of a level are reduced to a score.  The score tables
+are built in two batched passes.  ``_log_evidences`` turns all of one
+variable's count tables, stacked with one alpha per row, into evidences,
+evaluating log Gamma once per distinct argument;
+``log_context_marginal_likelihood`` is the same call on a single row, and
+``log_marginal_likelihood`` makes one call per level of a tree.
+``_local_order_scores`` then runs the closed form below once per
+cardinality profile (the variables whose sorted K_i have the same
+cardinalities), over a leading variable axis, with the staging counts
+computed once per profile; ``log_local_order_score`` is the same call on
+a group of one.  A kernel call covers at most 2^12 subset rows
+(``_BATCH_ROWS``), so a profile with |K| >= 12 runs one variable per
+call.
 
 Local order scores (table entries and ``log_local_order_score``) come from a
 closed form, for all 2^|K_i| subsets L of a possible-parent set at once.
@@ -58,8 +68,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,28 +116,45 @@ class PriorSpec:
         return self.ess / (space.cards[var] * q)
 
 
+def _lgamma(x: float) -> float:
+    """``math.lgamma``, +inf at its pole 0 and past the float range."""
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):
+        return math.inf
+
+
 def _gammaln(x: np.ndarray) -> np.ndarray:
     """log Gamma(x) elementwise over an array of positive values, through
-    ``math.lgamma``."""
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    ``math.lgamma``; +inf where it has no finite value."""
+    return np.fromiter(map(_lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _log_evidences(counts: np.ndarray, alpha: float, var: int, context_vars) -> np.ndarray:
-    """Log Dirichlet-multinomial evidence of each row of a (cells x d) count
-    table for ``var``, every cell carrying the hyperparameter ``alpha``."""
+def _log_evidences(var: int, tables: Sequence[tuple]) -> np.ndarray:
+    """Log Dirichlet-multinomial evidence of every row of ``var``'s count
+    tables, stacked in the order given.
+
+    ``tables`` holds (context variables, alpha, (cells x d) counts) triples;
+    every cell of a table carries that table's hyperparameter alpha.  log
+    Gamma is evaluated once per distinct argument over all the tables.
+    """
+    context_vars, alphas, counts = zip(*tables)
+    sizes = [len(c) for c in counts]
+    counts = np.concatenate(counts)
+    alpha = np.repeat(alphas, sizes)
     a_tot = alpha * counts.shape[1]
-    try:
-        values = (
-            math.lgamma(a_tot)
-            - _gammaln(a_tot + counts.sum(axis=1))
-            + (_gammaln(alpha + counts) - math.lgamma(alpha)).sum(axis=1)
-        )
-    except (ValueError, OverflowError):  # math.lgamma at 0 or past the float range
-        values = np.array([math.inf])
-    if not np.isfinite(values).all():
-        raise ValidationError(
-            f"non-finite evidence for variable {var}, context variables {context_vars}"
-        )
+    args = np.concatenate(
+        [a_tot, a_tot + counts.sum(axis=1), alpha, (alpha[:, None] + counts).ravel()]
+    )
+    distinct, inverse = np.unique(args, return_inverse=True)
+    logs = _gammaln(distinct)[inverse]
+    rows = len(counts)
+    log_tot, log_n, log_alpha, log_cells = np.split(logs, [rows, 2 * rows, 3 * rows])
+    values = log_tot - log_n + (log_cells.reshape(counts.shape) - log_alpha[:, None]).sum(axis=1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = context_vars[np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")]
+        raise ValidationError(f"non-finite evidence for variable {var}, context variables {bad}")
     return values
 
 
@@ -144,7 +171,7 @@ def log_context_marginal_likelihood(
     if counts.shape != (d,):
         raise ValidationError(f"expected {d} counts for variable {var}, got {counts.shape}")
     a = prior.alpha_cell(space, var, context.vars)
-    return float(_log_evidences(counts[None, :], a, var, context.vars)[0])
+    return float(_log_evidences(var, [(context.vars, a, counts[None, :])])[0])
 
 
 class ScoreTables:
@@ -217,12 +244,16 @@ class ScoreTables:
 
 
 def _subset_logsumexp(terms: np.ndarray) -> np.ndarray:
-    """``out[L] = log sum_{b in L} exp(terms[b])`` for every bitmask L over
-    the rows of ``terms`` (bit b is row b), column by column; -inf for the
-    empty set.  Each row doubles the table, so the cost is 2^n per column."""
-    out = np.full((1, terms.shape[1]), -np.inf)
-    for row in terms:
-        out = np.concatenate([out, np.logaddexp(out, row)])
+    """``out[g, L] = log sum_{b in L} exp(terms[g, b])`` for every bitmask L
+    over the rows of each ``terms[g]`` (bit b is row b), column by column;
+    -inf for the empty set.  Each row doubles the table, so the cost is 2^n
+    per column."""
+    g, n, width = terms.shape
+    out = np.empty((g, 1 << n, width))
+    out[:, 0] = -np.inf
+    for b in range(n):
+        half = 1 << b
+        np.logaddexp(out[:, :half], terms[:, b, None], out=out[:, half : 2 * half])
     return out
 
 
@@ -240,9 +271,12 @@ def _log_staging_counts(member: np.ndarray, cards: Sequence[int], beta: int) -> 
     return np.asarray(logs)[inverse]
 
 
-def _local_order_scores(z_i: dict, usable: Sequence[int], cards: Sequence[int], beta: int) -> np.ndarray:
-    """Local order scores of one variable for every subset L of ``usable``
-    (sorted, with cardinalities ``cards``), indexed by the bitmask of L.
+def _log_summed_evidence(
+    ev: np.ndarray, cards: Sequence[int], beta: int, member: np.ndarray
+) -> np.ndarray:
+    """log of the evidence summed over the admissible stagings of every
+    subset L, for each row of ``ev`` (laid out as ``_local_order_scores``
+    says), before the uniform staging prior.
 
     Column (k, x) of the pivot block holds log sum_{j in L-k} e^{B(k,x,j)};
     column k of the pair block holds log sum_{j in L, j<k} e^{P(j,k)}.
@@ -250,29 +284,59 @@ def _local_order_scores(z_i: dict, usable: Sequence[int], cards: Sequence[int], 
     single-variable stages, which leaves the formulas of the module
     docstring for every beta.
     """
-    n = len(usable)
+    g, n = len(ev), len(cards)
     starts = np.cumsum([0, *cards])[:-1]
     width = sum(cards)
-    plain = np.full(width, -np.inf)
-    terms = np.full((n, width + n), -np.inf)
+    plain = np.full((g, 1, width), -np.inf)
+    terms = np.full((g, n, width + n), -np.inf)
     if beta >= 1:
-        plain[:] = [z_i[((k, x),)] for k, d in zip(usable, cards) for x in range(d)]
+        plain[:, 0] = ev[:, 1 : 1 + width]
     if beta >= 2:
-        for (b, j), (a, k) in combinations(enumerate(usable), 2):
-            block = np.array(
-                [[z_i[((j, y), (k, x))] for x in range(cards[a])] for y in range(cards[b])]
-            )
-            terms[b, starts[a] : starts[a] + cards[a]] = block.sum(axis=0)
-            terms[a, starts[b] : starts[b] + cards[b]] = block.sum(axis=1)
-            terms[b, width + a] = block.sum()
+        at = 1 + width
+        for (b, d_j), (a, d_k) in combinations(enumerate(cards), 2):
+            block = ev[:, at : at + d_j * d_k]
+            grid = block.reshape(g, d_j, d_k)
+            at += d_j * d_k
+            terms[:, b, starts[a] : starts[a] + d_k] = grid.sum(axis=1)
+            terms[:, a, starts[b] : starts[b] + d_j] = grid.sum(axis=2)
+            terms[:, b, width + a] = block.sum(axis=1)
     sums = _subset_logsumexp(terms)
+    pivots = np.add.reduceat(np.logaddexp(sums[..., :width], plain), starts, axis=2)
+    parts = np.empty((g, 1 << n, n + 1))
+    parts[..., 0] = ev[:, :1]
+    parts[..., 1:] = np.where(member, pivots, -np.inf)
+    top = parts.max(axis=2)
+    pos = top + np.log(np.exp(parts - top[..., None]).sum(axis=2))
+    pairs = np.exp(np.where(member, sums[..., width:], -np.inf) - pos[..., None]).sum(axis=2)
+    return pos + np.log1p(-pairs)
+
+
+# Subset rows per kernel call.  A call over g variables with |K| = n holds
+# several arrays of g * 2^n rows by O(n * d) columns.  Batching pays for the
+# per-call overhead on small K; past 2^12 rows it only multiplies the memory
+# (tracemalloc peak of the whole build at p=20, binary, |K|=12: 56 MiB in one
+# call against 6.5 MiB one variable at a time), so any |K| >= 12 runs one
+# variable per call.
+_BATCH_ROWS = 1 << 12
+
+
+def _local_order_scores(ev: np.ndarray, cards: Sequence[int], beta: int) -> Iterator[np.ndarray]:
+    """Local order scores of g variables whose sorted possible-parent sets
+    have the cardinalities ``cards``, for every subset L of those sets,
+    indexed by the bitmask of L.  Yields them as (batch x 2^n) blocks in
+    row order, each block at most ``_BATCH_ROWS`` subset rows.
+
+    Row r of the (g x rows) ``ev`` holds one variable's evidences in the
+    order of ``CountTable.tables``: the empty context, then each member's
+    values, then each pair's values in mixed radix, first member most
+    significant.
+    """
+    n = len(cards)
     member = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-    pivots = np.add.reduceat(np.logaddexp(sums[:, :width], plain), starts, axis=1)
-    parts = np.column_stack([np.full(1 << n, z_i[()]), np.where(member, pivots, -np.inf)])
-    top = parts.max(axis=1)
-    pos = top + np.log(np.exp(parts - top[:, None]).sum(axis=1))
-    pairs = np.exp(np.where(member, sums[:, width:], -np.inf) - pos[:, None]).sum(axis=1)
-    return pos + np.log1p(-pairs) - _log_staging_counts(member, cards, beta)
+    log_counts = _log_staging_counts(member, cards, beta)
+    step = max(1, _BATCH_ROWS >> n)
+    for first in range(0, len(ev), step):
+        yield _log_summed_evidence(ev[first : first + step], cards, beta, member) - log_counts
 
 
 def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: EnumSpec) -> float:
@@ -287,8 +351,16 @@ def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: Enu
 
 def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> float:
     """Log-sum-exp of staging scores over all admissible stagings of a level."""
+    z_i = tables._z[var]
     cards = [spec.card_of(v) for v in spec.usable]
-    return float(_local_order_scores(tables._z[var], spec.usable, cards, spec.beta)[-1])
+    ev = [
+        z_i[tuple(zip(svars, xs))]
+        for size in range(spec.beta + 1)
+        for svars in combinations(spec.usable, size)
+        for xs in product(*(range(spec.card_of(v)) for v in svars))
+    ]
+    (scores,) = _local_order_scores(np.array([ev]), cards, spec.beta)
+    return float(scores[0, -1])
 
 
 def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
@@ -340,14 +412,23 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
     _check_k_cap(pp)
 
     z: dict[int, dict[tuple, float]] = {}
-    los: list[list[float]] = []
+    evidences = []
+    profiles: dict[tuple, list[int]] = {}
     for i in range(space.p):
-        z_i = z[i] = {}
-        for svars, contexts, table in count_table.tables(i):
-            a = prior.alpha_cell(space, i, svars)
-            z_i.update(zip(contexts, _log_evidences(table, a, i, svars).tolist()))
-        k_i = sorted(pp[i])
-        los.append(_local_order_scores(z_i, k_i, [space.cards[v] for v in k_i], beta).tolist())
+        tables = list(count_table.tables(i))
+        values = _log_evidences(
+            i, [(svars, prior.alpha_cell(space, i, svars), counts) for svars, _, counts in tables]
+        )
+        z[i] = dict(zip(chain.from_iterable(c for _, c, _ in tables), values.tolist()))
+        evidences.append(values)
+        profiles.setdefault(tuple(space.cards[v] for v in sorted(pp[i])), []).append(i)
+
+    los: list = [None] * space.p
+    for cards, members in profiles.items():
+        ev = np.stack([evidences[i] for i in members])
+        blocks = _local_order_scores(ev, cards, beta)
+        for i, scores in zip(members, chain.from_iterable(b.tolist() for b in blocks)):
+            los[i] = scores
     return ScoreTables(space, pp, beta, prior, z, los)
 
 
@@ -363,8 +444,11 @@ def log_marginal_likelihood(tree: CStree, data: Dataset, prior: PriorSpec) -> fl
     total = 0.0
     for lvl, staging in enumerate(tree.stagings):
         var = tree.governed_var(lvl)
-        for stage, counts in zip(staging.stages, stage_counts(data, var, staging)):
-            total += log_context_marginal_likelihood(
-                tree.space, var, stage.context, counts, prior
-            )
+        counts = stage_counts(data, var, staging)
+        stages = [
+            (s.context.vars, prior.alpha_cell(tree.space, var, s.context.vars), counts[k : k + 1])
+            for k, s in enumerate(staging.stages)
+        ]
+        for value in _log_evidences(var, stages).tolist():
+            total += value
     return total

@@ -525,3 +525,89 @@ def per_set_count_tables(data, pp, beta):
                 flat = np.bincount(code * cards[i] + rows[:, i], minlength=n_cells * cards[i])
                 tables[(i, svars)] = flat.reshape(n_cells, cards[i])
     return tables
+
+
+def per_variable_score_tables(count_table, prior):
+    """The z dicts and ``los`` lists of ``build_score_tables``, one count
+    table at a time for z (one ``math.lgamma`` per cell) and one variable
+    at a time for ``los``, with each entry of the closed form read from the
+    z dict."""
+    from itertools import combinations
+
+    import numpy as np
+
+    from ctxtree.core import ValidationError
+    from ctxtree.enumeration import EnumSpec, count_stagings
+
+    def gammaln(x):
+        return np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+    def log_evidences(counts, alpha, var, context_vars):
+        a_tot = alpha * counts.shape[1]
+        try:
+            values = (
+                math.lgamma(a_tot)
+                - gammaln(a_tot + counts.sum(axis=1))
+                + (gammaln(alpha + counts) - math.lgamma(alpha)).sum(axis=1)
+            )
+        except (ValueError, OverflowError):
+            values = np.array([math.inf])
+        if not np.isfinite(values).all():
+            raise ValidationError(
+                f"non-finite evidence for variable {var}, context variables {context_vars}"
+            )
+        return values
+
+    def subset_logsumexp(terms):
+        out = np.full((1, terms.shape[1]), -np.inf)
+        for row in terms:
+            out = np.concatenate([out, np.logaddexp(out, row)])
+        return out
+
+    def log_staging_counts(member, cards, beta):
+        kinds = sorted(set(cards))
+        per_kind = member.astype(np.int64) @ (np.asarray(cards)[:, None] == kinds)
+        key = per_kind @ (len(cards) + 1) ** np.arange(len(kinds))
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        logs = [
+            math.log(count_stagings(EnumSpec.of_cards(np.repeat(kinds, per_kind[f]).tolist(), beta)))
+            for f in first
+        ]
+        return np.asarray(logs)[inverse]
+
+    def local_order_scores(z_i, usable, cards, beta):
+        n = len(usable)
+        starts = np.cumsum([0, *cards])[:-1]
+        width = sum(cards)
+        plain = np.full(width, -np.inf)
+        terms = np.full((n, width + n), -np.inf)
+        if beta >= 1:
+            plain[:] = [z_i[((k, x),)] for k, d in zip(usable, cards) for x in range(d)]
+        if beta >= 2:
+            for (b, j), (a, k) in combinations(enumerate(usable), 2):
+                block = np.array(
+                    [[z_i[((j, y), (k, x))] for x in range(cards[a])] for y in range(cards[b])]
+                )
+                terms[b, starts[a] : starts[a] + cards[a]] = block.sum(axis=0)
+                terms[a, starts[b] : starts[b] + cards[b]] = block.sum(axis=1)
+                terms[b, width + a] = block.sum()
+        sums = subset_logsumexp(terms)
+        member = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+        pivots = np.add.reduceat(np.logaddexp(sums[:, :width], plain), starts, axis=1)
+        parts = np.column_stack([np.full(1 << n, z_i[()]), np.where(member, pivots, -np.inf)])
+        top = parts.max(axis=1)
+        pos = top + np.log(np.exp(parts - top[:, None]).sum(axis=1))
+        pairs = np.exp(np.where(member, sums[:, width:], -np.inf) - pos[:, None]).sum(axis=1)
+        return pos + np.log1p(-pairs) - log_staging_counts(member, cards, beta)
+
+    space = count_table.space
+    z, los = {}, []
+    for i in range(space.p):
+        z_i = z[i] = {}
+        for svars, contexts, table in count_table.tables(i):
+            a = prior.alpha_cell(space, i, svars)
+            z_i.update(zip(contexts, log_evidences(table, a, i, svars).tolist()))
+        k_i = sorted(count_table.pp[i])
+        cards = [space.cards[v] for v in k_i]
+        los.append(local_order_scores(z_i, k_i, cards, count_table.beta).tolist())
+    return z, los

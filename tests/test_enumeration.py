@@ -125,6 +125,25 @@ def test_spec_validation():
         EnumSpec([0, 1], [2, 2], usable=[0, 0])
 
 
+def test_spec_rejects_non_integral():
+    # floats and bools raise instead of being truncated; numpy integers pass
+    for bad in (2.5, np.float64(2.0), True):
+        with pytest.raises(ValidationError, match="cardinality must be an integer"):
+            EnumSpec.of_cards([bad, 2])
+        with pytest.raises(ValidationError, match="level variable must be an integer"):
+            EnumSpec([bad, 3], [2, 2])
+        with pytest.raises(ValidationError, match="usable variable must be an integer"):
+            EnumSpec([2, 3], [2, 2], usable=[bad])
+    for bad in (1.9, np.float64(1.0), True):
+        with pytest.raises(ValidationError, match="beta must be an integer"):
+            EnumSpec.of_cards([2, 2], beta=bad)
+        with pytest.raises(ValidationError, match="beta must be an integer"):
+            count_cstrees(StateSpace([2, 2]), beta=bad)
+    spec = EnumSpec(np.array([0, 1]), np.array([2, 3]), usable=[np.int64(1)], beta=np.int8(2))
+    assert (spec.level_vars, spec.cards, spec.usable, spec.beta) == ((0, 1), (2, 3), (1,), 2)
+    assert all(type(x) is int for x in (*spec.level_vars, *spec.cards, *spec.usable, spec.beta))
+
+
 def test_count_cstrees_fixed_order():
     assert count_cstrees(StateSpace([2]), 2) == 1
     assert count_cstrees(StateSpace([2] * 4), 2, fixed_order=range(4)) == 400

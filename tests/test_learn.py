@@ -264,6 +264,16 @@ def test_learn_config_validation(tmp_path):
             LearnConfig(possible_parents=src)
 
 
+def test_learn_config_rejects_non_integral():
+    for field in ("beta", "max_cells", "threads"):
+        for bad in (1.5, np.float64(2.0), "2", True):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                LearnConfig(**{field: bad})
+    cfg = LearnConfig(beta=np.int64(1), max_cells=np.int32(1000), threads=np.uint8(2))
+    assert (cfg.beta, cfg.max_cells, cfg.threads) == (1, 1000, 2)
+    assert all(type(x) is int for x in (cfg.beta, cfg.max_cells, cfg.threads))
+
+
 @pytest.mark.parametrize(
     "pp",
     [None, PossibleParents([set(range(1, 18))] + [set()] * 17)],

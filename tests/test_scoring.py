@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -36,6 +37,7 @@ from oracles import (
     brute_force_order_score,
     count_rows,
     path_alphas,
+    per_variable_score_tables,
     polya_log_evidence,
 )
 
@@ -103,10 +105,12 @@ def test_gammaln_matches_mpmath():
 
 def test_non_finite_evidence_raises():
     # alpha underflowing to 0 and a_tot past the float range have no finite
-    # log-gamma; a subnormal alpha still has one
+    # log-gamma; a subnormal alpha still has one.  At ess 1e-323 only the
+    # one-variable contexts' alpha (ess / 4) underflows, and the error names them
     ct = build_count_table(Dataset(np.array([[0, 1], [1, 1], [0, 0]]), StateSpace([2, 2])))
-    for ess in (5e-324, 1e308, math.inf):
-        with pytest.raises(ValidationError, match="non-finite evidence"), np.errstate(invalid="ignore"):
+    for ess, svars in ((5e-324, r"\(\)"), (1e-323, r"\(1,\)"), (1e308, r"\(\)"), (math.inf, r"\(\)")):
+        message = f"non-finite evidence for variable 0, context variables {svars}$"
+        with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
             build_score_tables(ct, PriorSpec("bdeu-path", ess))
     assert math.isfinite(build_score_tables(ct, PriorSpec("bdeu-path", 1e-320)).order_score((0, 1)))
 
@@ -330,6 +334,77 @@ def test_score_build_never_enumerates(monkeypatch):
     tables = make_tables(rng.integers(0, cards, size=(60, 4)), cards)
     spec = EnumSpec([0, 1, 2], cards[:3], beta=2)
     assert log_local_order_score(3, spec, tables) == tables.los(3, {0, 1, 2})
+
+
+def assert_tables_match_oracle(count_table, prior):
+    tables = build_score_tables(count_table, prior)
+    z, los = per_variable_score_tables(count_table, prior)
+    assert tables._z == z
+    assert tables._los == los
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cards=st.lists(st.integers(2, 4), min_size=2, max_size=8),
+    n=st.integers(1, 120),
+    beta=st.sampled_from([0, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_tables_equal_per_variable_oracle(cards, n, beta, seed):
+    # bit for bit: random K_i (empty sets included) over mixed
+    # cardinalities, so variables fall into profiles of several sizes
+    rng = np.random.default_rng(seed)
+    p = len(cards)
+    rows = rng.integers(0, cards, size=(n, p))
+    keep = rng.random() * 1.2
+    pp = PossibleParents([{j for j in range(p) if j != i and rng.random() < keep} for i in range(p)])
+    count_table = build_count_table(Dataset(rows, StateSpace(cards)), pp, beta)
+    for prior in (UNIT, PriorSpec("bdeu-path", 0.01), BDEU, PriorSpec("bdeu-path", 50.0)):
+        assert_tables_match_oracle(count_table, prior)
+
+
+def test_batched_tables_span_several_batches(monkeypatch):
+    # 40 binary variables with |K| = 8 share one profile of 40 * 2^8 subset
+    # rows, which the 2^12-row cap splits into batches of 16, 16 and 8
+    rng = np.random.default_rng(22)
+    p = 40
+    rows = rng.integers(0, 2, size=(300, p))
+    pp = PossibleParents(
+        [set(rng.choice([j for j in range(p) if j != i], size=8, replace=False).tolist()) for i in range(p)]
+    )
+    count_table = build_count_table(Dataset(rows, StateSpace([2] * p)), pp, 2)
+    batches = []
+    kernel = ctxtree.scoring._log_summed_evidence
+
+    def spy(ev, *args):
+        batches.append(len(ev))
+        return kernel(ev, *args)
+
+    monkeypatch.setattr(ctxtree.scoring, "_log_summed_evidence", spy)
+    assert_tables_match_oracle(count_table, BDEU)
+    assert batches == [16, 16, 8]
+
+
+def test_batched_build_memory_stays_near_per_variable():
+    # at |K| = 12 the batch cap leaves one variable per kernel call, so the
+    # build's peak stays near the per-variable oracle's
+    rng = np.random.default_rng(23)
+    p = 20
+    rows = rng.integers(0, 2, size=(1000, p))
+    pp = PossibleParents(
+        [set(rng.choice([j for j in range(p) if j != i], size=12, replace=False).tolist()) for i in range(p)]
+    )
+    count_table = build_count_table(Dataset(rows, StateSpace([2] * p)), pp, 2)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build(count_table, BDEU)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(build_score_tables) <= 1.25 * peak(per_variable_score_tables)
 
 
 def test_prior_over_stagings_is_proper():
