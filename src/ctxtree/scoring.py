@@ -300,22 +300,28 @@ def _log_summed_evidence(
             terms[:, b, starts[a] : starts[a] + d_k] = grid.sum(axis=1)
             terms[:, a, starts[b] : starts[b] + d_j] = grid.sum(axis=2)
             terms[:, b, width + a] = block.sum(axis=1)
+    # the steps below work in place on ``sums`` and ``parts``, so a call
+    # holds about two arrays of its size at once
     sums = _subset_logsumexp(terms)
-    pivots = np.add.reduceat(np.logaddexp(sums[..., :width], plain), starts, axis=2)
-    parts = np.empty((g, 1 << n, n + 1))
+    pivot_cols, pair_cols = sums[..., :width], sums[..., width:]
+    np.logaddexp(pivot_cols, plain, out=pivot_cols)
+    parts = np.full((g, 1 << n, n + 1), -np.inf)
     parts[..., 0] = ev[:, :1]
-    parts[..., 1:] = np.where(member, pivots, -np.inf)
+    np.copyto(parts[..., 1:], np.add.reduceat(pivot_cols, starts, axis=2), where=member)
     top = parts.max(axis=2)
-    pos = top + np.log(np.exp(parts - top[..., None]).sum(axis=2))
-    pairs = np.exp(np.where(member, sums[..., width:], -np.inf) - pos[..., None]).sum(axis=2)
+    parts -= top[..., None]
+    pos = top + np.log(np.exp(parts, out=parts).sum(axis=2))
+    np.copyto(pair_cols, -np.inf, where=~member)
+    pair_cols -= pos[..., None]
+    pairs = np.exp(pair_cols, out=pair_cols).sum(axis=2)
     return pos + np.log1p(-pairs)
 
 
 # Subset rows per kernel call.  A call over g variables with |K| = n holds
 # several arrays of g * 2^n rows by O(n * d) columns.  Batching pays for the
 # per-call overhead on small K; past 2^12 rows it only multiplies the memory
-# (tracemalloc peak of the whole build at p=20, binary, |K|=12: 56 MiB in one
-# call against 6.5 MiB one variable at a time), so any |K| >= 12 runs one
+# (tracemalloc peak of the whole build at p=20, binary, |K|=12: 39 MiB in one
+# call against 5.6 MiB one variable at a time), so any |K| >= 12 runs one
 # variable per call.
 _BATCH_ROWS = 1 << 12
 

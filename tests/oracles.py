@@ -15,7 +15,12 @@ draws over the full per-position vector, so it checks only how
 The list-then-index staging argmax walks the library's enumeration; it
 checks only the tie rule.  The cell-by-cell CSV loader and the per-set count
 build are the data layer as it was before it worked on whole columns and
-collapsed rows.
+collapsed rows.  The per-variable score-table build is the score layer as it
+was before it ran in batched passes: one evidence call per count table, with
+one ``math.lgamma`` per cell, and one closed-form call per variable reading
+its z dict.  It shares the library's evidence formula, closed form and
+staging counts, so it checks only how the batched build stacks tables,
+groups variables by cardinality profile and splits them into batches.
 """
 
 from __future__ import annotations
