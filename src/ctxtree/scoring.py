@@ -13,7 +13,8 @@ are built in two batched passes.  ``_log_evidences`` turns all of one
 variable's count tables, stacked with one alpha per row, into evidences,
 evaluating log Gamma once per distinct argument;
 ``log_context_marginal_likelihood`` is the same call on a single row, and
-``log_marginal_likelihood`` makes one call per level of a tree.
+``log_marginal_likelihood`` makes one call per cardinality over the stages
+of a tree.
 ``_local_order_scores`` then runs the closed form below once per
 cardinality profile (the variables whose sorted K_i have the same
 cardinalities), over a leading variable axis, with the staging counts
@@ -130,15 +131,16 @@ def _gammaln(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(_lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _log_evidences(var: int, tables: Sequence[tuple]) -> np.ndarray:
-    """Log Dirichlet-multinomial evidence of every row of ``var``'s count
-    tables, stacked in the order given.
+def _log_evidences(tables: Sequence[tuple]) -> np.ndarray:
+    """Log Dirichlet-multinomial evidence of every row of the count tables,
+    stacked in the order given.
 
-    ``tables`` holds (context variables, alpha, (cells x d) counts) triples;
-    every cell of a table carries that table's hyperparameter alpha.  log
-    Gamma is evaluated once per distinct argument over all the tables.
+    ``tables`` holds ((variable, context variables), alpha, (cells x d)
+    counts) triples, all of one width d; every cell of a table carries that
+    table's hyperparameter alpha.  log Gamma is evaluated once per distinct
+    argument over all the tables.
     """
-    context_vars, alphas, counts = zip(*tables)
+    owners, alphas, counts = zip(*tables)
     sizes = [len(c) for c in counts]
     counts = np.concatenate(counts)
     alpha = np.repeat(alphas, sizes)
@@ -149,12 +151,16 @@ def _log_evidences(var: int, tables: Sequence[tuple]) -> np.ndarray:
     distinct, inverse = np.unique(args, return_inverse=True)
     logs = _gammaln(distinct)[inverse]
     rows = len(counts)
-    log_tot, log_n, log_alpha, log_cells = np.split(logs, [rows, 2 * rows, 3 * rows])
-    values = log_tot - log_n + (log_cells.reshape(counts.shape) - log_alpha[:, None]).sum(axis=1)
+    log_cells = logs[3 * rows :].reshape(counts.shape)
+    values = (
+        logs[:rows] - logs[rows : 2 * rows] + (log_cells - logs[2 * rows : 3 * rows, None]).sum(axis=1)
+    )
     finite = np.isfinite(values)
     if not finite.all():
-        bad = context_vars[np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")]
-        raise ValidationError(f"non-finite evidence for variable {var}, context variables {bad}")
+        var, context_vars = owners[np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")]
+        raise ValidationError(
+            f"non-finite evidence for variable {var}, context variables {context_vars}"
+        )
     return values
 
 
@@ -171,7 +177,7 @@ def log_context_marginal_likelihood(
     if counts.shape != (d,):
         raise ValidationError(f"expected {d} counts for variable {var}, got {counts.shape}")
     a = prior.alpha_cell(space, var, context.vars)
-    return float(_log_evidences(var, [(context.vars, a, counts[None, :])])[0])
+    return float(_log_evidences([((var, context.vars), a, counts[None, :])])[0])
 
 
 class ScoreTables:
@@ -423,7 +429,7 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
     for i in range(space.p):
         tables = list(count_table.tables(i))
         values = _log_evidences(
-            i, [(svars, prior.alpha_cell(space, i, svars), counts) for svars, _, counts in tables]
+            [((i, svars), prior.alpha_cell(space, i, svars), counts) for svars, _, counts in tables]
         )
         z[i] = dict(zip(chain.from_iterable(c for _, c, _ in tables), values.tolist()))
         evidences.append(values)
@@ -447,14 +453,18 @@ def log_marginal_likelihood(tree: CStree, data: Dataset, prior: PriorSpec) -> fl
     """
     if data.space.cards != tree.space.cards:
         raise ValidationError("dataset and tree have different state spaces")
-    total = 0.0
-    for lvl, staging in enumerate(tree.stagings):
-        var = tree.governed_var(lvl)
+    space = tree.space
+    levels = [(tree.governed_var(lvl), staging) for lvl, staging in enumerate(tree.stagings)]
+    by_width: dict[int, list] = {}
+    for var, staging in levels:
         counts = stage_counts(data, var, staging)
-        stages = [
-            (s.context.vars, prior.alpha_cell(tree.space, var, s.context.vars), counts[k : k + 1])
+        by_width.setdefault(space.cards[var], []).extend(
+            ((var, s.context.vars), prior.alpha_cell(space, var, s.context.vars), counts[k : k + 1])
             for k, s in enumerate(staging.stages)
-        ]
-        for value in _log_evidences(var, stages).tolist():
-            total += value
+        )
+    values = {d: iter(_log_evidences(stages).tolist()) for d, stages in by_width.items()}
+    total = 0.0
+    for var, staging in levels:
+        for _ in staging.stages:
+            total += next(values[space.cards[var]])
     return total
