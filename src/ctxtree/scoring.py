@@ -14,9 +14,8 @@ variable's count tables, stacked with one alpha per row, into evidences,
 evaluating log Gamma once per distinct argument;
 ``log_context_marginal_likelihood`` is the same call on a single row, and
 ``log_marginal_likelihood`` makes one call per cardinality over the stages
-of a tree.
-``_local_order_scores`` then runs the closed form below once per
-cardinality profile (the variables whose sorted K_i have the same
+of a tree.  ``_local_order_scores`` then runs the closed form below once
+per cardinality profile (the variables whose sorted K_i have the same
 cardinalities), over a leading variable axis, with the staging counts
 computed once per profile; ``log_local_order_score`` is the same call on
 a group of one.  A kernel call covers at most 2^12 subset rows
