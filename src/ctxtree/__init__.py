@@ -16,7 +16,6 @@ from .core import (
     StateSpace,
     UnsupportedBoundError,
     ValidationError,
-    find_stage,
     stage_members,
 )
 from .counts import CountTable, Dataset, build_count_table, compute_counts, load_csv, write_csv

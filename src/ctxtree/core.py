@@ -17,9 +17,11 @@ variables outside the context) must add up to the level size, so they
 cover it.  A violation raises CorruptStagingError; a bare ``Staging`` is
 not checked.
 
-Stage lookup lives here: ``stage_index`` (one outcome) and ``stage_ids`` (a
-block of outcomes) share ``Context.mask``, and since every ``CStree`` level
-is a partition, the first stage matching an outcome is its only one.
+Stage lookup lives here, in ``stage_ids``: it maps a block of level
+outcomes to stage indices through ``Context.mask``.  One outcome is the 0-d
+block whose columns are Python ints, so the masks are plain bools.  Since
+every ``CStree`` level is a partition, the stage whose context an outcome
+matches is its only one.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -64,6 +66,8 @@ class ResourceCapError(CtxTreeError):
 def as_int(name: str, value) -> int:
     """``value`` as an int, if it is a Python or numpy integer (not a bool):
     a float or a bool raises rather than being truncated."""
+    if type(value) is int:
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -144,10 +148,6 @@ class Context:
         for v, x in self.items:
             hit = hit & (column(v) == x)
         return hit
-
-    def matches(self, assignment: Mapping[int, int]) -> bool:
-        """True if every context variable takes its context value in ``assignment``."""
-        return bool(self.mask(assignment.get))
 
     def check_in_space(self, space: StateSpace) -> None:
         for v, x in self.items:
@@ -252,36 +252,12 @@ class Staging:
         return obj
 
 
-def find_stage(staging: Staging, prefix: Sequence[int], order: Sequence[int]) -> Stage:
-    """Return the first stage containing ``prefix``.
-
-    ``prefix`` gives values for the first ``staging.level`` variables of
-    ``order``, positionally.  Raises CorruptStagingError when no stage
-    matches, which a staging taken from a ``CStree`` never does.
-    """
-    if len(prefix) != staging.level:
-        raise ValidationError(
-            f"prefix length {len(prefix)} != staging level {staging.level}"
-        )
-    assignment = {order[j]: prefix[j] for j in range(staging.level)}
-    return staging.stages[stage_index(staging, assignment)]
-
-
-def stage_index(staging: Staging, assignment: Mapping[int, int]) -> int:
-    """Index of the first stage whose context the variable -> value
-    ``assignment`` matches."""
-    for idx, stage in enumerate(staging.stages):
-        if stage.context.matches(assignment):
-            return idx
-    raise CorruptStagingError(
-        f"no stage of level {staging.level} contains {dict(sorted(assignment.items()))}"
-    )
-
-
 def stage_ids(staging: Staging, column: Callable, shape) -> np.ndarray:
     """The stage of each outcome in a block of level outcomes (``column`` as in
     ``Context.mask``), as an array of ``shape``.  Stage 0 takes what no other
-    stage claims, which in a partition is exactly its own outcomes."""
+    stage claims, which in a partition is exactly its own outcomes.  With
+    ``shape`` () and ``column`` giving Python ints, the block is one outcome
+    and the result a 0-d array that indexes like an int."""
     ids = np.zeros(shape, dtype=np.intp)
     for idx in range(len(staging.stages) - 1, 0, -1):
         np.copyto(ids, idx, where=staging.stages[idx].context.mask(column))

@@ -429,6 +429,7 @@ class CountTable:
         return code
 
     def counts(self, var: int, context: Context) -> np.ndarray:
+        context.check_in_space(self.space)
         svars = context.vars
         try:
             table = self._tables[(var, svars)]

@@ -212,15 +212,22 @@ def enumerate_stagings(spec: EnumSpec) -> Iterator[Staging]:
         yield Staging._trusted(level, tuple(s for _, s in keyed))
 
 
+def _pivot_counts(m: int, dk: int) -> tuple[int, int]:
+    """Stagings of strata 3 and 4 at one pivot of dk values among m usable
+    variables; stratum 3 leaves out the constant choices, which the common
+    pair stagings count once."""
+    return (m - 1) ** dk - (m - 1), m**dk - (m - 1) ** dk - 1
+
+
 def _stratum_counts(spec: EnumSpec) -> tuple[int, int, int, int]:
     m = len(spec.usable)
-    cards = [spec.card_of(v) for v in spec.usable]
     c1 = 1
     c2 = m if spec.beta >= 1 else 0
     c3 = c4 = 0
     if spec.beta >= 2:
-        c3 = math.comb(m, 2) + sum((m - 1) ** dk - (m - 1) for dk in cards)
-        c4 = sum(m**dk - (m - 1) ** dk - 1 for dk in cards)
+        pivots = [_pivot_counts(m, spec.card_of(v)) for v in spec.usable]
+        c3 = math.comb(m, 2) + sum(w3 for w3, _ in pivots)
+        c4 = sum(w4 for _, w4 in pivots)
     return c1, c2, c3, c4
 
 
@@ -344,7 +351,7 @@ def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
             return wrap(stages)
         r -= n_pairs
         for k in usable:
-            w = (m - 1) ** d[k] - (m - 1)
+            w = _pivot_counts(m, d[k])[0]
             if r < w:
                 others = tuple(j for j in usable if j != k)
                 while True:
@@ -362,7 +369,7 @@ def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
     r -= c3
 
     for k in usable:
-        w = m ** d[k] - (m - 1) ** d[k] - 1
+        w = _pivot_counts(m, d[k])[1]
         if r < w:
             others = tuple(j for j in usable if j != k)
             sizes = list(range(1, d[k]))

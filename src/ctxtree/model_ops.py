@@ -14,8 +14,8 @@ from .core import (
     Staging,
     StateSpace,
     ValidationError,
+    as_int,
     stage_ids,
-    stage_index,
 )
 from .counts import Dataset, stage_counts
 from .enumeration import EnumSpec, sample_staging_uniform
@@ -71,14 +71,17 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
         raise ValidationError("tree has no parameters")
     if len(outcome) != tree.p:
         raise ValidationError(f"outcome has {len(outcome)} values, expected {tree.p}")
-    assignment = dict(enumerate(outcome))
+    if isinstance(outcome, np.ndarray) and outcome.ndim == 1 and outcome.dtype.kind in "iu":
+        values = outcome.tolist()
+    else:
+        values = [as_int("outcome value", x) for x in outcome]
     for v, d in enumerate(tree.space.cards):
-        if not 0 <= assignment[v] < d:
-            raise ValidationError(f"value {assignment[v]} of variable {v} is outside 0..{d - 1}")
+        if not 0 <= values[v] < d:
+            raise ValidationError(f"value {values[v]} of variable {v} is outside 0..{d - 1}")
     total = 0.0
     for lvl, staging in enumerate(tree.stagings):
-        idx = stage_index(staging, assignment)
-        theta = tree.params[lvl][idx][assignment[tree.governed_var(lvl)]]
+        idx = stage_ids(staging, values.__getitem__, ())
+        theta = tree.params[lvl][idx][values[tree.governed_var(lvl)]]
         if theta == 0.0:
             return -math.inf
         total += math.log(theta)

@@ -6,7 +6,9 @@ from the sequential predictive (Polya urn) product, so the oracles stay
 independent of the code paths they check.  The model-operation oracles at
 the end are the exception: they are the per-stage mask implementations that
 the vectorized stage lookup replaced, and they share the library's evidence
-and estimator formulas, so they check only how stages select outcomes.  The
+and estimator formulas, so they check only how stages select outcomes; the
+per-outcome stage lookup and log density walk the stages of each level in
+turn for the first context an outcome matches.  The
 set-based order scores at the very end likewise read the score tables'
 ``los``; they check only how the order chain forms predecessor sets, and
 the stateless chain scores every candidate ordering afresh at each step and
@@ -234,6 +236,29 @@ def mask_counts(data, var, context):
     for v, x in context.items:
         mask &= data.rows[:, v] == x
     return np.bincount(data.rows[mask, var], minlength=data.space.cards[var])
+
+
+def stage_index(staging, assignment):
+    """Index of the first stage whose context the variable -> value
+    ``assignment`` matches."""
+    for idx, stage in enumerate(staging.stages):
+        if all(assignment.get(v) == x for v, x in stage.context.items):
+            return idx
+    raise AssertionError(f"no stage of level {staging.level} contains {assignment}")
+
+
+def per_outcome_log_density(tree, outcome):
+    """``log_density`` through ``stage_index``: the sum of log theta over the
+    outcome's stages, in level order, or -inf at a zero probability."""
+    assignment = dict(enumerate(outcome))
+    total = 0.0
+    for lvl, staging in enumerate(tree.stagings):
+        idx = stage_index(staging, assignment)
+        theta = tree.params[lvl][idx][assignment[tree.governed_var(lvl)]]
+        if theta == 0.0:
+            return -math.inf
+        total += math.log(theta)
+    return total
 
 
 def per_stage_estimate(tree, data, mode, prior=None):

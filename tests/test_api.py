@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "enumeration",
     "estimate_parameters",
     "export_dot",
-    "find_stage",
     "joint_table",
     "kl_divergence",
     "ldag",

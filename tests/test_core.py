@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from ctxtree import (
     Staging,
     StateSpace,
     ValidationError,
-    find_stage,
     stage_members,
 )
+from ctxtree.core import stage_ids
 from oracles import is_partition
 
 
@@ -66,9 +67,12 @@ def test_context_roundtrip(d):
 
 def test_context_matches():
     c = Context({1: 0, 2: 1})
-    assert c.matches({0: 1, 1: 0, 2: 1})
-    assert not c.matches({1: 1, 2: 1})
-    assert not c.matches({1: 0})  # unassigned context variable
+    assert c.mask({0: 1, 1: 0, 2: 1}.get) is True
+    assert c.mask({1: 1, 2: 1}.get) is False
+    assert c.mask({1: 0}.get) is False  # unassigned context variable
+    assert Context().mask({}.get) is True
+    columns = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+    assert c.mask(columns.__getitem__).tolist() == [True, False, True, False]
 
 
 def test_context_rejects_non_integral_pairs():
@@ -152,26 +156,32 @@ def test_staging_rejects_duplicates_and_mismatched_levels():
         Staging(1, [])
 
 
-def test_find_stage_single_stage():
+def test_stage_ids_single_stage():
     staging = Staging.full_level(2)
-    stage = find_stage(staging, (1, 0), (0, 1, 2))
-    assert stage.context == Context()
+    assert stage_ids(staging, [1, 0].__getitem__, ()) == 0
 
 
-def test_find_stage_reference_tree(four_var_tree_a):
+def test_stage_ids_reference_tree(four_var_tree_a):
+    # one outcome as the 0-d block of Python ints, and the whole level as
+    # one block of columns; stages are in canonical order
     staging = four_var_tree_a.stagings[3]
-    blue = find_stage(staging, (1, 1, 0), four_var_tree_a.order)
-    assert blue.context == Context({2: 0})
-    white = find_stage(staging, (1, 1, 1), four_var_tree_a.order)
-    assert white.context == Context({0: 1, 1: 1, 2: 1})
-
-
-def test_find_stage_corrupt():
-    staging = Staging(1, [Stage(Context({0: 0}), 1)])  # misses value 1
-    with pytest.raises(CorruptStagingError):
-        find_stage(staging, (1,), (0, 1))
-    with pytest.raises(ValidationError):
-        find_stage(staging, (1, 0), (0, 1))
+    contexts = [stage.context for stage in staging.stages]
+    blue = stage_ids(staging, [1, 1, 0].__getitem__, ())
+    assert blue.shape == () and contexts[blue] == Context({2: 0})
+    white = stage_ids(staging, [1, 1, 1].__getitem__, ())
+    assert contexts[white] == Context({0: 1, 1: 1, 2: 1})
+    level = np.array(list(product(range(2), repeat=3))).T
+    ids = stage_ids(staging, level.__getitem__, level.shape[1])
+    assert [contexts[i] for i in ids] == [
+        Context({2: 0}),
+        Context({1: 0, 2: 1}),
+        Context({2: 0}),
+        Context({0: 0, 1: 1, 2: 1}),
+        Context({2: 0}),
+        Context({1: 0, 2: 1}),
+        Context({2: 0}),
+        Context({0: 1, 1: 1, 2: 1}),
+    ]
 
 
 def tree_with_last_level(staging: Staging, cards) -> CStree:

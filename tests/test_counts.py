@@ -258,6 +258,11 @@ def test_table_missing_entry_error():
     table = build_count_table(data, PossibleParents([{1}, {0}, {0}]), beta=1)
     with pytest.raises(ValidationError):
         table.counts(0, Context({2: 0}))
+    # out-of-range context values raise rather than reading another cell
+    table = build_count_table(Dataset(rng.integers(0, 3, size=(30, 3)), StateSpace([3] * 3)), beta=2)
+    for context in ({1: 0, 2: 4}, {1: -1}, {1: 7}, {3: 0}):
+        with pytest.raises(ValidationError, match="out of range"):
+            table.counts(0, Context(context))
 
 
 class _Warnings(logging.Handler):

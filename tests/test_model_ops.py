@@ -25,13 +25,15 @@ from ctxtree import (
     random_cstree,
     sample,
 )
-from ctxtree.core import stage_ids, stage_index
+from ctxtree.core import stage_ids
 from oracles import (
     is_partition,
     mask_joint_table,
     mask_sample,
+    per_outcome_log_density,
     per_stage_estimate,
     per_stage_lml,
+    stage_index,
 )
 
 
@@ -102,6 +104,16 @@ def test_log_density_rejects_out_of_range_values():
     for outcome in [(0, -1), (2, 0), (-1, 0)]:
         with pytest.raises(ValidationError, match="outside 0..1"):
             log_density(tree, outcome)
+
+
+def test_log_density_checks_values_by_type():
+    tree = binary_pair_tree((0.5, 0.5), [(0.5, 0.5), (0.5, 0.5)])
+    for outcome in [(0.0, 1.0), (0, 1.5), (True, 1), (0, np.bool_(True)), np.array([0.0, 1.0])]:
+        with pytest.raises(ValidationError, match="outcome value must be an integer"):
+            log_density(tree, outcome)
+    expected = log_density(tree, (1, 0))
+    for outcome in [np.array([1, 0]), np.array([1, 0], dtype=np.uint8), (np.int32(1), 0)]:
+        assert log_density(tree, outcome) == expected
 
 
 def test_log_density_zero_prob_is_neg_inf():
@@ -386,6 +398,12 @@ def test_stage_lookup_matches_per_stage_oracles(tree, n, seed):
         ]
     data = sample(tree, n, np.random.default_rng(seed))
     assert np.array_equal(data.rows, mask_sample(tree, n, np.random.default_rng(seed)).rows)
+    # uniform rows besides the sampled ones reach zero-probability values
+    uniform = np.random.default_rng(seed).integers(0, cards, size=(n, tree.p))
+    for row in np.concatenate([data.rows, uniform]):
+        expected = per_outcome_log_density(tree, row.tolist())
+        assert log_density(tree, row) == expected
+        assert log_density(tree, tuple(row.tolist())) == expected
     assert np.array_equal(joint_table(tree), mask_joint_table(tree))
     for mode in ("map", "mle"):
         assert estimate_parameters(tree, data, mode).params == per_stage_estimate(tree, data, mode).params
