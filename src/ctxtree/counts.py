@@ -33,8 +33,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
-from typing import Optional, Sequence
+from itertools import combinations, islice
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     Staging,
     StateSpace,
     ValidationError,
+    as_int,
     stage_ids,
 )
 from .enumeration import _check_beta
@@ -402,18 +403,33 @@ def stage_counts(data: Dataset, var: int, staging: Staging) -> np.ndarray:
     return counts.astype(np.int64).reshape(-1, d)
 
 
-def _context_sets(pp: PossibleParents, var: int, beta: int):
-    k_i = sorted(pp[var])
+def _context_sets(usable, beta: int):
+    """The sets S inside ``usable`` with |S| <= beta, in table order."""
     for size in range(0, beta + 1):
-        yield from combinations(k_i, size)
+        yield from combinations(sorted(usable), size)
+
+
+def _row(tables: dict, space: StateSpace, var, context: Context, what: str):
+    """The row of ``tables[(var, context.vars)]`` that holds ``context``, in
+    the layout count and score tables share (see ``CountTable``)."""
+    var = as_int("variable", var)
+    context.check_in_space(space)
+    try:
+        table = tables[(var, context.vars)]
+    except KeyError:
+        raise ValidationError(f"no {what} for variable {var}, context {context}") from None
+    code = 0
+    for v, x in context.items:
+        code = code * space.cards[v] + x
+    return table[code]
 
 
 class CountTable:
     """Counts N_isk for every (variable, admissible context) pair.
 
-    Internally one integer array per (variable, context-variable-set) pair,
-    indexed by the mixed-radix code of the context values; lookups by
-    context are O(|S|).
+    One read-only int64 array per key (variable i, sorted S inside K_i,
+    |S| <= beta), whose row r is the context with mixed-radix code r, first
+    variable most significant, as in the score tables; lookups are O(|S|).
     """
 
     def __init__(self, space: StateSpace, pp: PossibleParents, beta: int, tables):
@@ -422,36 +438,14 @@ class CountTable:
         self.beta = beta
         self._tables = tables
 
-    def _cell(self, svars: tuple[int, ...], values: Sequence[int]) -> int:
-        code = 0
-        for v, x in zip(svars, values):
-            code = code * self.space.cards[v] + x
-        return code
-
     def counts(self, var: int, context: Context) -> np.ndarray:
-        context.check_in_space(self.space)
-        svars = context.vars
-        try:
-            table = self._tables[(var, svars)]
-        except KeyError:
-            raise ValidationError(
-                f"count table has no entry for variable {var}, context {context}"
-            ) from None
-        return table[self._cell(svars, context.values)]
+        return _row(self._tables, self.space, var, context, "counts")
 
     def tables(self, var: int):
-        """Each count table of ``var``, in deterministic order: its context
-        variables S, the context of each row as (variable, value) pairs, and
-        the (cells x d_var) counts."""
-        for svars in _context_sets(self.pp, var, self.beta):
-            values = product(*(range(self.space.cards[v]) for v in svars))
-            yield svars, [tuple(zip(svars, xs)) for xs in values], self._tables[(var, svars)]
-
-    def contexts(self, var: int):
-        """All admissible contexts for ``var``, in deterministic order."""
-        for _, cell_contexts, _ in self.tables(var):
-            for items in cell_contexts:
-                yield Context(items)
+        """Each count table of ``var`` as (S, (cells x d_var) counts) in table
+        order, row r the context of S with mixed-radix code r."""
+        for svars in _context_sets(self.pp[var], self.beta):
+            yield svars, self._tables[(var, svars)]
 
 
 def build_count_table(
@@ -479,7 +473,7 @@ def build_count_table(
     total_cells = sum(
         math.prod(cards[v] for v in svars) * cards[i]
         for i in range(space.p)
-        for svars in _context_sets(pp, i, beta)
+        for svars in _context_sets(pp[i], beta)
     )
     if total_cells > max_cells:
         raise ResourceCapError(
@@ -518,7 +512,7 @@ def build_count_table(
     for i in range(space.p):
         k_i = sorted(pp[i])
         size = min(beta, len(k_i))
-        for svars in _context_sets(pp, i, beta):
+        for svars in _context_sets(pp[i], beta):
             fill = [v for v in k_i if v not in svars][: size - len(svars)]
             sup = tuple(sorted(svars + tuple(fill)))
             axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)

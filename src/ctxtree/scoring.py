@@ -8,18 +8,20 @@ level; a local order score log-sum-exps the staging scores over that set;
 an order scores the sum of local order scores along its positions.
 
 This module is the one place where counts become evidence and where the
-admissible stagings of a level are reduced to a score.  The score tables
-are built in two batched passes.  ``_log_evidences`` turns all of one
-variable's count tables, stacked with one alpha per row, into evidences,
-evaluating log Gamma once per distinct argument;
-``log_context_marginal_likelihood`` is the same call on a single row, and
-``log_marginal_likelihood`` makes one call per cardinality over the stages
-of a tree.  ``_local_order_scores`` then runs the closed form below once
-per cardinality profile (the variables whose sorted K_i have the same
-cardinalities), over a leading variable axis, with the staging counts
-computed once per profile; ``log_local_order_score`` is the same call on
-a group of one.  A kernel call covers at most 2^12 subset rows
-(``_BATCH_ROWS``), so a profile with |K| >= 12 runs one variable per
+admissible stagings of a level are reduced to a score.  z is kept in the
+count table's layout, keyed (variable i, context variables S) with rows in
+mixed radix, and i's tables concatenated in table order are the evidence
+row the ``los`` kernel reads.  The score tables are built in two batched
+passes.  ``_log_evidences`` turns all of one variable's count tables,
+stacked with one alpha per row, into evidences, evaluating log Gamma once
+per distinct argument; ``log_context_marginal_likelihood`` is the same call
+on a single row, and ``log_marginal_likelihood`` makes one call per
+cardinality over the stages of a tree.  ``_local_order_scores`` then runs
+the closed form below once per cardinality profile (the variables whose
+sorted K_i have the same cardinalities), over a leading variable axis, with
+the staging counts computed once per profile; ``log_local_order_score`` is
+the same call on a group of one.  A kernel call covers at most 2^12 subset
+rows (``_BATCH_ROWS``), so a profile with |K| >= 12 runs one variable per
 call.
 
 Local order scores (table entries and ``log_local_order_score``) come from a
@@ -82,9 +84,10 @@ from .core import (
     Staging,
     StateSpace,
     ValidationError,
+    as_int,
     validate_order,
 )
-from .counts import CountTable, Dataset, stage_counts
+from .counts import CountTable, Dataset, _context_sets, _row, stage_counts
 from .enumeration import EnumSpec, count_stagings, iter_raw_stagings
 
 
@@ -183,12 +186,12 @@ class ScoreTables:
     """Precomputed log context marginal likelihoods and local order scores.
 
     ``z`` covers every (variable, context) with context variables inside the
-    variable's possible-parent set and |S| <= beta; ``los`` covers every
-    subset L of each possible-parent set.  The local order scores of
-    variable i are one list indexed by the bitmask of L over sorted K_i
-    (bit b set when the b-th smallest member of K_i is in L); ``los`` turns
-    L into that mask, and ``order_score`` and the order chain build the
-    masks from an ordering.  Both tables are immutable once built.
+    variable's possible-parent set and |S| <= beta: one list per key (i, S)
+    in ``CountTable``'s row layout, i's lists in table order making its
+    ``los`` kernel row.  ``los`` covers every subset L of each possible-parent
+    set, variable i's as one list indexed by the bitmask of L over sorted K_i
+    (bit b set when the b-th smallest member of K_i is in L).  Both tables
+    are immutable once built.
     """
 
     def __init__(self, space, pp, beta, prior, z, los):
@@ -201,23 +204,32 @@ class ScoreTables:
         self._bits = [{u: 1 << b for b, u in enumerate(sorted(pp[i]))} for i in range(space.p)]
 
     def z(self, var: int, context) -> float:
-        items = (context if isinstance(context, Context) else Context(context)).items
-        try:
-            return self._z[var][items]
-        except KeyError:
+        context = context if isinstance(context, Context) else Context(context)
+        return _row(self._z, self.space, var, context, "context marginal likelihood")
+
+    def _level(self, var: int, spec: EnumSpec) -> Iterator[tuple[tuple, float]]:
+        """The z entries of ``var`` on ``spec``'s level, as ((variable, value)
+        pairs, value) in table order; the spec must fit the tables."""
+        var, _ = self._mask(var, spec.usable)
+        if spec.beta > self.beta or any(spec.card_of(v) != self.space.cards[v] for v in spec.usable):
             raise ValidationError(
-                f"no context marginal likelihood for variable {var}, context "
-                f"{dict(items)}"
-            ) from None
+                f"no z entries for variable {var} at beta {spec.beta}, cards {spec.cards}"
+            )
+        for svars in _context_sets(spec.usable, spec.beta):
+            values = product(*(range(self.space.cards[v]) for v in svars))
+            for xs, value in zip(values, self._z[(var, svars)]):
+                yield tuple(zip(svars, xs)), value
+
+    def _mask(self, var, usable: Iterable[int]) -> tuple[int, int]:
+        """``var`` as an int and the bitmask of ``usable`` over sorted K_var."""
+        var, usable = as_int("variable", var), set(usable)
+        if var not in range(self.space.p) or not usable <= self._bits[var].keys():
+            raise ValidationError(f"no local order score for variable {var}, L={sorted(usable)}")
+        return var, sum(self._bits[var][u] for u in usable)
 
     def los(self, var: int, usable: Iterable[int]) -> float:
-        usable = set(usable)
-        if var not in range(self.space.p) or not usable <= self._bits[var].keys():
-            raise ValidationError(
-                f"no local order score for variable {var}, L={sorted(usable)}"
-            )
-        bits = self._bits[var]
-        return self._los[var][sum(bits[u] for u in usable)]
+        var, mask = self._mask(var, usable)
+        return self._los[var][mask]
 
     def _pred_masks(self, order: Sequence[int]) -> list[int]:
         """Each variable's predecessors in the permutation ``order``, as a
@@ -242,8 +254,9 @@ class ScoreTables:
 
     def dump_z(self, fh) -> None:
         """One line per z entry: variable, context as JSON, log value."""
-        for var in sorted(self._z):
-            for items, value in self._z[var].items():
+        for var, k_var in enumerate(self.pp.sets):
+            spec = EnumSpec.for_level(self.space, sorted(k_var), len(k_var), self.beta)
+            for items, value in self._level(var, spec):
                 ctx = json.dumps({str(v): x for v, x in items}, separators=(",", ":"))
                 fh.write(f"{var}\t{ctx}\t{value:.12g}\n")
 
@@ -337,10 +350,8 @@ def _local_order_scores(ev: np.ndarray, cards: Sequence[int], beta: int) -> Iter
     indexed by the bitmask of L.  Yields them as (batch x 2^n) blocks in
     row order, each block at most ``_BATCH_ROWS`` subset rows.
 
-    Row r of the (g x rows) ``ev`` holds one variable's evidences in the
-    order of ``CountTable.tables``: the empty context, then each member's
-    values, then each pair's values in mixed radix, first member most
-    significant.
+    Row r of the (g x rows) ``ev`` is one variable's kernel row: its z
+    tables concatenated in table order, as the module docstring says.
     """
     n = len(cards)
     member = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
@@ -362,14 +373,8 @@ def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: Enu
 
 def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> float:
     """Log-sum-exp of staging scores over all admissible stagings of a level."""
-    z_i = tables._z[var]
+    ev = [value for _, value in tables._level(var, spec)]
     cards = [spec.card_of(v) for v in spec.usable]
-    ev = [
-        z_i[tuple(zip(svars, xs))]
-        for size in range(spec.beta + 1)
-        for svars in combinations(spec.usable, size)
-        for xs in product(*(range(spec.card_of(v)) for v in svars))
-    ]
     (scores,) = _local_order_scores(np.array([ev]), cards, spec.beta)
     return float(scores[0, -1])
 
@@ -381,12 +386,12 @@ def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
     within a level, so the argmax is by summed stage evidences; ties keep
     the first staging in canonical enumeration order.
     """
-    z_i = tables._z[var]
+    z_l = dict(tables._level(var, spec))
     best, raw = -math.inf, None
     for candidate in iter_raw_stagings(spec):
         total = 0.0
         for items in candidate:
-            total += z_i[items]
+            total += z_l[items]
         if total > best:
             best, raw = total, candidate
     level = spec.level
@@ -422,15 +427,17 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
     beta = count_table.beta
     _check_k_cap(pp)
 
-    z: dict[int, dict[tuple, float]] = {}
+    z: dict[tuple, list[float]] = {}
     evidences = []
     profiles: dict[tuple, list[int]] = {}
     for i in range(space.p):
         tables = list(count_table.tables(i))
         values = _log_evidences(
-            [((i, svars), prior.alpha_cell(space, i, svars), counts) for svars, _, counts in tables]
+            [((i, svars), prior.alpha_cell(space, i, svars), counts) for svars, counts in tables]
         )
-        z[i] = dict(zip(chain.from_iterable(c for _, c, _ in tables), values.tolist()))
+        ends = np.cumsum([len(counts) for _, counts in tables])
+        for (svars, _), block in zip(tables, np.split(values, ends[:-1])):
+            z[(i, svars)] = block.tolist()
         evidences.append(values)
         profiles.setdefault(tuple(space.cards[v] for v in sorted(pp[i])), []).append(i)
 

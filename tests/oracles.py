@@ -28,7 +28,22 @@ groups variables by cardinality profile and splits them into batches.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
+
+
+def set_contexts(cards, svars):
+    """The contexts over the variables ``svars`` as (variable, value) pairs,
+    values counting up with the last variable fastest."""
+    return [tuple(zip(svars, xs)) for xs in product(*(range(cards[v]) for v in svars))]
+
+
+def table_contexts(cards, usable, beta):
+    """Every context over at most ``beta`` variables of ``usable``, as
+    (variable, value) pairs, in the order of the count and score tables: by
+    size, then by variable set, then by ``set_contexts``."""
+    for size in range(beta + 1):
+        for svars in combinations(sorted(usable), size):
+            yield from set_contexts(cards, svars)
 
 
 def set_partitions(items):
@@ -416,7 +431,8 @@ def enumerated_argmax(var, spec, tables):
     from ctxtree import Context, Stage, Staging
     from ctxtree.enumeration import iter_raw_stagings
 
-    z_i = tables._z[var]
+    usable_cards = dict(zip(spec.level_vars, spec.cards))
+    z_i = {c: tables.z(var, c) for c in table_contexts(usable_cards, spec.usable, spec.beta)}
     evidences = []
     for raw in iter_raw_stagings(spec):
         total = 0.0
@@ -558,10 +574,11 @@ def per_set_count_tables(data, pp, beta):
 
 
 def per_variable_score_tables(count_table, prior):
-    """The z dicts and ``los`` lists of ``build_score_tables``, one count
+    """The z entries and ``los`` lists of ``build_score_tables``, one count
     table at a time for z (one ``math.lgamma`` per cell) and one variable
     at a time for ``los``, with each entry of the closed form read from the
-    z dict."""
+    z dict.  z maps each variable to a dict from context (variable, value)
+    pairs to its evidence, in table order."""
     from itertools import combinations
 
     import numpy as np
@@ -634,9 +651,10 @@ def per_variable_score_tables(count_table, prior):
     z, los = {}, []
     for i in range(space.p):
         z_i = z[i] = {}
-        for svars, contexts, table in count_table.tables(i):
+        for svars, table in count_table.tables(i):
             a = prior.alpha_cell(space, i, svars)
-            z_i.update(zip(contexts, log_evidences(table, a, i, svars).tolist()))
+            values = log_evidences(table, a, i, svars).tolist()
+            z_i.update(zip(set_contexts(space.cards, svars), values, strict=True))
         k_i = sorted(count_table.pp[i])
         cards = [space.cards[v] for v in k_i]
         los.append(local_order_scores(z_i, k_i, cards, count_table.beta).tolist())

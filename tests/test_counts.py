@@ -24,7 +24,7 @@ from ctxtree import (
     write_csv,
 )
 from ctxtree.counts import stage_counts
-from oracles import cellwise_load_csv, per_set_count_tables
+from oracles import cellwise_load_csv, per_set_count_tables, table_contexts
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -185,9 +185,10 @@ def test_table_beta0_has_only_marginals():
     data = Dataset(rng.integers(0, 2, size=(50, 3)), StateSpace([2, 2, 2]))
     table = build_count_table(data, beta=0)
     for i in range(3):
-        contexts = list(table.contexts(i))
-        assert contexts == [Context()]
+        assert [svars for svars, _ in table.tables(i)] == [()]
         assert table.counts(i, Context()).sum() == 50
+        with pytest.raises(ValidationError):
+            table.counts(i, Context({(i + 1) % 3: 0}))
 
 
 def test_table_context_key_count():
@@ -196,7 +197,11 @@ def test_table_context_key_count():
     table = build_count_table(data, beta=2)
     for i in range(3):
         # 1 empty + 2 vars * 2 values + 1 pair * 4 cells
-        assert sum(1 for _ in table.contexts(i)) == 9
+        assert sum(len(t) for _, t in table.tables(i)) == 9
+        contexts = list(table_contexts(data.space.cards, table.pp[i], table.beta))
+        assert len(contexts) == 9
+        # each of the 4 context-variable sets splits the 40 rows
+        assert sum(table.counts(i, Context(c)).sum() for c in contexts) == 4 * 40
 
 
 def test_table_marginalization_identity():
@@ -220,7 +225,8 @@ def test_table_row_order_invariance(seed):
     shuffled = rows[rng.permutation(30)]
     table2 = build_count_table(Dataset(shuffled, space), beta=2)
     for i in range(3):
-        for ctx in table.contexts(i):
+        for items in table_contexts(space.cards, table.pp[i], table.beta):
+            ctx = Context(items)
             assert np.array_equal(table.counts(i, ctx), table2.counts(i, ctx))
 
 
@@ -230,7 +236,8 @@ def test_table_threads_match_serial():
     t1 = build_count_table(data, beta=2, threads=1)
     t2 = build_count_table(data, beta=2, threads=4)
     for i in range(4):
-        for ctx in t1.contexts(i):
+        for items in table_contexts(data.space.cards, t1.pp[i], t1.beta):
+            ctx = Context(items)
             assert np.array_equal(t1.counts(i, ctx), t2.counts(i, ctx))
 
 
@@ -258,6 +265,10 @@ def test_table_missing_entry_error():
     table = build_count_table(data, PossibleParents([{1}, {0}, {0}]), beta=1)
     with pytest.raises(ValidationError):
         table.counts(0, Context({2: 0}))
+    # a variable index must be an integer, not a bool or a float
+    for var in (True, 0.0, 1.0):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            table.counts(var, Context())
     # out-of-range context values raise rather than reading another cell
     table = build_count_table(Dataset(rng.integers(0, 3, size=(30, 3)), StateSpace([3] * 3)), beta=2)
     for context in ({1: 0, 2: 4}, {1: -1}, {1: 7}, {3: 0}):
@@ -376,7 +387,7 @@ def test_table_matches_per_set_oracle(problem):
     data, pp, beta = problem
     want = per_set_count_tables(data, pp, beta)
     table = build_count_table(data, pp, beta)
-    got = {(i, svars): t for i in range(data.p) for svars, _, t in table.tables(i)}
+    got = {(i, svars): t for i in range(data.p) for svars, t in table.tables(i)}
     assert got.keys() == want.keys()
     for key, t in got.items():
         assert t.dtype == np.int64
@@ -464,7 +475,7 @@ def test_dataset_owns_its_rows():
         target[:] = 1 - target
         table, want = build_count_table(data), build_count_table(pristine)
         for i in range(space.p):
-            for (_, _, got), (_, _, ref) in zip(table.tables(i), want.tables(i)):
+            for (_, got), (_, ref) in zip(table.tables(i), want.tables(i)):
                 assert np.array_equal(got, ref)
         for lvl, staging in enumerate(tree.stagings):
             var = tree.governed_var(lvl)

@@ -30,7 +30,7 @@ from ctxtree import (
     sample,
 )
 from ctxtree.enumeration import iter_raw_stagings
-from oracles import enumerated_argmax, is_partition
+from oracles import enumerated_argmax, is_partition, table_contexts
 
 
 def make_tables(rows, cards, pp=None):
@@ -189,7 +189,7 @@ def test_optimal_staging_tie_rule_matches_enumerated_argmax():
                 spec = EnumSpec.for_level(data.space, order, lvl, 2, usable)
                 var = order[lvl]
                 assert optimal_staging(var, spec, tables) == enumerated_argmax(var, spec, tables)
-                z_i = tables._z[var]
+                z_i = {c: tables.z(var, c) for c in table_contexts(cards, spec.usable, 2)}
                 evidences = [sum(z_i[items] for items in raw) for raw in iter_raw_stagings(spec)]
                 ties += evidences.count(max(evidences)) > 1
     assert ties > 100

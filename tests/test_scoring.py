@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 from itertools import chain, combinations, permutations
@@ -31,6 +32,7 @@ from ctxtree import (
     log_marginal_likelihood,
     log_order_score,
     log_staging_score,
+    optimal_staging,
 )
 
 from oracles import (
@@ -39,6 +41,7 @@ from oracles import (
     path_alphas,
     per_variable_score_tables,
     polya_log_evidence,
+    table_contexts,
 )
 
 UNIT = PriorSpec("unit")
@@ -132,10 +135,10 @@ def test_tables_match_scipy_gammaln(monkeypatch):
                 m.setattr(ctxtree.scoring, "_gammaln", special.gammaln)
                 m.setattr(math, "lgamma", lambda x: float(special.gammaln(x)))
                 ref = build_score_tables(count_table, prior)
+            assert dump_z_text(ours).count("\n") == dump_z_text(ref).count("\n")
             for var in range(len(cards)):
-                assert ours._z[var].keys() == ref._z[var].keys()
-                for items, value in ref._z[var].items():
-                    assert close(ours._z[var][items], value, 1e-12), (var, items)
+                for items in table_contexts(cards, ours.pp[var], 2):
+                    assert close(ours.z(var, items), ref.z(var, items), 1e-12), (var, items)
                 assert len(ours._los[var]) == len(ref._los[var])
                 for value, expected in zip(ours._los[var], ref._los[var]):
                     assert close(value, expected, 1e-12), var
@@ -339,7 +342,10 @@ def test_score_build_never_enumerates(monkeypatch):
 def assert_tables_match_oracle(count_table, prior):
     tables = build_score_tables(count_table, prior)
     z, los = per_variable_score_tables(count_table, prior)
-    assert tables._z == z
+    assert dump_z_text(tables).count("\n") == sum(map(len, z.values()))
+    for var, z_i in z.items():
+        for items, value in z_i.items():
+            assert tables.z(var, items) == value, (var, items)
     assert tables._los == los
 
 
@@ -464,6 +470,9 @@ def test_los_rejects_unknown_variable_or_set():
     for var, usable in [(-1, ()), (3, ()), (0, {2}), (2, {0}), (1, {0, 1})]:
         with pytest.raises(ValidationError, match="no local order score"):
             tables.los(var, usable)
+    for var in (True, 0.0):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            tables.los(var, [])
 
 
 def test_order_score_symmetry():
@@ -506,6 +515,10 @@ def test_missing_z_entry_names_context():
     tables = make_tables(rng.integers(0, 2, size=(20, 2)), [2, 2], beta=1)
     with pytest.raises(ValidationError, match="context"):
         tables.z(0, Context({1: 0, 0: 0}))
+    # a variable index must be an integer, not a bool or a float
+    for var in (True, 0.0, 1.0):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            tables.z(var, Context())
 
 
 def test_z_accepts_context_pairs_in_any_order():
@@ -557,6 +570,41 @@ def test_score_equivalence_saturated_p2():
     a = log_marginal_likelihood(saturated((0, 1)), data, BDEU)
     b = log_marginal_likelihood(saturated((1, 0)), data, BDEU)
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_dump_z_matches_oracle_entries():
+    # byte for byte and in order: what ``ctxtree score --dump-scores`` writes
+    rng = np.random.default_rng(24)
+    cards = [2, 3, 2, 3, 3]
+    rows = rng.integers(0, cards, size=(70, 5))
+    pp = PossibleParents([{1, 2, 4}, {0, 3}, set(), {0, 1, 2, 4}, {3}])
+    for beta in (0, 1, 2):
+        count_table = build_count_table(Dataset(rows, StateSpace(cards)), pp, beta)
+        z, _ = per_variable_score_tables(count_table, BDEU)
+        want = "".join(
+            f"{var}\t{json.dumps({str(v): x for v, x in items}, separators=(',', ':'))}\t{value:.12g}\n"
+            for var, z_i in z.items()
+            for items, value in z_i.items()
+        )
+        assert dump_z_text(build_score_tables(count_table, BDEU)) == want
+
+
+def test_level_readers_reject_specs_the_tables_cannot_serve():
+    # usable outside K_var, beta above the tables' and cards unlike the space's
+    rows = np.random.default_rng(25).integers(0, 2, size=(30, 4))
+    pp = PossibleParents([{1}, {0}, {0, 1, 3}, {0, 1, 2}])
+    tables = make_tables(rows, [2] * 4, pp=pp, beta=1)
+    cases = [
+        (1, EnumSpec([0, 2], [2, 2], beta=1)),
+        (3, EnumSpec([0, 1, 2], [2, 2, 2], beta=2)),
+        (3, EnumSpec([0, 1, 2], [3, 2, 2], beta=1)),
+    ]
+    for var, spec in cases:
+        for reader in (log_local_order_score, optimal_staging):
+            with pytest.raises(ValidationError, match=f"variable {var}"):
+                reader(var, spec, tables)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        optimal_staging(3.0, EnumSpec([0, 1, 2], [2, 2, 2], beta=1), tables)
 
 
 def test_dump_z_format():
