@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import secrets
 import sys
 from dataclasses import replace
@@ -84,10 +83,6 @@ def _build_parser() -> _Parser:
     tables.add_argument("--ess", type=float, default=1.0)
     tables.add_argument("--possible-parents", default=None)
     tables.add_argument("--cards-row", choices=("auto", "yes", "no"), default="auto")
-    tables.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for the count-table build",
-    )
 
     p = subs.add_parser("learn", parents=[tables], help="estimate a CStree from a CSV dataset")
     p.add_argument("--iterations", type=int, default=5000)
@@ -144,7 +139,7 @@ def _load_tables_inputs(args) -> tuple[Dataset, LearnConfig]:
     p = len(_read_header(args.data, raw))
     prior = PriorSpec(args.prior, args.ess)
     pp = load_possible_parents(args.possible_parents, p) if args.possible_parents else None
-    config = LearnConfig(args.beta, prior, possible_parents=pp, threads=args.threads)
+    config = LearnConfig(args.beta, prior, possible_parents=pp)
     _checked_sets(config, p)
     return _parse_csv(args.data, raw, args.cards_row), config
 

@@ -8,11 +8,13 @@ are integers below 2**53, so the float weights keep them exact.
 
 The count table stores, for every variable i and every admissible context
 x_S with S inside the possible-parent set K_i and |S| <= beta, the vector of
-cell counts over the values of variable i.  The build makes one weighted
-``bincount`` pass over the distinct rows per variable i and largest
-context-variable set S, |S| = min(beta, |K_i|), and gets every smaller
-table by summing axes of a largest table that contains it.  Tables are
-int64 and immutable afterwards.  ``stage_counts`` tabulates the stages of a
+cell counts over the values of variable i.  The build runs on one thread.
+It groups the variables by their largest context-variable sets S,
+|S| = min(beta, |K_i|), computes the mixed-radix code of x_S over the
+distinct rows once per S, and then makes one weighted ``bincount`` of
+(code, x_i) per variable i that S serves.  Every smaller table is the sum
+over axes of a largest table that contains it.  Tables are int64 and
+immutable afterwards.  ``stage_counts`` tabulates the stages of a
 staging over the same distinct rows.
 
 ``load_csv`` reads the file's bytes once.  A file whose header is a
@@ -30,7 +32,6 @@ import csv
 import io
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -384,6 +385,9 @@ def write_csv(data: Dataset, path, cards_row: bool = True) -> None:
 
 def compute_counts(data: Dataset, var: int, context: Context) -> np.ndarray:
     """N_isk for k = 0..d_i-1: rows matching ``context`` with row[var] = k."""
+    var = as_int("variable", var)
+    if not 0 <= var < data.p:
+        raise ValidationError(f"variable {var} out of range for p={data.p}")
     if var in context.vars:
         raise ValidationError(f"context conditions on the target variable {var}")
     context.check_in_space(data.space)
@@ -453,7 +457,6 @@ def build_count_table(
     pp: Optional[PossibleParents] = None,
     beta: int = 2,
     max_cells: int = DEFAULT_MAX_CELLS,
-    threads: int = 1,
 ) -> CountTable:
     """Tabulate N_isk for every variable and every context with S inside K_i,
     |S| <= beta.
@@ -485,28 +488,28 @@ def build_count_table(
     columns, weight = data._distinct
     columns, weight = columns.astype(np.int64), weight.astype(np.float64)
 
-    def run(job):
-        i, svars = job
-        # mixed-radix code of (x_S, x_i), x_i least significant
-        code, radix = columns[i], cards[i]
-        for v in reversed(svars):
-            code = code + radix * columns[v]
-            radix *= cards[v]
-        flat = np.bincount(code, weights=weight, minlength=radix)
-        # every count is an integer <= n < 2**53, so the float sums are exact
-        shape = [cards[v] for v in svars] + [cards[i]]
-        return (i, svars), flat.astype(np.int64).reshape(shape)
+    # the targets i of each largest context-variable set S, |S| = min(beta, |K_i|)
+    targets: dict[tuple, list[int]] = {}
+    for i in range(space.p):
+        for svars in combinations(sorted(pp[i]), min(beta, len(pp[i]))):
+            targets.setdefault(svars, []).append(i)
 
-    jobs = [
-        (i, svars)
-        for i in range(space.p)
-        for svars in combinations(sorted(pp[i]), min(beta, len(pp[i])))
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            largest = dict(pool.map(run, jobs))
-    else:
-        largest = dict(map(run, jobs))
+    largest = {}
+    code_i = np.empty(len(weight), dtype=np.int64)
+    for svars, group in targets.items():
+        # mixed-radix code of x_S, first variable most significant
+        code, radix = 0, 1
+        for v in svars:
+            code = code * cards[v] + columns[v]
+            radix *= cards[v]
+        for i in group:
+            # the code of (x_S, x_i), x_i least significant
+            np.multiply(code, cards[i], out=code_i)
+            code_i += columns[i]
+            flat = np.bincount(code_i, weights=weight, minlength=radix * cards[i])
+            # every count is an integer <= n < 2**53, so the float sums are exact
+            shape = [cards[v] for v in svars] + [cards[i]]
+            largest[(i, svars)] = flat.astype(np.int64).reshape(shape)
 
     tables = {}
     for i in range(space.p):

@@ -132,10 +132,6 @@ class EnumSpec:
         return EnumSpec(tuple(range(len(cards))), cards, usable, beta)
 
 
-def _stage_key(assignment: Assignment) -> tuple:
-    return (len(assignment), tuple(v for v, _ in assignment), tuple(x for _, x in assignment))
-
-
 def iter_raw_stagings(spec: EnumSpec) -> Iterator[RawStaging]:
     """Yield each admissible staging once, as a tuple of contexts, in
     deterministic stratum order.  Stage order within a staging is not
@@ -205,8 +201,8 @@ def enumerate_stagings(spec: EnumSpec) -> Iterator[Staging]:
         for a in raw:
             entry = cache.get(a)
             if entry is None:
-                entry = (_stage_key(a), Stage(Context(a), level))
-                cache[a] = entry
+                stage = Stage(Context(a), level)
+                entry = cache[a] = (stage.sort_key(), stage)
             keyed.append(entry)
         keyed.sort(key=lambda e: e[0])
         yield Staging._trusted(level, tuple(s for _, s in keyed))

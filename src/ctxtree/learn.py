@@ -32,7 +32,9 @@ class LearnConfig:
     from, None letting every variable use all the others; read a file with
     ``load_possible_parents``.  Each |K_i| may be at most ``scoring.MAX_K``
     (16), checked before any row is counted.  ``max_cells`` caps the count
-    table and ``threads`` sets the worker threads of its build.
+    table, which is built on one thread.  ``threads`` is accepted and checked
+    as an integer but has no effect; it is kept only because the benchmark
+    harness passes and reports it.
     """
 
     beta: int = 2
@@ -136,9 +138,7 @@ def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
     """Count and score tables of ``data`` under ``config``; beta and the
     |K_i| cap are checked before any row is counted."""
     pp = _checked_sets(config, data.p)
-    count_table = build_count_table(
-        data, pp, config.beta, max_cells=config.max_cells, threads=config.threads
-    )
+    count_table = build_count_table(data, pp, config.beta, max_cells=config.max_cells)
     return build_score_tables(count_table, config.prior)
 
 

@@ -61,6 +61,11 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     code, _, _ = run(capsys, "bogus-command")
     assert code == 1
+    # the count table is built on one thread; the flag that set a pool is gone
+    for command in (("learn", "--out", "m.json"), ("score",)):
+        code, _, err = run(capsys, *command, "--data", "d.csv", "--threads", "2")
+        assert code == 1
+        assert "--threads" in err
 
 
 def test_missing_file_exit_2(capsys):
@@ -384,7 +389,6 @@ SHARED_FLAGS = {
     "--ess": (1.0, None),
     "--possible-parents": (None, None),
     "--cards-row": ("auto", ("auto", "yes", "no")),
-    "--threads": (os.cpu_count() or 1, None),
 }
 
 

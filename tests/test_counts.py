@@ -1,5 +1,9 @@
 import csv
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,13 @@ def test_compute_counts_no_match():
         compute_counts(data, 0, Context({0: 0}))
 
 
+@pytest.mark.parametrize("var", [-1, True, 0.0, 2])
+def test_compute_counts_rejects_bad_variable(var):
+    data = Dataset(np.array([[0, 0], [0, 1], [1, 1]]), StateSpace([2, 2]))
+    with pytest.raises(ValidationError):
+        compute_counts(data, var, Context())
+
+
 def test_table_beta0_has_only_marginals():
     rng = np.random.default_rng(0)
     data = Dataset(rng.integers(0, 2, size=(50, 3)), StateSpace([2, 2, 2]))
@@ -230,15 +241,18 @@ def test_table_row_order_invariance(seed):
             assert np.array_equal(table.counts(i, ctx), table2.counts(i, ctx))
 
 
-def test_table_threads_match_serial():
-    rng = np.random.default_rng(3)
-    data = Dataset(rng.integers(0, 2, size=(100, 4)), StateSpace([2] * 4))
-    t1 = build_count_table(data, beta=2, threads=1)
-    t2 = build_count_table(data, beta=2, threads=4)
-    for i in range(4):
-        for items in table_contexts(data.space.cards, t1.pp[i], t1.beta):
-            ctx = Context(items)
-            assert np.array_equal(t1.counts(i, ctx), t2.counts(i, ctx))
+def test_import_starts_no_thread_pool():
+    # the count table is built on one thread, so importing the package
+    # loads no executor machinery
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ctxtree; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_table_memory_cap():
@@ -381,7 +395,19 @@ def count_problems(draw):
     return Dataset(rows, StateSpace(cards)), PossibleParents(sets), draw(st.integers(0, 2))
 
 
+def shared_set_problem(beta):
+    """Variables 0 and 1, of cardinalities 3 and 2, share the context set
+    {2, 3}; variable 2 has |K_2| = 3 and variable 3 an empty K_3."""
+    cards = (3, 2, 4, 2)
+    rows = np.random.default_rng(9).integers(0, cards, size=(9, 4))
+    pp = PossibleParents([{2, 3}, {2, 3}, {0, 1, 3}, set()])
+    return Dataset(rows, StateSpace(cards)), pp, beta
+
+
 @given(count_problems())
+@example(shared_set_problem(0))
+@example(shared_set_problem(1))
+@example(shared_set_problem(2))
 @settings(max_examples=200, deadline=None)
 def test_table_matches_per_set_oracle(problem):
     data, pp, beta = problem
