@@ -61,7 +61,7 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     code, _, _ = run(capsys, "bogus-command")
     assert code == 1
-    # the count table is built on one thread; the flag that set a pool is gone
+    # learn and score take no --threads flag: the count table is built on one thread
     for command in (("learn", "--out", "m.json"), ("score",)):
         code, _, err = run(capsys, *command, "--data", "d.csv", "--threads", "2")
         assert code == 1
