@@ -172,6 +172,8 @@ class Stage:
     level: int
 
     def __post_init__(self):
+        if type(self.level) is not int:
+            object.__setattr__(self, "level", as_int("stage level", self.level))
         if self.level < 0:
             raise ValidationError("stage level must be >= 0")
         if self.context.size() > self.level:
@@ -218,6 +220,7 @@ class Staging:
     stages: tuple[Stage, ...]
 
     def __init__(self, level: int, stages: Sequence[Stage]):
+        level = as_int("staging level", level)
         stages = tuple(sorted(stages, key=Stage.sort_key))
         if not stages:
             raise ValidationError("a staging needs at least one stage")
@@ -227,7 +230,7 @@ class Staging:
         contexts = [s.context for s in stages]
         if len(set(contexts)) != len(contexts):
             raise ValidationError("staging contains duplicate stage contexts")
-        object.__setattr__(self, "level", int(level))
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "stages", stages)
 
     def max_context_size(self) -> int:

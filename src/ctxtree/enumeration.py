@@ -20,7 +20,7 @@ Closed-form counts per stratum (writing m = |L|):
 stratum 1 has 1; stratum 2 has m; stratum 3 has
 C(m, 2) + sum_k ((m-1)^{d_k} - (m-1)); stratum 4 has
 sum_k (m^{d_k} - (m-1)^{d_k} - 1).  The total telescopes to
-1 - C(m, 2) + sum_{k in L} m^{d_k}.
+1 - C(m, 2) + sum_{k in L} m^{d_k}; ``_staging_count`` is that one count.
 
 Bounds above 2 would require solving further cases of an open cube-face
 partition enumeration problem (Alon and Balogh) and are rejected.
@@ -32,8 +32,9 @@ integers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from .core import (
     UnsupportedBoundError,
     ValidationError,
     as_int,
+    validate_order,
 )
 
 # A staging is represented internally as a tuple of contexts, each context a
@@ -122,14 +124,21 @@ class EnumSpec:
         beta: int = 2,
         usable: Optional[Sequence[int]] = None,
     ) -> "EnumSpec":
-        level_vars = tuple(order[:level])
-        cards = tuple(space.cards[v] for v in level_vars)
-        return EnumSpec(level_vars, cards, usable, beta)
+        level = as_int("level", level)
+        if not 0 <= level <= len(order):
+            raise ValidationError(f"level must be in 0..{len(order)}, got {level}")
+        level_vars = order[:level]
+        return EnumSpec(level_vars, [space.cards[v] for v in level_vars], usable, beta)
 
     @staticmethod
     def of_cards(cards: Sequence[int], beta: int = 2, usable=None) -> "EnumSpec":
         """A level over variables 0..len(cards)-1 in natural order."""
         return EnumSpec(tuple(range(len(cards))), cards, usable, beta)
+
+
+def _block(k: int, xk: int, j: int, d: dict) -> list:
+    """The stages {k = xk, j = y} over the values y of j (cards ``d``)."""
+    return [tuple(sorted(((k, xk), (j, y)))) for y in range(d[j])]
 
 
 def iter_raw_stagings(spec: EnumSpec) -> Iterator[RawStaging]:
@@ -151,16 +160,10 @@ def iter_raw_stagings(spec: EnumSpec) -> Iterator[RawStaging]:
         return
 
     # refined[k][j][xk]: the stages fixing k = xk and running over values of j
-    refined: dict[int, dict[int, tuple]] = {}
-    for k in usable:
-        refined[k] = {
-            j: tuple(
-                tuple(tuple(sorted(((k, xk), (j, xj)))) for xj in range(d[j]))
-                for xk in range(d[k])
-            )
-            for j in usable
-            if j != k
-        }
+    refined = {
+        k: {j: tuple(_block(k, xk, j, d) for xk in range(d[k])) for j in usable if j != k}
+        for k in usable
+    }
 
     # Stratum 3: pivot k, one second variable per value of k.  Constant
     # choices are deduplicated through the smaller pivot.
@@ -208,6 +211,16 @@ def enumerate_stagings(spec: EnumSpec) -> Iterator[Staging]:
         yield Staging._trusted(level, tuple(s for _, s in keyed))
 
 
+def _staging_count(cards: Sequence[int], beta: int) -> int:
+    """Number of admissible stagings of a level whose usable variables have
+    the cardinalities ``cards`` (exact big integer): the closed form of the
+    module docstring."""
+    m = len(cards)
+    if beta < 2:
+        return 1 + m * beta
+    return 1 - math.comb(m, 2) + sum(m**d for d in cards)
+
+
 def _pivot_counts(m: int, dk: int) -> tuple[int, int]:
     """Stagings of strata 3 and 4 at one pivot of dk values among m usable
     variables; stratum 3 leaves out the constant choices, which the common
@@ -215,22 +228,9 @@ def _pivot_counts(m: int, dk: int) -> tuple[int, int]:
     return (m - 1) ** dk - (m - 1), m**dk - (m - 1) ** dk - 1
 
 
-def _stratum_counts(spec: EnumSpec) -> tuple[int, int, int, int]:
-    m = len(spec.usable)
-    c1 = 1
-    c2 = m if spec.beta >= 1 else 0
-    c3 = c4 = 0
-    if spec.beta >= 2:
-        pivots = [_pivot_counts(m, spec.card_of(v)) for v in spec.usable]
-        c3 = math.comb(m, 2) + sum(w3 for w3, _ in pivots)
-        c4 = sum(w4 for _, w4 in pivots)
-    return c1, c2, c3, c4
-
-
 def count_stagings(spec: EnumSpec) -> int:
-    """Closed-form count of admissible stagings (exact big integer): the sum
-    of the stratum counts that ``sample_staging_uniform`` draws from."""
-    return sum(_stratum_counts(spec))
+    """Closed-form count of admissible stagings (exact big integer)."""
+    return _staging_count([spec.card_of(v) for v in spec.usable], spec.beta)
 
 
 def count_cstrees(space: StateSpace, beta: int = 2, fixed_order: Optional[Sequence[int]] = None) -> int:
@@ -244,35 +244,27 @@ def count_cstrees(space: StateSpace, beta: int = 2, fixed_order: Optional[Sequen
     With equal cardinalities every ordering gives the same product, so the
     all-orders count is p! * prod over m = 1..p-1 of the level-m count.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     p = space.p
     if fixed_order is not None:
-        order = tuple(fixed_order)
-        total = 1
-        for i in range(1, p):
-            total *= count_stagings(EnumSpec.of_cards([space.cards[v] for v in order[:i]], beta))
-        return total
+        cards = [space.cards[v] for v in validate_order(fixed_order, p)]
+        return math.prod(_staging_count(cards[:i], beta) for i in range(1, p))
 
     distinct = sorted(set(space.cards))
-    pool = [space.cards.count(d) for d in distinct]
-    start = tuple(0 for _ in distinct)
-    dp = {start: 1}
-    for size in range(1, p + 1):
+    pool = tuple(space.cards.count(d) for d in distinct)
+    # dp[state]: orderings of state[t] first variables of cardinality distinct[t]
+    dp = {(0,) * len(distinct): 1}
+    for _ in range(p):
         nxt: dict[tuple[int, ...], int] = {}
         for state, acc in dp.items():
-            for t, d in enumerate(distinct):
-                if state[t] >= pool[t]:
-                    continue
-                new_state = tuple(
-                    c + 1 if u == t else c for u, c in enumerate(state)
-                )
-                # which concrete variable of this cardinality comes next
-                ways = pool[t] - state[t]
-                cards_now = [d2 for u, d2 in enumerate(distinct) for _ in range(new_state[u])]
-                w = count_stagings(EnumSpec.of_cards(cards_now, beta)) if size <= p - 1 else 1
-                nxt[new_state] = nxt.get(new_state, 0) + acc * ways * w
+            w = acc * _staging_count([d for d, c in zip(distinct, state) for _ in range(c)], beta)
+            for t, c in enumerate(state):
+                if c < pool[t]:
+                    new = state[:t] + (c + 1,) + state[t + 1 :]
+                    # pool[t] - c concrete variables of this cardinality can come next
+                    nxt[new] = nxt.get(new, 0) + w * (pool[t] - c)
         dp = nxt
-    return dp[tuple(pool)]
+    return dp[pool]
 
 
 def max_stage_count(level: int, cards: Sequence[int]) -> int:
@@ -281,14 +273,13 @@ def max_stage_count(level: int, cards: Sequence[int]) -> int:
     For a single-variable level this is its cardinality; otherwise the
     product of the two largest cardinalities among the level variables.
     """
-    if level < 1:
-        return 1
-    cards = sorted(int(d) for d in cards[:level])
-    if len(cards) < level:
-        raise ValidationError(f"need {level} cardinalities, got {len(cards)}")
-    if level == 1:
-        return cards[0]
-    return cards[-1] * cards[-2]
+    level = as_int("level", level)
+    if level < 0:
+        raise ValidationError(f"level must be nonnegative, got {level}")
+    cards = sorted(as_int("cardinality", d) for d in cards[:level])
+    if len(cards) < level or min(cards, default=2) < 2:
+        raise ValidationError(f"need {level} cardinalities >= 2, got {cards}")
+    return math.prod(cards[-2:])
 
 
 def _rand_below(rng: np.random.Generator, n: int) -> int:
@@ -309,79 +300,62 @@ def _rand_below(rng: np.random.Generator, n: int) -> int:
             return x
 
 
+def _pivot_stages(k: int, d: dict, refine: Sequence[Optional[int]]) -> list:
+    """The stages of a pivot-k staging: value xk of k is refined by the
+    variable ``refine[xk]``, or left whole where that is None."""
+    stages: list = []
+    for xk, j in enumerate(refine):
+        if j is None:
+            stages.append(((k, xk),))
+        else:
+            stages.extend(_block(k, xk, j, d))
+    return stages
+
+
 def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
     """Draw a staging uniformly from the admissible set.
 
-    The stratum is picked with probability proportional to its closed-form
-    count, then a staging is drawn uniformly within the stratum.
+    One draw r below ``count_stagings`` picks the empty context, a single
+    variable, a common pair, or a (stratum, pivot) cell in proportion to its
+    closed-form count; a staging is then drawn uniformly within the cell.
     """
-    c1, c2, c3, c4 = _stratum_counts(spec)
-    total = c1 + c2 + c3 + c4
-    r = _rand_below(rng, total)
+    r = _rand_below(rng, count_stagings(spec))
     usable = spec.usable
     d = {v: spec.card_of(v) for v in usable}
     m = len(usable)
-    level = spec.level
-
-    def wrap(raw_stages) -> Staging:
-        return Staging(level, tuple(Stage(Context(a), level) for a in raw_stages))
-
-    if r < c1:
-        return Staging.full_level(level)
-    r -= c1
-
-    if r < c2:
-        j = usable[r]
-        return wrap(tuple(((j, x),) for x in range(d[j])))
-    r -= c2
-
-    if r < c3:
-        n_pairs = math.comb(m, 2)
-        if r < n_pairs:
-            j, k = list(combinations(usable, 2))[r]
-            stages = [
-                tuple(sorted(((k, xk), (j, xj))))
-                for xk in range(d[k])
-                for xj in range(d[j])
-            ]
-            return wrap(stages)
-        r -= n_pairs
-        for k in usable:
-            w = _pivot_counts(m, d[k])[0]
+    n_pairs = math.comb(m, 2)
+    if r == 0:
+        stages = [()]
+    elif r <= m:
+        j = usable[r - 1]
+        stages = [((j, x),) for x in range(d[j])]
+    elif r <= m + n_pairs:
+        j, k = list(combinations(usable, 2))[r - m - 1]
+        stages = _pivot_stages(k, d, [j] * d[k])
+    else:
+        r -= 1 + m + n_pairs
+        pivots = {k: _pivot_counts(m, d[k]) for k in usable}
+        for stratum, k in product((3, 4), usable):
+            w = pivots[k][stratum - 3]
             if r < w:
-                others = tuple(j for j in usable if j != k)
-                while True:
-                    choice = [others[_rand_below(rng, m - 1)] for _ in range(d[k])]
-                    if len(set(choice)) > 1:
-                        break
-                stages = [
-                    tuple(sorted(((k, xk), (j, xj))))
-                    for xk, j in enumerate(choice)
-                    for xj in range(d[j])
-                ]
-                return wrap(stages)
+                break
             r -= w
-        raise AssertionError("stratum 3 weights inconsistent")
-    r -= c3
-
-    for k in usable:
-        w = _pivot_counts(m, d[k])[1]
-        if r < w:
-            others = tuple(j for j in usable if j != k)
-            sizes = list(range(1, d[k]))
-            weights = [math.comb(d[k], s) * (m - 1) ** s for s in sizes]
+        else:
+            raise AssertionError("pivot weights inconsistent")
+        others = tuple(j for j in usable if j != k)
+        if stratum == 3:
+            # uniform over the non-constant choices, by rejection
+            refine: list = []
+            while len(set(refine)) < 2:
+                refine = [others[_rand_below(rng, m - 1)] for _ in range(d[k])]
+        else:
+            # how many values are refined, then which, then by what
+            weights = [math.comb(d[k], s) * (m - 1) ** s for s in range(1, d[k])]
             acc = _rand_below(rng, sum(weights))
-            for s, ws in zip(sizes, weights):
-                if acc < ws:
-                    n_refined = s
-                    break
-                acc -= ws
-            refined = sorted(rng.choice(d[k], size=n_refined, replace=False).tolist())
-            stages = [((k, x),) for x in range(d[k]) if x not in refined]
-            for xk in refined:
-                j = others[_rand_below(rng, m - 1)]
-                for xj in range(d[j]):
-                    stages.append(tuple(sorted(((k, xk), (j, xj)))))
-            return wrap(stages)
-        r -= w
-    raise AssertionError("stratum 4 weights inconsistent")
+            n_refined = 1 + bisect_right(list(accumulate(weights)), acc)
+            refine = [None] * d[k]
+            for xk in sorted(rng.choice(d[k], size=n_refined, replace=False).tolist()):
+                refine[xk] = others[_rand_below(rng, m - 1)]
+        stages = _pivot_stages(k, d, refine)
+    level = spec.level
+    return Staging(level, tuple(Stage(Context(a), level) for a in stages))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import CStree
+from .core import CStree, ValidationError
 
 # wildcard coordinate inside a pattern
 STAR = None
@@ -133,7 +133,10 @@ def export_dot(ldag: Ldag, names: Optional[Sequence[str]] = None) -> str:
     """Render the LDAG as a DOT digraph with deterministic node and edge
     order.  Empty labels are rendered as unlabeled edges."""
     if names is not None:
-        ldag = Ldag(ldag.p, ldag.edges, ldag.axes, ldag.labels, tuple(names))
+        names = tuple(str(n) for n in names)
+        if len(names) != ldag.p:
+            raise ValidationError(f"expected {ldag.p} names, got {len(names)}")
+        ldag = Ldag(ldag.p, ldag.edges, ldag.axes, ldag.labels, names)
     lines = ["digraph {"]
     for v in range(ldag.p):
         lines.append(f"  {_node_id(ldag, v)};")

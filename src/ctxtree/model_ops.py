@@ -123,6 +123,7 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     """
     if tree.params is None:
         raise ValidationError("tree has no parameters")
+    n = as_int("n", n)
     if n < 1:
         raise ValidationError("n must be >= 1")
     rows = np.empty((n, tree.p), dtype=np.int64)

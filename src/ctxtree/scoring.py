@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -88,7 +89,7 @@ from .core import (
     validate_order,
 )
 from .counts import CountTable, Dataset, _context_sets, _row, stage_counts
-from .enumeration import EnumSpec, count_stagings, iter_raw_stagings
+from .enumeration import EnumSpec, _staging_count, count_stagings, iter_raw_stagings
 
 
 MAX_K = 16
@@ -108,8 +109,10 @@ class PriorSpec:
             raise ValidationError(
                 f"unknown prior scheme {self.scheme!r}; expected one of {PRIOR_SCHEMES}"
             )
-        if not (self.ess > 0):
-            raise ValidationError(f"ess must be positive, got {self.ess}")
+        if isinstance(self.ess, bool) or not isinstance(self.ess, numbers.Real):
+            raise ValidationError(f"ess must be a real number, got {self.ess!r}")
+        if not (math.isfinite(self.ess) and self.ess > 0):
+            raise ValidationError(f"ess must be finite and positive, got {self.ess}")
 
     def alpha_cell(self, space: StateSpace, var: int, context_vars: Sequence[int]) -> float:
         """The common per-value hyperparameter alpha_isk for one context."""
@@ -276,14 +279,14 @@ def _subset_logsumexp(terms: np.ndarray) -> np.ndarray:
 
 
 def _log_staging_counts(member: np.ndarray, cards: Sequence[int], beta: int) -> np.ndarray:
-    """log ``count_stagings`` of every L: the count depends on L only
+    """log ``_staging_count`` of every L: the count depends on L only
     through how many members it has of each cardinality."""
     kinds = sorted(set(cards))
     per_kind = member.astype(np.int64) @ (np.asarray(cards)[:, None] == kinds)
     key = per_kind @ (len(cards) + 1) ** np.arange(len(kinds))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     logs = [
-        math.log(count_stagings(EnumSpec.of_cards(np.repeat(kinds, per_kind[f]).tolist(), beta)))
+        math.log(_staging_count(np.repeat(kinds, per_kind[f]).tolist(), beta))
         for f in first
     ]
     return np.asarray(logs)[inverse]

@@ -15,7 +15,9 @@ the stateless chain scores every candidate ordering afresh at each step and
 draws over the full per-position vector, so it checks only how
 ``run_chain`` keeps positions and masks and draws over constant segments.
 The list-then-index staging argmax walks the library's enumeration; it
-checks only the tie rule.  The cell-by-cell CSV loader and the per-set count
+checks only the tie rule.  The stratum sampler is the uniform staging
+sampler as it was before it walked one draw over the pivot counts; it pins
+the sampler's draws and its random stream.  The cell-by-cell CSV loader and the per-set count
 build are the data layer as it was before it worked on whole columns and
 collapsed rows.  The per-variable score-table build is the score layer as it
 was before it ran in batched passes: one evidence call per count table, with
@@ -443,6 +445,90 @@ def enumerated_argmax(var, spec, tables):
     raw = next(islice(iter_raw_stagings(spec), best, None))
     level = spec.level
     return Staging(level, tuple(Stage(Context(a), level) for a in raw))
+
+
+def stratum_sample(spec, rng):
+    """``sample_staging_uniform`` as four stratum counts, each drawn from with
+    its own bookkeeping and its own copy of the stage rule."""
+    from ctxtree import Context, Stage, Staging
+
+    def rand_below(n):
+        if n < (1 << 62):
+            return int(rng.integers(n))
+        bits = n.bit_length()
+        words = (bits + 62) // 63
+        while True:
+            x = 0
+            for _ in range(words):
+                x = (x << 63) | int(rng.integers(1 << 63))
+            x >>= words * 63 - bits
+            if x < n:
+                return x
+
+    usable = spec.usable
+    d = {v: spec.card_of(v) for v in usable}
+    m = len(usable)
+    pivots = [((m - 1) ** d[k] - (m - 1), m ** d[k] - (m - 1) ** d[k] - 1) for k in usable]
+    c1 = 1
+    c2 = m if spec.beta >= 1 else 0
+    c3 = math.comb(m, 2) + sum(w3 for w3, _ in pivots) if spec.beta >= 2 else 0
+    c4 = sum(w4 for _, w4 in pivots) if spec.beta >= 2 else 0
+    r = rand_below(c1 + c2 + c3 + c4)
+    level = spec.level
+
+    def wrap(raw_stages):
+        return Staging(level, tuple(Stage(Context(a), level) for a in raw_stages))
+
+    if r < c1:
+        return Staging.full_level(level)
+    r -= c1
+    if r < c2:
+        j = usable[r]
+        return wrap(tuple(((j, x),) for x in range(d[j])))
+    r -= c2
+    if r < c3:
+        n_pairs = math.comb(m, 2)
+        if r < n_pairs:
+            j, k = list(combinations(usable, 2))[r]
+            return wrap([
+                tuple(sorted(((k, xk), (j, xj)))) for xk in range(d[k]) for xj in range(d[j])
+            ])
+        r -= n_pairs
+        for k, (w, _) in zip(usable, pivots):
+            if r < w:
+                others = tuple(j for j in usable if j != k)
+                while True:
+                    choice = [others[rand_below(m - 1)] for _ in range(d[k])]
+                    if len(set(choice)) > 1:
+                        break
+                return wrap([
+                    tuple(sorted(((k, xk), (j, xj))))
+                    for xk, j in enumerate(choice)
+                    for xj in range(d[j])
+                ])
+            r -= w
+        raise AssertionError("stratum 3 weights inconsistent")
+    r -= c3
+    for k, (_, w) in zip(usable, pivots):
+        if r < w:
+            others = tuple(j for j in usable if j != k)
+            sizes = list(range(1, d[k]))
+            weights = [math.comb(d[k], s) * (m - 1) ** s for s in sizes]
+            acc = rand_below(sum(weights))
+            for s, ws in zip(sizes, weights):
+                if acc < ws:
+                    n_refined = s
+                    break
+                acc -= ws
+            refined = sorted(rng.choice(d[k], size=n_refined, replace=False).tolist())
+            stages = [((k, x),) for x in range(d[k]) if x not in refined]
+            for xk in refined:
+                j = others[rand_below(m - 1)]
+                for xj in range(d[j]):
+                    stages.append(tuple(sorted(((k, xk), (j, xj)))))
+            return wrap(stages)
+        r -= w
+    raise AssertionError("stratum 4 weights inconsistent")
 
 def _is_int(token):
     try:

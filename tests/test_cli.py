@@ -311,6 +311,23 @@ def test_bad_beta_exit_2(tmp_path, capsys, beta, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("ess", ["inf", "nan", "0"])
+def test_bad_ess_exit_2(tmp_path, capsys, recwarn, ess):
+    # rejected before the rows are read, so no evidence is computed or warned about
+    rng = np.random.default_rng(2)
+    csv_path = tmp_path / "d.csv"
+    write_csv(sample(random_cstree(StateSpace([2, 2, 2]), 2, rng), 30, rng), csv_path)
+    out_path = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "learn", "--data", str(csv_path), "--iterations", "10",
+        "--ess", ess, "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert "ess must be finite and positive" in err
+    assert not out_path.exists()
+    assert not recwarn.list
+
+
 def test_resource_cap_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(1)
     rows = rng.integers(0, 2, size=(5, 18))

@@ -17,7 +17,11 @@ from ctxtree import (
     Staging,
     StateSpace,
     ValidationError,
+    export_dot,
+    max_stage_count,
+    sample,
     stage_members,
+    to_ldag,
 )
 from ctxtree.core import stage_ids
 from oracles import is_partition
@@ -154,6 +158,33 @@ def test_staging_rejects_duplicates_and_mismatched_levels():
         Staging(2, [Stage(Context({0: 0}), 1)])
     with pytest.raises(ValidationError):
         Staging(1, [])
+
+
+def _pair_tree():
+    staging = Staging(1, [Stage(Context({0: v}), 1) for v in range(2)])
+    tree = CStree((0, 1), StateSpace([2, 2]), [staging])
+    return tree.with_params((((0.5, 0.5),), ((0.5, 0.5), (0.3, 0.7))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Staging(1.5, [Stage(Context(), 1.5)]), id="staging-float-level"),
+        pytest.param(lambda: Staging(1.0, [Stage(Context(), 1)]), id="staging-whole-float-level"),
+        pytest.param(lambda: Stage(Context(), 1.5), id="stage-float-level"),
+        pytest.param(lambda: Stage(Context(), True), id="stage-bool-level"),
+        pytest.param(lambda: max_stage_count(2.5, [2, 2]), id="max-stage-float-level"),
+        pytest.param(lambda: max_stage_count(-1, [2, 2]), id="max-stage-negative-level"),
+        pytest.param(lambda: max_stage_count(2, [0, 1]), id="max-stage-card-below-2"),
+        pytest.param(lambda: max_stage_count(2, [2.0, 2]), id="max-stage-float-card"),
+        pytest.param(lambda: sample(_pair_tree(), 2.5, np.random.default_rng(0)), id="sample-float-n"),
+        pytest.param(lambda: sample(_pair_tree(), True, np.random.default_rng(0)), id="sample-bool-n"),
+        pytest.param(lambda: export_dot(to_ldag(_pair_tree()), names=["a"]), id="dot-too-few-names"),
+    ],
+)
+def test_bad_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_stage_ids_single_stage():

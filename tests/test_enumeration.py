@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxtree import (
@@ -18,7 +18,7 @@ from ctxtree import (
     sample_staging_uniform,
 )
 
-from oracles import brute_force_stagings, is_partition
+from oracles import brute_force_stagings, is_partition, stratum_sample
 
 
 def staging_key(staging):
@@ -151,6 +151,21 @@ def test_count_cstrees_fixed_order():
     a = count_cstrees(StateSpace([2, 4, 3]), 2, fixed_order=(0, 1, 2))
     b = count_cstrees(StateSpace([2, 4, 3]), 2, fixed_order=(1, 2, 0))
     assert a != b
+    assert count_cstrees(StateSpace([2, 4, 3]), 2, fixed_order=np.array([0, 1, 2])) == a
+    # the order must be a permutation of the variables, given as integers
+    for bad in ((0, 0, 0), (1,), (0, 1, 5), (0.0, 1.0, 2.0), (True, 0, 2)):
+        with pytest.raises(ValidationError, match="order"):
+            count_cstrees(StateSpace([2, 3, 2]), 2, fixed_order=bad)
+
+
+def test_for_level_checks_level():
+    space = StateSpace([2, 3, 4])
+    assert EnumSpec.for_level(space, (2, 0, 1), 0).level_vars == ()
+    spec = EnumSpec.for_level(space, (2, 0, 1), np.int64(3))
+    assert (spec.level_vars, spec.cards) == ((2, 0, 1), (4, 2, 3))
+    for bad in (7, 4, -1, 1.5, True):
+        with pytest.raises(ValidationError, match="level"):
+            EnumSpec.for_level(space, (2, 0, 1), bad)
 
 
 def test_count_cstrees_all_orders_matches_permutation_sum():
@@ -176,6 +191,8 @@ def test_count_cstrees_equal_cards_shortcut():
         (5, [2, 2, 2, 2, 2], 4),
         (3, [2, 3, 4], 12),
         (1, [5], 5),
+        (0, [], 1),
+        (np.int64(2), np.array([3, 2, 4]), 6),
     ],
 )
 def test_max_stage_count(level, cards, expected):
@@ -243,3 +260,23 @@ def test_sample_mixed_cards_in_enumerated_set():
     allowed = {staging.canonical_key() for staging in enumerate_stagings(spec)}
     for _ in range(500):
         assert sample_staging_uniform(spec, rng).canonical_key() in allowed
+
+
+@st.composite
+def enum_specs(draw):
+    cards = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    usable = draw(st.lists(st.sampled_from(range(len(cards))), max_size=len(cards), unique=True))
+    return EnumSpec.of_cards(cards, beta=draw(st.integers(0, 2)), usable=usable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(enum_specs(), st.integers(0, 2**32 - 1))
+# a count past 2**62, which _rand_below draws in 63-bit words
+@example(EnumSpec.of_cards([40] * 3 + [2] * 10), 3)
+def test_sample_stream_matches_stratum_oracle(spec, seed):
+    # the same stagings as the per-stratum sampler, and the generator left
+    # in the same state, so the draws of random_cstree stay fixed
+    g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        assert sample_staging_uniform(spec, g1) == stratum_sample(spec, g2)
+    assert g1.bit_generator.state == g2.bit_generator.state

@@ -81,6 +81,8 @@ def test_export_dot_reference(four_var_tree_a):
     assert '2 -> 4 [label="(*,0)"]' in dot
     assert "3 -> 4;" in dot
     assert dot == export_dot(to_ldag(four_var_tree_a), names=["1", "2", "3", "4"])
+    # names are rendered as strings, as CStree stores them
+    assert dot == export_dot(to_ldag(four_var_tree_a), names=[1, 2, 3, 4])
 
 
 def test_export_dot_empty_graph():

@@ -78,8 +78,14 @@ def assert_los_match_enumeration(tables, cards, beta):
 def test_prior_spec_validation():
     with pytest.raises(ValidationError):
         PriorSpec("bdeu")
-    with pytest.raises(ValidationError):
-        PriorSpec("unit", 0.0)
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan, np.float64(np.inf)):
+        with pytest.raises(ValidationError, match="ess must be finite and positive"):
+            PriorSpec("unit", bad)
+    for bad in ("1", None, True, np.bool_(True), 1 + 0j):
+        with pytest.raises(ValidationError, match="ess must be a real number"):
+            PriorSpec("bdeu-path", bad)
+    assert PriorSpec("bdeu-path", np.float32(0.5)).ess == 0.5
+    assert PriorSpec("bdeu-path", 2).ess == 2
 
 
 def test_evidence_empty_counts_is_one():
@@ -111,7 +117,7 @@ def test_non_finite_evidence_raises():
     # log-gamma; a subnormal alpha still has one.  At ess 1e-323 only the
     # one-variable contexts' alpha (ess / 4) underflows, and the error names them
     ct = build_count_table(Dataset(np.array([[0, 1], [1, 1], [0, 0]]), StateSpace([2, 2])))
-    for ess, svars in ((5e-324, r"\(\)"), (1e-323, r"\(1,\)"), (1e308, r"\(\)"), (math.inf, r"\(\)")):
+    for ess, svars in ((5e-324, r"\(\)"), (1e-323, r"\(1,\)"), (1e308, r"\(\)")):
         message = f"non-finite evidence for variable 0, context variables {svars}$"
         with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
             build_score_tables(ct, PriorSpec("bdeu-path", ess))
