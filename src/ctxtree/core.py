@@ -32,9 +32,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 

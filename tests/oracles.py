@@ -19,9 +19,11 @@ checks only the tie rule.  The stratum sampler is the uniform staging
 sampler as it was before it walked one draw over the pivot counts; it pins
 the sampler's draws and its random stream.  The cell-by-cell CSV loader and the per-set count
 build are the data layer as it was before it worked on whole columns and
-collapsed rows.  The per-variable score-table build is the score layer as it
-was before it ran in batched passes: one evidence call per count table, with
-one ``math.lgamma`` per cell, and one closed-form call per variable reading
+collapsed rows.  The ``csv.writer`` CSV writer is ``write_csv`` as it was
+before it encoded rows in numpy blocks; it pins the bytes of the file.  The
+per-variable score-table build is the score layer as it was before it ran
+in batched passes: one evidence call per count table, with one
+``math.lgamma`` per cell, and one closed-form call per variable reading
 its z dict.  It shares the library's evidence formula, closed form and
 staging counts, so it checks only how the batched build stacks tables,
 groups variables by cardinality profile and splits them into batches.
@@ -626,14 +628,27 @@ def cellwise_load_csv(path, cards_row="auto"):
     else:
         cards = [int(codes[:, j].max()) + 1 for j in range(p)]
         cards = [max(d, 2) for d in cards]
-    for j in range(p):
-        if len(np.unique(codes[:, j])) == 1:
-            logger.warning(
-                "%s: column %r is constant; inferred cardinality may understate it",
-                path,
-                names[j],
-            )
+        for j in range(p):
+            if len(np.unique(codes[:, j])) == 1:
+                logger.warning(
+                    "%s: column %r is constant; inferred cardinality may understate it",
+                    path,
+                    names[j],
+                )
     return Dataset(codes, StateSpace(cards), names=names, labels=labels or None)
+
+
+def csv_module_write_csv(data, path, cards_row=True):
+    """``write_csv`` through ``csv.writer``, one Python list per row."""
+    import csv
+
+    names = data.names or tuple(f"X{j}" for j in range(data.p))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        if cards_row:
+            writer.writerow(data.space.cards)
+        writer.writerows(data.rows.tolist())
 
 
 def per_set_count_tables(data, pp, beta):

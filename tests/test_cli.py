@@ -10,6 +10,7 @@ import pytest
 
 from ctxtree import CStree, Dataset, StateSpace, random_cstree, sample, write_csv
 from ctxtree.cli import _build_parser, main
+from oracles import csv_module_write_csv
 
 cli_module = importlib.import_module("ctxtree.cli")
 
@@ -201,11 +202,14 @@ def test_model_roundtrip_byte_identical(tmp_path, capsys):
 
 def test_sample_deterministic(tmp_path, capsys):
     model = tmp_path / "m.json"
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(capsys, "generate", "--cards", "2,2", "--seed", "1", "--out", str(model))
+    a, b, want = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "want.csv"
+    run(capsys, "generate", "--cards", "2,12,3", "--seed", "1", "--out", str(model))
     run(capsys, "sample", "--model", str(model), "-n", "50", "--seed", "9", "--out", str(a))
     run(capsys, "sample", "--model", str(model), "-n", "50", "--seed", "9", "--out", str(b))
     assert a.read_text() == b.read_text()
+    # the file is the one the csv module writes for the same draw
+    csv_module_write_csv(sample(CStree.from_json(model), 50, np.random.default_rng(9)), want)
+    assert a.read_bytes() == want.read_bytes()
 
 
 def test_seed_echoed_when_absent(tmp_path, capsys):

@@ -27,8 +27,8 @@ from ctxtree import (
     random_cstree,
     write_csv,
 )
-from ctxtree.counts import stage_counts
-from oracles import cellwise_load_csv, per_set_count_tables, table_contexts
+from ctxtree.counts import _WRITE_BLOCK_CELLS, stage_counts
+from oracles import cellwise_load_csv, csv_module_write_csv, per_set_count_tables, table_contexts
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -131,17 +131,28 @@ def test_load_constant_column_warns(tmp_path, caplog):
         data = load_csv(path)
     assert data.space.cards == (2, 2)
     assert any("constant" in m for m in caplog.messages)
+    # a declared cardinality is not inferred, so there is nothing to warn of
+    caplog.clear()
+    path = write(tmp_path, "a,b\n3,2\n0,1\n0,0\n", name="declared.csv")
+    with caplog.at_level(logging.WARNING):
+        data = load_csv(path)
+    assert data.space.cards == (3, 2)
+    assert not any("constant" in m for m in caplog.messages)
 
 
 def test_csv_roundtrip(tmp_path):
-    space = StateSpace([2, 3])
-    data = Dataset(np.array([[0, 2], [1, 0]]), space, names=("u", "v"))
-    path = tmp_path / "out.csv"
-    write_csv(data, path)
-    again = load_csv(path)
-    assert again.space.cards == (2, 3)
-    assert np.array_equal(again.rows, data.rows)
-    assert again.names == ("u", "v")
+    rng = np.random.default_rng(2)
+    multi_digit = StateSpace([11, 257, 2])
+    for data in (
+        Dataset(np.array([[0, 2], [1, 0]]), StateSpace([2, 3]), names=("u", "v")),
+        Dataset(rng.integers(0, multi_digit.cards, size=(300, 3)), multi_digit, names=("u", "v", "w")),
+    ):
+        path = tmp_path / "out.csv"
+        write_csv(data, path)
+        again = load_csv(path)
+        assert again.space.cards == data.space.cards
+        assert np.array_equal(again.rows, data.rows)
+        assert again.names == data.names
 
 
 def test_dataset_leaves_caller_array_writable():
@@ -459,6 +470,48 @@ def int_csv_texts(draw):
 @settings(max_examples=300, deadline=None)
 def test_load_int_texts_match_cellwise_oracle(tmp_path_factory, text):
     _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+@st.composite
+def datasets_to_write(draw):
+    p = draw(st.integers(1, 6))
+    card = st.integers(2, 1000) | st.sampled_from([10, 11, 100, 101, 10**12, 2**62])
+    cards = draw(st.lists(card, min_size=p, max_size=p))
+    step = max(1, _WRITE_BLOCK_CELLS // p)
+    n = draw(st.integers(1, 30) | st.sampled_from([step - 1, step, step + 1, 2 * step + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # dividing by a random power of ten mixes codes of every width in a column
+    rows = rng.integers(0, cards, size=(n, p)) // 10 ** rng.integers(0, 19, size=(n, p))
+    char = st.sampled_from(',"\r\n ;xé✓\x00') | st.characters(blacklist_categories=("Cs",))
+    name = st.text(char, max_size=6)
+    names = draw(st.none() | st.lists(name, min_size=p, max_size=p))
+    return Dataset(rows, StateSpace(cards), names=names)
+
+
+@given(datasets_to_write(), st.booleans())
+@example(Dataset(np.zeros((1, 1), dtype=np.int64), StateSpace([2])), True)
+@settings(max_examples=150, deadline=None)
+def test_write_csv_matches_csv_module_bytes(tmp_path_factory, data, cards_row):
+    folder = tmp_path_factory.mktemp("write")
+    write_csv(data, folder / "got.csv", cards_row=cards_row)
+    csv_module_write_csv(data, folder / "want.csv", cards_row=cards_row)
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+def test_write_csv_memory_bounded(tmp_path):
+    # the rows are encoded a block at a time: a writer that holds every row
+    # as text or Python objects at once peaks above the rows' own size
+    import tracemalloc
+
+    data = Dataset(np.random.default_rng(4).integers(0, 2, size=(50_000, 20)), StateSpace([2] * 20))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(data, tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * data.rows.nbytes
 
 
 def test_write_csv_output_takes_fast_path(tmp_path, monkeypatch):
