@@ -2,20 +2,20 @@
 
 A ``Dataset`` owns a frozen copy of its rows and collapses identical rows
 once, on first use, into its distinct rows (as narrow columns) and their
-multiplicities.  Every count over the dataset reads that collapse, so each
-distinct row is tabulated once with its multiplicity as a weight; counts
-are integers below 2**53, so the float weights keep them exact.
+multiplicities.  The count table and ``stage_counts`` weight each distinct
+row by its multiplicity (exact in floats below 2**53); ``compute_counts``
+masks the full rows.
 
 The count table stores, for every variable i and every admissible context
 x_S with S inside the possible-parent set K_i and |S| <= beta, the vector of
 cell counts over the values of variable i.  The build runs on one thread.
-It groups the variables by their largest context-variable sets S,
-|S| = min(beta, |K_i|), computes the mixed-radix code of x_S over the
-distinct rows once per S, and then makes one weighted ``bincount`` of
-(code, x_i) per variable i that S serves.  Every smaller table is the sum
-over axes of a largest table that contains it.  Tables are int64 and
-immutable afterwards.  ``stage_counts`` tabulates the stages of a
-staging over the same distinct rows.
+One walk over the keys (i, S) sums the cells for the cap and groups the
+variables by their largest sets S, |S| = min(beta, |K_i|).  The mixed-radix
+code of x_S over the distinct rows is computed once per largest S, then one
+weighted ``bincount`` of (code, x_i) per variable i it serves.  Every other
+table is the sum over axes of the first largest table of i that holds S
+(the sums are of integers, so any would do).  Tables are int64 and
+immutable afterwards.
 
 ``load_csv`` reads the file's bytes once.  A file whose header is a
 quote-free first line and whose body holds only ASCII digits, commas and
@@ -85,6 +85,8 @@ class Dataset:
 
     def __init__(self, rows, space: StateSpace, names=None, labels=None):
         rows = np.asarray(rows)
+        if rows.dtype.kind not in "iuf":
+            raise ValidationError(f"rows must hold integers or whole-number floats, got dtype {rows.dtype}")
         if rows.dtype.kind == "f" and not (np.isfinite(rows) & (np.trunc(rows) == rows)).all():
             raise ValidationError("rows must hold whole numbers")
         self._set(np.array(rows, dtype=np.int64, order="C"), space, names, labels)
@@ -512,12 +514,15 @@ def build_count_table(
     if pp.p != space.p:
         raise ValidationError("possible-parent sets do not match the state space")
 
+    # the cells, and the targets i of each largest S, |S| = min(beta, |K_i|)
     cards = space.cards
-    total_cells = sum(
-        math.prod(cards[v] for v in svars) * cards[i]
-        for i in range(space.p)
-        for svars in _context_sets(pp[i], beta)
-    )
+    total_cells = 0
+    targets: dict[tuple, list[int]] = {}
+    for i in range(space.p):
+        for svars in _context_sets(pp[i], beta):
+            total_cells += math.prod(cards[v] for v in svars) * cards[i]
+            if len(svars) == min(beta, len(pp[i])):
+                targets.setdefault(svars, []).append(i)
     if total_cells > max_cells:
         raise ResourceCapError(
             f"count table needs {total_cells} cells, above the cap {max_cells}; "
@@ -527,12 +532,6 @@ def build_count_table(
 
     columns, weight = data._distinct
     columns, weight = columns.astype(np.int64), weight.astype(np.float64)
-
-    # the targets i of each largest context-variable set S, |S| = min(beta, |K_i|)
-    targets: dict[tuple, list[int]] = {}
-    for i in range(space.p):
-        for svars in combinations(sorted(pp[i]), min(beta, len(pp[i]))):
-            targets.setdefault(svars, []).append(i)
 
     largest = {}
     code_i = np.empty(len(weight), dtype=np.int64)
@@ -551,15 +550,14 @@ def build_count_table(
             shape = [cards[v] for v in svars] + [cards[i]]
             largest[(i, svars)] = flat.astype(np.int64).reshape(shape)
 
+    # the first largest table of i that holds S sums to S's table
     tables = {}
-    for i in range(space.p):
-        k_i = sorted(pp[i])
-        size = min(beta, len(k_i))
-        for svars in _context_sets(pp[i], beta):
-            fill = [v for v in k_i if v not in svars][: size - len(svars)]
-            sup = tuple(sorted(svars + tuple(fill)))
-            axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)
-            table = largest[(i, sup)].sum(axis=axes).reshape(-1, cards[i])
-            table.setflags(write=False)
-            tables[(i, svars)] = table
+    for (i, sup), top in largest.items():
+        for size in range(len(sup) + 1):
+            for svars in combinations(sup, size):
+                if (i, svars) not in tables:
+                    axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)
+                    table = top.sum(axis=axes).reshape(-1, cards[i])
+                    table.setflags(write=False)
+                    tables[(i, svars)] = table
     return CountTable(space, pp, beta, tables)

@@ -126,6 +126,10 @@ def _node_id(ldag: Ldag, v: int) -> str:
     name = ldag.names[v] if ldag.names else str(v)
     if name.isalnum() and not (name[0].isdigit() and not name.isdigit()):
         return name
+    if name.endswith("\\"):
+        # a DOT quoted string cannot escape a final backslash: it would
+        # escape the closing quote instead
+        raise ValidationError(f"variable {v} name {name!r} ends in a backslash, which DOT cannot quote")
     return '"' + name.replace('"', '\\"') + '"'
 
 

@@ -89,8 +89,9 @@ def _segments(order, pos, masks, score, v_pos, links, los):
     moved to each position, given every variable's position ``pos`` and
     predecessor mask ``masks`` in ``order`` and its score ``score``.
 
-    Returns the segments' first positions, ascending from 0, and their
-    scores; each segment runs up to the next one's start (the last to p).
+    Returns the segments' first positions from 0 up, their scores (v's own
+    is ``score``; each runs up to the next start, the last to p), and the
+    neighbours (position, u, bit_u, bit_v) before and after v, nearest first.
     """
     v = order[v_pos]
     los_v = los[v]
@@ -128,7 +129,7 @@ def _segments(order, pos, masks, score, v_pos, links, los):
             acc += los[u][mask_u ^ bit_v] - los[u][mask_u]
         starts.append(b)
         scores.append(acc)
-    return starts, scores
+    return starts, scores, before, after
 
 
 def _draw(starts, scores, p, uniform):
@@ -173,20 +174,19 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
         block = rng.random((min(_BLOCK, config.iterations - first), 2)).tolist()
         for step, (u_pick, u_at) in enumerate(block, first + 1):
             v_pos = min(int(u_pick * p), p - 1)
-            starts, scores = _segments(order, pos, masks, score, v_pos, links, los)
+            starts, scores, before, after = _segments(order, pos, masks, score, v_pos, links, los)
             k, new_pos = _draw(starts, scores, p, u_at)
             lo, hi = min(v_pos, new_pos), max(v_pos, new_pos)
-            if lo < hi:
-                v = order.pop(v_pos)
-                # the neighbours v passes swap their predecessor bits with v
-                for u, bit_u, bit_v in links[v]:
-                    if lo <= pos[u] <= hi:
-                        masks[v] ^= bit_u
-                        masks[u] ^= bit_v
-                order.insert(new_pos, v)
-                for at in range(lo, hi + 1):
-                    pos[order[at]] = at
-                score = scores[k]
+            v = order.pop(v_pos)
+            # the neighbours v passes swap their predecessor bits with v
+            nb = len(before)
+            for _, u, bit_u, bit_v in before[: nb - k] if k <= nb else after[: k - nb]:
+                masks[v] ^= bit_u
+                masks[u] ^= bit_v
+            order.insert(new_pos, v)
+            for at in range(lo, hi + 1):
+                pos[order[at]] = at
+            score = scores[k]
             trace.move_distances[hi - lo] += 1
             if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
                 trace.samples.append((tuple(order), score))

@@ -71,7 +71,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -438,9 +438,9 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
         values = _log_evidences(
             [((i, svars), prior.alpha_cell(space, i, svars), counts) for svars, counts in tables]
         )
-        ends = np.cumsum([len(counts) for _, counts in tables])
-        for (svars, _), block in zip(tables, np.split(values, ends[:-1])):
-            z[(i, svars)] = block.tolist()
+        flat = iter(values.tolist())
+        for svars, counts in tables:
+            z[(i, svars)] = list(islice(flat, len(counts)))
         evidences.append(values)
         profiles.setdefault(tuple(space.cards[v] for v in sorted(pp[i])), []).append(i)
 

@@ -234,6 +234,17 @@ def test_ldag_outputs(tmp_path, capsys, four_var_tree_a):
     assert doc["p"] == 4
 
 
+def test_ldag_rejects_name_dot_cannot_quote(tmp_path, capsys, four_var_tree_a):
+    model = tmp_path / "m.json"
+    doc = four_var_tree_a.to_json_dict()
+    doc["names"] = ["a", "b", "c", "d\\"]
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "ldag", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert "ends in a backslash" in err
+
+
 def test_score_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     truth = random_cstree(StateSpace([2, 2, 2]), 2, rng)

@@ -393,3 +393,48 @@ def test_cstree_json_roundtrip_with_params(tmp_path):
     assert again.names == ("a", "b")
     assert again.labels == {1: ("lo", "mid", "hi")}
     assert again.to_json() == tree.to_json()
+
+
+def _param_tree() -> CStree:
+    return CStree((1, 0, 2), StateSpace([2, 3, 2]), [Staging.full_level(1), Staging.full_level(2)]).with_params(
+        [[(0.2, 0.3, 0.5)], [(0.5, 0.5)], [(0.4, 0.6)]]
+    )
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Stage(Context(), -1), "stage level must be >= 0"),
+        (lambda: Stage(Context({0: 0, 1: 0}), 1), "has more variables than level 1"),
+        (lambda: CStree((0, 1, 2), StateSpace([2, 2, 2]), [Staging.full_level(1)]), "expected 2 or 3 stagings for p=3, got 1"),
+        (
+            lambda: CStree((0, 1), StateSpace([2, 2]), [Staging.full_level(1), Staging.full_level(0)]),
+            "staging at index 0 has level 1",
+        ),
+        (lambda: CStree((0, 1), StateSpace([2, 2]), [Staging.full_level(1)], names=["a"]), "expected 2 names, got 1"),
+        (lambda: _param_tree().with_params(_param_tree().params[:2]), "params must align with stagings"),
+        (
+            lambda: _param_tree().with_params(_param_tree().params[:2] + (((0.5, 0.5),) * 2,)),
+            "params at level 2 do not align with stages",
+        ),
+    ],
+)
+def test_tree_checks(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_level_vars_follow_the_order():
+    tree = _param_tree()
+    assert [tree.level_vars(lvl) for lvl in range(3)] == [(), (1,), (1, 0)]
+
+
+def test_model_document_checks(tmp_path):
+    doc = _param_tree().to_json_dict()
+    doc["stagings"][2][0]["probs"] = None
+    with pytest.raises(ParseError, match="mixes parameterized and bare stages"):
+        CStree.from_json_dict(doc)
+    path = tmp_path / "m.json"
+    path.write_text("order: [0, 1]\n")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        CStree.from_json(path)

@@ -174,6 +174,17 @@ def test_dataset_validation():
             Dataset(np.array([[bad, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
     data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
     assert data.rows.dtype == np.int64 and data.rows.tolist() == [[0, 1], [1, 0]]
+    for dtype in (np.uint8, np.int16, np.float32):
+        assert Dataset(np.array([[0, 1], [1, 0]], dtype=dtype), StateSpace([2, 2])).rows.tolist() == [[0, 1], [1, 0]]
+    # as for scalars (``as_int``), bools, strings and complex numbers are not codes
+    for bad in (
+        np.array([[False, True], [True, False]]),
+        np.array([["0", "1"], ["1", "0"]]),
+        np.array([[0j, 1 + 0j], [1 + 1j, 0j]]),
+        np.array([[0, 1], [1, 0]], dtype=object),
+    ):
+        with pytest.raises(ValidationError, match=f"integers or whole-number floats, got dtype {bad.dtype}"):
+            Dataset(bad, StateSpace([2, 2]))
 
 
 def test_compute_counts_marginal():
@@ -563,3 +574,21 @@ def test_dataset_owns_its_rows():
             tree, pristine, PriorSpec()
         )
         target[:] = 1 - target
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Dataset(np.array([0, 1]), StateSpace([2])), "rows must be a 2-d array"),
+        (lambda: Dataset(np.zeros((2, 3), dtype=int), StateSpace([2, 2])), "rows have 3 columns, state space has 2"),
+        (lambda: Dataset(np.zeros((2, 2), dtype=int), StateSpace([2, 2]), names=["a"]), "expected 2 names, got 1"),
+        (lambda: load_csv("d.csv", cards_row="maybe"), "cards_row must be auto/yes/no, got 'maybe'"),
+        (
+            lambda: build_count_table(Dataset(np.zeros((2, 2), dtype=int), StateSpace([2, 2])), PossibleParents.full(3)),
+            "possible-parent sets do not match the state space",
+        ),
+    ],
+)
+def test_input_checks(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()

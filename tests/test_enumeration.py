@@ -280,3 +280,12 @@ def test_sample_stream_matches_stratum_oracle(spec, seed):
     for _ in range(8):
         assert sample_staging_uniform(spec, g1) == stratum_sample(spec, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "level_vars, cards, message",
+    [((0, 1), (2,), "cards must align with level_vars"), ((0, 0), (2, 2), "level variables must be distinct")],
+)
+def test_enum_spec_checks(level_vars, cards, message):
+    with pytest.raises(ValidationError, match=message):
+        EnumSpec(level_vars, cards)

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from ctxtree import (
     CStree,
     Staging,
     StateSpace,
+    ValidationError,
     export_dot,
     joint_table,
     ldag_to_json_dict,
@@ -94,6 +96,15 @@ def test_export_dot_empty_graph():
     assert "->" not in dot
 
 
+def test_export_dot_quotes_names():
+    tree = CStree((0, 1), StateSpace([2, 2]), [Staging.full_level(1)])
+    dot = export_dot(to_ldag(tree), names=['say "hi"', "a\\b"])
+    assert '"say \\"hi\\"";' in dot and '"a\\b";' in dot
+    # DOT cannot escape a backslash just before the closing quote
+    with pytest.raises(ValidationError, match=r"variable 1 name 'a\\\\' ends in a backslash"):
+        export_dot(to_ldag(tree), names=["x", "a\\"])
+
+
 def test_label_str_single_and_multi(four_var_tree_b):
     g = to_ldag(four_var_tree_b)
     assert label_str(g, (1, 3)) == "(1,*),(*,1)"
@@ -106,6 +117,11 @@ def test_ldag_json(four_var_tree_a):
     by_edge = {(e["source"], e["target"]): e for e in doc["edges"]}
     assert by_edge[(0, 3)]["axis"] == [1, 2]
     assert by_edge[(0, 3)]["patterns"] == [[0, 1], ["*", 0]]
+
+
+def test_ldag_json_keeps_names():
+    tree = CStree((1, 0), StateSpace([2, 2]), [Staging.full_level(1)], names=["x", "y"])
+    assert ldag_to_json_dict(to_ldag(tree)) == {"p": 2, "names": ["x", "y"], "edges": []}
 
 
 def test_edges_point_forward():

@@ -480,3 +480,36 @@ def test_stage_ids_single_stage_level_broadcasts():
     ids = stage_ids(Staging.full_level(2), lambda v: rows[:, v], 7)
     assert ids.shape == (7,) and not ids.any()
     assert stage_ids(Staging.full_level(0), {}.get, ()).shape == ()
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda tree: tree.stage_probs(1, 0),
+        lambda tree: log_density(tree, (0, 0, 0, 0)),
+        lambda tree: joint_table(tree),
+        lambda tree: sample(tree, 5, np.random.default_rng(0)),
+    ],
+)
+def test_bare_tree_has_no_parameters(use, four_var_tree_a):
+    with pytest.raises(ValidationError, match="tree has no parameters"):
+        use(four_var_tree_a)
+
+
+@pytest.mark.parametrize(
+    "use, message",
+    [
+        (lambda tree, data: estimate_parameters(tree, data, mode="mean"), "mode must be map or mle, got 'mean'"),
+        (lambda tree, data: log_density(tree, (0, 1)), "outcome has 2 values, expected 4"),
+        (lambda tree, data: sample(tree, 0, np.random.default_rng(0)), "n must be >= 1"),
+        (
+            lambda tree, data: random_cstree(tree.space, 2, np.random.default_rng(0), theta="x"),
+            "theta must be dirichlet1 or none, got 'x'",
+        ),
+    ],
+)
+def test_model_op_checks(use, message):
+    tree = random_cstree(StateSpace([2, 2, 3, 2]), 2, np.random.default_rng(1))
+    data = sample(tree, 10, np.random.default_rng(2))
+    with pytest.raises(ValidationError, match=message):
+        use(tree, data)

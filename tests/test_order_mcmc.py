@@ -124,9 +124,18 @@ def test_incremental_scores_match_full_recompute():
         pos, masks, base = chain_state(tables, order)
         assert base == set_order_score(order, tables)
         for v_pos in range(p):
-            starts, scores = _segments(order, pos, masks, base, v_pos, links, tables._los)
+            starts, scores, before, after = _segments(order, pos, masks, base, v_pos, links, tables._los)
             assert starts[0] == 0 and starts == sorted(set(starts))
             assert len(starts) <= 1 + len(links[order[v_pos]])
+            # a move to segment k's start passes the neighbours the chain flips
+            nb = len(before)
+            for k, start in enumerate(starts):
+                lo, hi = min(v_pos, start), max(v_pos, start)
+                passed = before[: nb - k] if k <= nb else after[: k - nb]
+                assert [u for _, u, _, _ in passed] == sorted(
+                    (u for u, _, _ in links[order[v_pos]] if lo <= pos[u] <= hi),
+                    key=lambda u: abs(pos[u] - v_pos),
+                )
             expanded = expand(starts, scores, p)
             assert expanded[v_pos] == base
             assert expanded == pytest.approx(set_candidate_scores(order, base, v_pos, tables), rel=1e-12)
@@ -147,7 +156,7 @@ def test_segment_draw_matches_position_probabilities():
     tables = ScoreTables(StateSpace([2] * 7), pp, 2, PriorSpec(), {}, los)
     order = (1, 5, 2, 0, 6, 3, 4)
     pos, masks, score = chain_state(tables, order)
-    starts, scores = _segments(order, pos, masks, score, 3, _links(tables._bits), tables._los)
+    starts, scores, _, _ = _segments(order, pos, masks, score, 3, _links(tables._bits), tables._los)
     assert starts == [0, 1, 3, 5, 6]
     full = np.array(set_candidate_scores(order, score, 3, tables))
     probs = np.exp(full - full.max())

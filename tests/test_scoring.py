@@ -625,3 +625,23 @@ def test_dump_z_format():
         int(var)
         float(value)
         assert ctx.startswith("{")
+
+
+@pytest.mark.parametrize(
+    "use, message",
+    [
+        (
+            lambda tree, data: log_context_marginal_likelihood(tree.space, 2, Context(), [1, 2], PriorSpec()),
+            r"expected 3 counts for variable 2, got \(2,\)",
+        ),
+        (
+            lambda tree, data: log_marginal_likelihood(tree, Dataset(data.rows, StateSpace([2, 3, 3])), PriorSpec()),
+            "dataset and tree have different state spaces",
+        ),
+    ],
+)
+def test_evidence_input_checks(use, message):
+    tree = CStree((0, 1, 2), StateSpace([2, 2, 3]), [Staging.full_level(1), Staging.full_level(2)])
+    data = Dataset(np.array([[0, 1, 2], [1, 0, 0]]), tree.space)
+    with pytest.raises(ValidationError, match=message):
+        use(tree, data)
