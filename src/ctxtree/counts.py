@@ -2,18 +2,23 @@
 
 A ``Dataset`` owns a frozen copy of its rows and collapses identical rows
 once, on first use, into its distinct rows (as narrow columns) and their
-multiplicities.  The count table and ``stage_counts`` weight each distinct
-row by its multiplicity (exact in floats below 2**53); ``compute_counts``
-masks the full rows.
+multiplicities.  While the product of the cardinalities is below 2**63 the
+collapse packs each row into one int64 mixed-radix key, makes the keys
+unique and decodes the columns with one ``divmod`` each; larger state
+spaces make the rows unique as byte strings.  The count table and
+``stage_counts`` weight each distinct row by its multiplicity (exact in
+floats below 2**53); ``compute_counts`` masks the full rows.
 
 The count table stores, for every variable i and every admissible context
 x_S with S inside the possible-parent set K_i and |S| <= beta, the vector of
 cell counts over the values of variable i.  The build runs on one thread.
-One walk over the keys (i, S) sums the cells for the cap and groups the
-variables by their largest sets S, |S| = min(beta, |K_i|).  The mixed-radix
-code of x_S over the distinct rows is computed once per largest S, then one
-weighted ``bincount`` of (code, x_i) per variable i it serves.  Every other
-table is the sum over axes of the first largest table of i that holds S
+One walk over the keys (i, S) sums the cells for the cap before any row is
+collapsed.  Each variable's blocks are then K_i itself when its table, of
+prod(d_v, v in K_i) * d_i cells, has no more cells than there are distinct
+rows, and otherwise each subset of K_i of size min(beta, |K_i|).  The
+mixed-radix code of x_B over the distinct rows is computed once per block
+B, then one weighted ``bincount`` of (code, x_i) per variable i it serves.
+Every table is the sum over axes of the first block table of i that holds S
 (the sums are of integers, so any would do).  Tables are int64 and
 immutable afterwards.
 
@@ -137,11 +142,26 @@ class Dataset:
 def _collapse(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``rows`` as contiguous columns (p x m) of the
     narrowest unsigned type that holds every code, and how often each row
-    occurs (m,)."""
-    narrow = np.ascontiguousarray(rows, dtype=np.min_scalar_type(max(cards) - 1))
-    keys = narrow.view(np.dtype((np.void, narrow.itemsize * rows.shape[1]))).ravel()
-    _, first, weight = np.unique(keys, return_index=True, return_counts=True)
-    return np.ascontiguousarray(narrow[first].T), weight
+    occurs (m,).
+
+    While the product of the cardinalities is below 2**63, each row is one
+    int64 mixed-radix key (column 0 most significant; every partial sum is
+    below the product), the keys are made unique, and the columns are the
+    keys' digits.  Otherwise the rows are made unique as byte strings of
+    their narrow codes.  The rows come out in the same order either way
+    when every code fits in one byte."""
+    narrow_type = np.min_scalar_type(max(cards) - 1)
+    if math.prod(cards) >= 1 << 63:
+        narrow = np.ascontiguousarray(rows, dtype=narrow_type)
+        keys = narrow.view(np.dtype((np.void, narrow.itemsize * rows.shape[1]))).ravel()
+        _, first, weight = np.unique(keys, return_index=True, return_counts=True)
+        return np.ascontiguousarray(narrow[first].T), weight
+    place = np.array([math.prod(cards[j + 1 :]) for j in range(len(cards))], dtype=np.int64)
+    keys, weight = np.unique(rows @ place, return_counts=True)
+    columns = np.empty((len(cards), len(keys)), dtype=narrow_type)
+    for j in range(len(cards) - 1, -1, -1):
+        keys, columns[j] = np.divmod(keys, cards[j])
+    return columns, weight
 
 
 def _int_or_none(label: str) -> Optional[int]:
@@ -514,15 +534,12 @@ def build_count_table(
     if pp.p != space.p:
         raise ValidationError("possible-parent sets do not match the state space")
 
-    # the cells, and the targets i of each largest S, |S| = min(beta, |K_i|)
     cards = space.cards
-    total_cells = 0
-    targets: dict[tuple, list[int]] = {}
-    for i in range(space.p):
-        for svars in _context_sets(pp[i], beta):
-            total_cells += math.prod(cards[v] for v in svars) * cards[i]
-            if len(svars) == min(beta, len(pp[i])):
-                targets.setdefault(svars, []).append(i)
+    total_cells = sum(
+        math.prod(cards[v] for v in svars) * cards[i]
+        for i in range(space.p)
+        for svars in _context_sets(pp[i], beta)
+    )
     if total_cells > max_cells:
         raise ResourceCapError(
             f"count table needs {total_cells} cells, above the cap {max_cells}; "
@@ -533,7 +550,19 @@ def build_count_table(
     columns, weight = data._distinct
     columns, weight = columns.astype(np.int64), weight.astype(np.float64)
 
-    largest = {}
+    # the targets i of each block: K_i itself when its table has no more
+    # cells than there are distinct rows, else each min(beta, |K_i|)-subset
+    targets: dict[tuple, list[int]] = {}
+    for i in range(space.p):
+        family = tuple(sorted(pp[i]))
+        if math.prod(cards[v] for v in family) * cards[i] <= len(weight):
+            blocks = [family]
+        else:
+            blocks = combinations(family, min(beta, len(family)))
+        for svars in blocks:
+            targets.setdefault(svars, []).append(i)
+
+    block_tables = {}
     code_i = np.empty(len(weight), dtype=np.int64)
     for svars, group in targets.items():
         # mixed-radix code of x_S, first variable most significant
@@ -548,12 +577,12 @@ def build_count_table(
             flat = np.bincount(code_i, weights=weight, minlength=radix * cards[i])
             # every count is an integer <= n < 2**53, so the float sums are exact
             shape = [cards[v] for v in svars] + [cards[i]]
-            largest[(i, svars)] = flat.astype(np.int64).reshape(shape)
+            block_tables[(i, svars)] = flat.astype(np.int64).reshape(shape)
 
-    # the first largest table of i that holds S sums to S's table
+    # the first block table of i that holds S sums to S's table
     tables = {}
-    for (i, sup), top in largest.items():
-        for size in range(len(sup) + 1):
+    for (i, sup), top in block_tables.items():
+        for size in range(min(beta, len(sup)) + 1):
             for svars in combinations(sup, size):
                 if (i, svars) not in tables:
                     axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import CStree, ParseError, PossibleParents, ValidationError, as_int
-from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
+from .counts import DEFAULT_MAX_CELLS, CountTable, Dataset, build_count_table
 from .enumeration import EnumSpec, _check_beta
 from .order_mcmc import ChainConfig, map_order, run_chain
 from .scoring import PriorSpec, ScoreTables, _check_k_cap, build_score_tables, optimal_staging
@@ -134,12 +134,16 @@ def _checked_sets(config: LearnConfig, p: int) -> PossibleParents:
     return pp
 
 
-def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
-    """Count and score tables of ``data`` under ``config``; beta and the
-    |K_i| cap are checked before any row is counted."""
+def _count_table(data: Dataset, config: LearnConfig) -> CountTable:
+    """The count table of ``data`` under ``config``; beta and the |K_i| cap
+    are checked before any row is counted."""
     pp = _checked_sets(config, data.p)
-    count_table = build_count_table(data, pp, config.beta, max_cells=config.max_cells)
-    return build_score_tables(count_table, config.prior)
+    return build_count_table(data, pp, config.beta, max_cells=config.max_cells)
+
+
+def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
+    """Score tables of ``data`` under ``config``, from ``_count_table``."""
+    return build_score_tables(_count_table(data, config), config.prior)
 
 
 def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
@@ -149,12 +153,16 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     relocation Gibbs chain, takes the best sampled ordering, and exactly
     optimizes each level's staging under L_i = K_i intersected with the
     ordering's predecessors.  Parameters are then fitted per
-    ``config.estimator``.  Deterministic given the chain seed.
+    ``config.estimator``, by ``estimate_parameters``'s formulas, from the
+    count table's rows: every stage's context lies inside K_i with at most
+    beta variables, so the table holds its counts and no row is counted
+    again.  Deterministic given the chain seed.
     """
-    from .model_ops import estimate_parameters  # local import to avoid a cycle
+    from .model_ops import _fit  # local import to avoid a cycle
 
     space = data.space
-    tables = _score_tables(data, config)
+    count_table = _count_table(data, config)
+    tables = build_score_tables(count_table, config.prior)
     trace = run_chain(tables, config.chain)
     order = map_order(trace)
     logger.info("best sampled ordering %s (log score %.6g)", order, tables.order_score(order))
@@ -167,7 +175,11 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
         stagings.append(optimal_staging(var, spec, tables))
     tree = CStree(order, space, stagings, names=data.names, labels=data.labels)
     if config.estimator != "none":
-        tree = estimate_parameters(tree, data, config.estimator, config.prior)
+        level_counts = [
+            [count_table.counts(tree.governed_var(lvl), stage.context) for stage in staging.stages]
+            for lvl, staging in enumerate(tree.stagings)
+        ]
+        tree = _fit(tree, level_counts, config.estimator, config.prior)
     if return_trace:
         return tree, trace
     return tree

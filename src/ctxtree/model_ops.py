@@ -34,7 +34,9 @@ def estimate_parameters(
 
     "mle" uses stage-count ratios, falling back to uniform for empty stages.
     "map" uses the Dirichlet posterior mode when every posterior cell weight
-    exceeds 1, else the posterior mean.
+    exceeds 1, else the posterior mean.  The stage counts come from one
+    ``stage_counts`` pass over the distinct rows per level; ``learn`` hands
+    the same formulas its count table's rows instead.
     """
     if mode not in ("map", "mle"):
         raise ValidationError(f"mode must be map or mle, got {mode!r}")
@@ -42,12 +44,21 @@ def estimate_parameters(
         raise ValidationError("dataset and tree have different state spaces")
     if mode == "map" and prior is None:
         prior = PriorSpec()
+    level_counts = [
+        stage_counts(data, tree.governed_var(lvl), staging) for lvl, staging in enumerate(tree.stagings)
+    ]
+    return _fit(tree, level_counts, mode, prior)
+
+
+def _fit(tree: CStree, level_counts, mode: str, prior: Optional[PriorSpec]) -> CStree:
+    """``tree`` with the stage distributions that ``estimate_parameters``
+    fits from the (stages x d) counts of each level, ``level_counts[lvl]``."""
     params = []
     for lvl, staging in enumerate(tree.stagings):
         var = tree.governed_var(lvl)
         d = tree.space.cards[var]
         level_params = []
-        for stage, counts in zip(staging.stages, stage_counts(data, var, staging).astype(float)):
+        for stage, counts in zip(staging.stages, np.asarray(level_counts[lvl], dtype=float)):
             n = counts.sum()
             if mode == "mle":
                 theta = counts / n if n > 0 else np.full(d, 1.0 / d)

@@ -1,29 +1,32 @@
 """Independent reference implementations used to freeze expected values.
 
-Nothing here imports the enumeration generator, the library's evidence,
-or the score tables; stagings come from raw set partitions and evidences
-from the sequential predictive (Polya urn) product, so the oracles stay
+Nothing here imports the enumeration generator, the library's evidence, or
+the score tables; stagings come from raw set partitions and evidences from
+the sequential predictive (Polya urn) product, so the oracles stay
 independent of the code paths they check.  The model-operation oracles at
 the end are the exception: they are the per-stage mask implementations that
 the vectorized stage lookup replaced, and they share the library's evidence
 and estimator formulas, so they check only how stages select outcomes; the
 per-outcome stage lookup and log density walk the stages of each level in
-turn for the first context an outcome matches.  The
-set-based order scores at the very end likewise read the score tables'
-``los``; they check only how the order chain forms predecessor sets, and
-the stateless chain scores every candidate ordering afresh at each step and
-draws over the full per-position vector, so it checks only how
-``run_chain`` keeps positions and masks and draws over constant segments.
-The list-then-index staging argmax walks the library's enumeration; it
-checks only the tie rule.  The stratum sampler is the uniform staging
-sampler as it was before it walked one draw over the pivot counts; it pins
-the sampler's draws and its random stream.  The cell-by-cell CSV loader and the per-set count
-build are the data layer as it was before it worked on whole columns and
-collapsed rows.  The ``csv.writer`` CSV writer is ``write_csv`` as it was
-before it encoded rows in numpy blocks; it pins the bytes of the file.  The
-per-variable score-table build is the score layer as it was before it ran
-in batched passes: one evidence call per count table, with one
-``math.lgamma`` per cell, and one closed-form call per variable reading
+turn for the first context an outcome matches.  The set-based order scores
+at the very end likewise read the score tables' ``los``; they check only
+how the order chain forms predecessor sets, and the stateless chain scores
+every candidate ordering afresh at each step and draws over the full
+per-position vector, so it checks only how ``run_chain`` keeps positions
+and masks and draws over constant segments.  The exact order posterior sums
+over predecessor sets instead of orderings and reads only the public
+``los``; it checks the chain's stationary law.  The list-then-index staging
+argmax walks the library's enumeration; it checks only the tie rule.  The
+stratum sampler is the uniform staging sampler as it was before it walked
+one draw over the pivot counts; it pins the sampler's draws and its random
+stream.  The cell-by-cell CSV loader and the per-set count build are the
+data layer as it was before it worked on whole columns and collapsed rows;
+the void-key collapse is the row collapse as it was before it packed each
+row into one integer key.  The ``csv.writer`` CSV writer is ``write_csv``
+as it was before it encoded rows in numpy blocks; it pins the bytes of the
+file.  The per-variable score-table build is the score layer as it was
+before it ran in batched passes: one evidence call per count table, with
+one ``math.lgamma`` per cell, and one closed-form call per variable reading
 its z dict.  It shares the library's evidence formula, closed form and
 staging counts, so it checks only how the batched build stacks tables,
 groups variables by cardinality profile and splits them into batches.
@@ -427,6 +430,55 @@ def stateless_run_chain(tables, config):
     return trace
 
 
+def _logsumexp(values):
+    top = max(values)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(x - top) for x in values))
+
+
+def exact_order_posterior(tables):
+    """log Z, the log of the sum of exp(order score) over all p! orderings,
+    and P[v][k], the posterior probability that variable v sits at position
+    k, by the forward/backward recursion over predecessor sets S (Koivisto &
+    Sood 2004), with sets as bitmasks over all variables:
+
+    - f(S) = logsumexp over v in S of f(S - v) + los(v, (S - v) & K_v),
+      f(empty) = 0, so log Z = f(all);
+    - b(S) = logsumexp over v not in S of los(v, S & K_v) + b(S + v),
+      b(all) = 0;
+    - P[v][|S|] = sum over S without v of
+      exp(f(S) + los(v, S & K_v) + b(S + v) - log Z).
+
+    The local scores come from the public ``ScoreTables.los``."""
+    p = tables.space.p
+    full = (1 << p) - 1
+    k_masks = [sum(1 << u for u in tables.pp[v]) for v in range(p)]
+    cache = [{} for _ in range(p)]
+
+    def local(v, preds):
+        key = preds & k_masks[v]
+        if key not in cache[v]:
+            cache[v][key] = tables.los(v, [u for u in range(p) if key >> u & 1])
+        return cache[v][key]
+
+    members = [[v for v in range(p) if s >> v & 1] for s in range(full + 1)]
+    f = [0.0] * (full + 1)
+    for s in range(1, full + 1):
+        f[s] = _logsumexp([f[s ^ 1 << v] + local(v, s ^ 1 << v) for v in members[s]])
+    b = [0.0] * (full + 1)
+    for s in range(full - 1, -1, -1):
+        b[s] = _logsumexp([local(v, s) + b[s | 1 << v] for v in range(p) if not s >> v & 1])
+    log_z = f[full]
+    marginals = [[0.0] * p for _ in range(p)]
+    for s in range(full):
+        at = len(members[s])
+        for v in range(p):
+            if not s >> v & 1:
+                marginals[v][at] += math.exp(f[s] + local(v, s) + b[s | 1 << v] - log_z)
+    return log_z, marginals
+
+
 def enumerated_argmax(var, spec, tables):
     """``optimal_staging`` as a list of every staging's summed stage evidence,
     the index of its first maximum, and a second walk to that staging."""
@@ -649,6 +701,19 @@ def csv_module_write_csv(data, path, cards_row=True):
         if cards_row:
             writer.writerow(data.space.cards)
         writer.writerows(data.rows.tolist())
+
+
+def void_key_collapse(rows, cards):
+    """``counts._collapse`` with every row made unique as the byte string of
+    its narrow codes: the distinct rows as contiguous columns (p x m) of the
+    narrowest unsigned type that holds every code, and how often each row
+    occurs (m,)."""
+    import numpy as np
+
+    narrow = np.ascontiguousarray(rows, dtype=np.min_scalar_type(max(cards) - 1))
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * rows.shape[1]))).ravel()
+    _, first, weight = np.unique(keys, return_index=True, return_counts=True)
+    return np.ascontiguousarray(narrow[first].T), weight
 
 
 def per_set_count_tables(data, pp, beta):

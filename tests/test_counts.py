@@ -1,5 +1,7 @@
 import csv
+import importlib
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +29,14 @@ from ctxtree import (
     random_cstree,
     write_csv,
 )
-from ctxtree.counts import _WRITE_BLOCK_CELLS, stage_counts
-from oracles import cellwise_load_csv, csv_module_write_csv, per_set_count_tables, table_contexts
+from ctxtree.counts import _WRITE_BLOCK_CELLS, _collapse, stage_counts
+from oracles import (
+    cellwise_load_csv,
+    csv_module_write_csv,
+    per_set_count_tables,
+    table_contexts,
+    void_key_collapse,
+)
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -426,10 +434,27 @@ def shared_set_problem(beta):
     return Dataset(rows, StateSpace(cards)), pp, beta
 
 
+def block_rule_problem(beta):
+    """Variable 0's whole family {1, 3, 4} (2 * 4 * 2 * 2 = 32 cells) fits
+    within the distinct rows, so it is counted as one block; variable 1's
+    {2, 3, 4} (4 * 4 * 2 * 2 = 64 cells) and variable 4's {0, 1, 2, 3}
+    (128 cells) do not, so they are counted in subsets of size beta;
+    variable 2 has |K_2| = 1 and variable 3 an empty K_3."""
+    cards = (2, 2, 4, 4, 2)
+    rows = np.random.default_rng(3).integers(0, cards, size=(60, 5))
+    m = len(np.unique(rows, axis=0))
+    assert 32 <= m < 64
+    pp = PossibleParents([{1, 3, 4}, {2, 3, 4}, {0}, set(), {0, 1, 2, 3}])
+    return Dataset(rows, StateSpace(cards)), pp, beta
+
+
 @given(count_problems())
 @example(shared_set_problem(0))
 @example(shared_set_problem(1))
 @example(shared_set_problem(2))
+@example(block_rule_problem(0))
+@example(block_rule_problem(1))
+@example(block_rule_problem(2))
 @settings(max_examples=200, deadline=None)
 def test_table_matches_per_set_oracle(problem):
     data, pp, beta = problem
@@ -441,6 +466,121 @@ def test_table_matches_per_set_oracle(problem):
         assert t.dtype == np.int64
         assert not t.flags.writeable
         assert np.array_equal(t, want[key])
+
+
+def test_table_cap_checked_before_collapse(monkeypatch):
+    counts_module = importlib.import_module("ctxtree.counts")
+    collapse, calls = counts_module._collapse, []
+
+    def counted(rows, cards):
+        calls.append(rows.shape)
+        return collapse(rows, cards)
+
+    monkeypatch.setattr(counts_module, "_collapse", counted)
+    data = Dataset(np.random.default_rng(4).integers(0, 2, size=(10, 6)), StateSpace([2] * 6))
+    with pytest.raises(ResourceCapError, match="above the cap 10"):
+        build_count_table(data, beta=2, max_cells=10)
+    assert calls == []
+    build_count_table(data, beta=2)
+    assert calls == [(10, 6)]
+
+
+def boundary_problem(side):
+    """Rows whose cardinalities multiply to just below (side -1), exactly
+    (side 0) or just above (side 1) 2**63: 40 binary columns around one wide
+    one, with every column's top code present."""
+    cards = [2] * 20 + [(1 << 23) + side] + [2] * 20
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, cards, size=(12, len(cards)))
+    base[0] = np.array(cards) - 1
+    return base[rng.integers(0, 12, size=30)], tuple(cards)
+
+
+@st.composite
+def collapse_problems(draw):
+    """Rows with repeats over cardinalities of one and several bytes, or
+    whose product sits just below, at or just above 2**63."""
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 6))
+        cards = draw(st.lists(st.sampled_from([2, 3, 4, 5, 257, (1 << 16) + 1]), min_size=p, max_size=p))
+    else:
+        # k binary columns and one wide one whose product is 2**63 + side * 2**k
+        k = draw(st.integers(1, 60))
+        wide = (1 << (63 - k)) + draw(st.sampled_from([-1, 0, 1]))
+        cards = [2] * k
+        cards.insert(draw(st.integers(0, k)), wide)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, cards, size=(draw(st.integers(1, 20)), len(cards)))
+    if draw(st.booleans()):
+        base[0] = np.array(cards) - 1
+    rows = base[rng.integers(0, len(base), size=draw(st.integers(1, 60)))]
+    return rows, tuple(cards)
+
+
+def _two_hundred_binary_rows():
+    rng = np.random.default_rng(8)
+    base = rng.integers(0, 2, size=(40, 20))
+    return base[rng.integers(0, 40, size=200)], (2,) * 20
+
+
+@given(collapse_problems())
+@example(_two_hundred_binary_rows())
+@example(boundary_problem(-1))
+@example(boundary_problem(0))
+@example(boundary_problem(1))
+@settings(max_examples=200, deadline=None)
+def test_collapse_matches_void_key_oracle(problem):
+    rows, cards = problem
+    columns, weight = _collapse(rows, cards)
+    want_columns, want_weight = void_key_collapse(rows, cards)
+    assert columns.dtype == np.min_scalar_type(max(cards) - 1)
+    assert columns.dtype.kind == "u"
+    assert columns.shape == (len(cards), len(weight))
+    assert columns.flags.c_contiguous
+    assert weight.sum() == len(rows)
+    got = dict(zip(map(tuple, columns.T.tolist()), weight.tolist()))
+    assert len(got) == len(weight)
+    assert got == dict(zip(map(tuple, want_columns.T.tolist()), want_weight.tolist()))
+    if max(cards) <= 256:
+        assert np.array_equal(columns, want_columns)
+        assert np.array_equal(weight, want_weight)
+
+
+def test_collapse_packs_rows_below_two_to_the_63(monkeypatch):
+    # the integer key serves every state space whose keys fit in an int64;
+    # np.unique sees byte-string keys only above that
+    kinds = []
+    unique = np.unique
+
+    def spy(keys, **kwargs):
+        kinds.append(keys.dtype.kind)
+        return unique(keys, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    for side in (-1, 0, 1):
+        _collapse(*boundary_problem(side))
+    assert math.prod(boundary_problem(-1)[1]) == (1 << 63) - (1 << 40)
+    assert kinds == ["i", "V", "V"]
+
+
+def test_collapse_memory_bounded():
+    # 200,000 rows of 20 binary columns, 50,000 of them distinct: the
+    # int64 keys and their sort stay well within the rows' own size
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    keys = rng.choice(1 << 20, size=50_000, replace=False)
+    picks = np.concatenate([np.arange(50_000), rng.integers(0, 50_000, size=150_000)])
+    rows = (keys[picks, None] >> np.arange(19, -1, -1)) & 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, weight = _collapse(rows, (2,) * 20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(weight) == 50_000
+    assert peak <= 0.25 * rows.nbytes
 
 
 INT_CELLS = ["0", "1", "2", "3", "00", "01", "007", "10"]

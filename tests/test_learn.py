@@ -19,6 +19,7 @@ from ctxtree import (
     build_count_table,
     build_score_tables,
     enumerate_stagings,
+    estimate_parameters,
     kl_divergence,
     learn,
     load_possible_parents,
@@ -30,7 +31,7 @@ from ctxtree import (
     sample,
 )
 from ctxtree.enumeration import iter_raw_stagings
-from oracles import enumerated_argmax, is_partition, table_contexts
+from oracles import enumerated_argmax, is_partition, per_stage_estimate, table_contexts
 
 
 def make_tables(rows, cards, pp=None):
@@ -328,3 +329,38 @@ def test_learn_then_lml_collapse_rows_once(monkeypatch):
     tree = learn(data, LearnConfig(chain=ChainConfig(iterations=50, seed=1)))
     log_marginal_likelihood(tree, data, PriorSpec())
     assert calls == [(500, 4)]
+
+
+@pytest.mark.parametrize("mode", ["map", "mle"])
+def test_learn_fits_parameters_as_estimate_parameters(mode):
+    # learn reads its stage counts from the count table; the fit must equal
+    # the public estimator's, and the per-stage oracle's, bit for bit.
+    # 40 rows leave stages empty, which the mle fit makes uniform
+    for seed, n, prior in [(0, 40, PriorSpec()), (1, 400, PriorSpec("unit")), (2, 2000, PriorSpec(ess=3.0))]:
+        rng = np.random.default_rng(seed)
+        space = StateSpace(rng.integers(2, 4, size=6).tolist())
+        data = sample(random_cstree(space, 2, rng), n, rng)
+        pp = PossibleParents(
+            [set(rng.choice([j for j in range(6) if j != i], size=3, replace=False).tolist()) for i in range(6)]
+        )
+        chain = ChainConfig(iterations=200, seed=seed)
+        tree = learn(data, LearnConfig(prior=prior, possible_parents=pp, estimator=mode, chain=chain))
+        assert tree.params == estimate_parameters(tree, data, mode, prior).params
+        assert tree.params == per_stage_estimate(tree, data, mode, prior).params
+
+
+def test_learn_counts_no_stage_from_the_rows(monkeypatch):
+    model_ops = importlib.import_module("ctxtree.model_ops")
+    counts_module = importlib.import_module("ctxtree.counts")
+
+    def no_recount(*args, **kwargs):
+        raise AssertionError("learn counted stages from the rows")
+
+    monkeypatch.setattr(model_ops, "stage_counts", no_recount)
+    monkeypatch.setattr(counts_module, "stage_counts", no_recount)
+    rng = np.random.default_rng(8)
+    space = StateSpace([2, 3, 2, 2])
+    data = sample(random_cstree(space, 2, rng), 300, rng)
+    for mode in ("map", "mle"):
+        tree = learn(data, LearnConfig(estimator=mode, chain=ChainConfig(iterations=50, seed=1)))
+        assert tree.params is not None

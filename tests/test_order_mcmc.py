@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 from itertools import permutations
 
@@ -15,12 +16,15 @@ from ctxtree import (
     build_count_table,
     build_score_tables,
     map_order,
+    random_cstree,
     run_chain,
+    sample,
 )
+import ctxtree.order_mcmc as order_mcmc
 from ctxtree.order_mcmc import _BLOCK, ChainTrace, _draw, _links, _segments, dump_trace
 from ctxtree.scoring import ScoreTables
 
-from oracles import set_candidate_scores, set_order_score, stateless_run_chain
+from oracles import exact_order_posterior, set_candidate_scores, set_order_score, stateless_run_chain
 
 
 def make_tables(rows, cards, beta=2, prior=None):
@@ -314,6 +318,94 @@ def test_chain_matches_exact_posterior():
         emp = np.array([freq.get(o, 0) for o in orders], dtype=float)
         emp /= emp.sum()
         assert 0.5 * np.abs(exact - emp).sum() < 0.1
+
+
+def sparse_tables(p, beta, n, seed):
+    """Score tables of n rows from a random CStree over alternating binary
+    and ternary variables, each K_v three other variables drawn at random
+    (so v in K_u seldom comes with u in K_v)."""
+    rng = np.random.default_rng(seed)
+    space = StateSpace([2, 3] * (p // 2) + [2] * (p % 2))
+    data = sample(random_cstree(space, 2, rng), n, rng)
+    others = [[j for j in range(p) if j != i] for i in range(p)]
+    pp = PossibleParents(
+        [set(rng.choice(others[i], size=min(3, p - 1), replace=False).tolist()) for i in range(p)]
+    )
+    return build_score_tables(build_count_table(data, pp, beta), PriorSpec())
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("sparse", [False, True], ids=["full-K", "sparse-K"])
+def test_exact_order_posterior_matches_permutation_sum(p, beta, sparse):
+    if sparse:
+        tables = sparse_tables(p, beta, 80, seed=p)
+    else:
+        rng = np.random.default_rng(p)
+        cards = [2, 3] * 3
+        tables = make_tables(rng.integers(0, cards[:p], size=(80, p)), cards[:p], beta=beta)
+    log_z, marginals = exact_order_posterior(tables)
+    orders = list(permutations(range(p)))
+    scores = np.array([tables.order_score(o) for o in orders])
+    top = scores.max()
+    want = top + math.log(np.exp(scores - top).sum())
+    assert log_z == pytest.approx(want, rel=1e-12)
+    weights = np.exp(scores - want)
+    for v in range(p):
+        for k in range(p):
+            mass = sum(w for o, w in zip(orders, weights) if o[k] == v)
+            assert marginals[v][k] == pytest.approx(mass, rel=1e-9, abs=1e-15)
+
+
+def position_marginal_gap(tables, config, exact, batches=40):
+    """The largest |chain - exact| position marginal, over every variable v
+    and position k, in units of its Monte-Carlo standard error.  The error
+    is the larger of the batch-means estimate (the recorded samples in
+    ``batches`` consecutive batches), which carries the chain's
+    autocorrelation, and the independent-draws error sqrt(P(1 - P) / N)."""
+    trace = run_chain(tables, config)
+    orders = np.array([order for order, _ in trace.samples])
+    n, p = orders.shape
+    at = np.argsort(orders, axis=1)[:, :, None] == np.arange(p)
+    means = at[: n - n % batches].reshape(batches, -1, p, p).mean(axis=1)
+    error = np.maximum(means.std(axis=0, ddof=1) / math.sqrt(batches), np.sqrt(exact * (1 - exact) / n))
+    return (np.abs(at.mean(axis=0) - exact) / error).max()
+
+
+# a gap over 40 batches is roughly Student-t with 39 degrees of freedom; 6
+# is its two-sided 1e-4 / 144 quantile (5.9), so a correct chain crosses it
+# at any of the at most 144 (v, k) pairs with probability below 1e-4
+MAX_MARGINAL_GAP = 6.0
+MARGINAL_CHAIN = ChainConfig(iterations=200_000, seed=3, thin=5)
+
+
+@pytest.mark.parametrize("p, beta", [(10, 0), (11, 1), (12, 2)])
+def test_chain_position_marginals_match_exact_posterior(p, beta):
+    # beta 0 makes every ordering score alike, so the marginals are 1/p
+    tables = sparse_tables(p, beta, 300, seed=beta)
+    exact = np.array(exact_order_posterior(tables)[1])
+    assert position_marginal_gap(tables, MARGINAL_CHAIN, exact) < MAX_MARGINAL_GAP
+
+
+def test_position_marginal_check_catches_a_biased_draw(monkeypatch):
+    # _draw with the first segment weighted as one position longer than it is
+    def biased_draw(starts, scores, p, uniform):
+        top = max(scores)
+        ends = starts[1:] + [p]
+        cum, acc = [], 0.0
+        for j, (start, end, s) in enumerate(zip(starts, ends, scores)):
+            acc += math.exp(s - top) * (end - start + (j == 0))
+            cum.append(acc)
+        target = uniform * acc
+        k = bisect_right(cum, target)
+        below = cum[k - 1] if k else 0.0
+        at = starts[k] + int((target - below) / math.exp(scores[k] - top))
+        return k, min(at, ends[k] - 1)
+
+    tables = sparse_tables(11, 1, 300, seed=1)
+    exact = np.array(exact_order_posterior(tables)[1])
+    monkeypatch.setattr(order_mcmc, "_draw", biased_draw)
+    assert position_marginal_gap(tables, MARGINAL_CHAIN, exact) > MAX_MARGINAL_GAP
 
 
 def test_dump_trace_format(tmp_path):
