@@ -18,10 +18,14 @@ cover it.  A violation raises CorruptStagingError; a bare ``Staging`` is
 not checked.
 
 Stage lookup lives here, in ``stage_ids``: it maps a block of level
-outcomes to stage indices through ``Context.mask``.  One outcome is the 0-d
-block whose columns are Python ints, so the masks are plain bools.  Since
-every ``CStree`` level is a partition, the stage whose context an outcome
-matches is its only one.
+outcomes to stage indices through ``Context.mask``, as the sum of each
+stage's index times its mask, in the narrowest unsigned type that holds
+the stage count.  Since every ``CStree`` level is a partition, the stage
+whose context an outcome matches is its only one, so the masks are
+disjoint and the sum never carries.  The ids broadcast over the context
+columns alone: an open grid of level axes gives ids only as large as the
+axes the contexts read.  One outcome is the 0-d block whose columns are
+Python ints, so the masks are plain bools and the id a numpy scalar.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -34,6 +38,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -256,16 +261,29 @@ class Staging:
         return obj
 
 
-def stage_ids(staging: Staging, column: Callable, shape) -> np.ndarray:
+def stage_ids(staging: Staging, column: Callable) -> np.ndarray:
     """The stage of each outcome in a block of level outcomes (``column`` as in
-    ``Context.mask``), as an array of ``shape``.  Stage 0 takes what no other
-    stage claims, which in a partition is exactly its own outcomes.  With
-    ``shape`` () and ``column`` giving Python ints, the block is one outcome
-    and the result a 0-d array that indexes like an int."""
-    ids = np.zeros(shape, dtype=np.intp)
-    for idx in range(len(staging.stages) - 1, 0, -1):
-        np.copyto(ids, idx, where=staging.stages[idx].context.mask(column))
+    ``Context.mask``): the sum over stages idx >= 1 of idx times the stage's
+    mask.  In a partition the masks are disjoint, so each outcome gets its
+    own stage, and stage 0 what no other stage claims.  The ids are of the
+    narrowest unsigned type that holds ``len(stages) - 1`` and broadcast to
+    the union of the context columns: a single-stage level reads no column
+    and gives 0-d ids, and with ``column`` giving Python ints the block is
+    one outcome and the result a numpy scalar that indexes like an int.
+    Widen the ids before arithmetic that can pass their type's range."""
+    index = _stage_indices(len(staging.stages))
+    ids = index[0]
+    for idx in range(1, len(index)):
+        ids = ids + staging.stages[idx].context.mask(column) * index[idx]
     return ids
+
+
+@lru_cache(maxsize=64)
+def _stage_indices(count: int) -> tuple:
+    """0..count-1 as scalars of the narrowest unsigned type that holds
+    count - 1; made once per stage count, so that a one-outcome lookup does
+    not pay for numpy's type rules at every level."""
+    return tuple(map(np.min_scalar_type(count - 1).type, range(count)))
 
 
 def _check_partition(staging: Staging, order: Sequence[int], space: StateSpace) -> None:

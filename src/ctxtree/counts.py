@@ -16,8 +16,9 @@ One walk over the keys (i, S) sums the cells for the cap before any row is
 collapsed.  Each variable's blocks are then K_i itself when its table, of
 prod(d_v, v in K_i) * d_i cells, has no more cells than there are distinct
 rows, and otherwise each subset of K_i of size min(beta, |K_i|).  The
-mixed-radix code of x_B over the distinct rows is computed once per block
-B, then one weighted ``bincount`` of (code, x_i) per variable i it serves.
+mixed-radix code of x_B over the distinct rows is summed once per block B,
+in int64 from the narrow columns, then one weighted ``bincount`` of (code,
+x_i) per variable i it serves.
 Every table is the sum over axes of the first block table of i that holds S
 (the sums are of integers, so any would do).  Tables are int64 and
 immutable afterwards.
@@ -97,14 +98,16 @@ class Dataset:
         self._set(np.array(rows, dtype=np.int64, order="C"), space, names, labels)
 
     @classmethod
-    def _adopt(cls, rows: np.ndarray, space: StateSpace, names=None, labels=None) -> "Dataset":
+    def _adopt(cls, rows: np.ndarray, space: StateSpace, names=None, labels=None, bounds=None) -> "Dataset":
         """A dataset over ``rows``, an int64 array the library has just made
-        and keeps no other reference to; it is frozen in place, not copied."""
+        and keeps no other reference to; it is frozen in place, not copied.
+        ``bounds``, when given, is each column's (minimum, maximum) as two
+        lists, already found by the caller; the range check reads them."""
         data = cls.__new__(cls)
-        data._set(rows, space, names, labels)
+        data._set(rows, space, names, labels, bounds)
         return data
 
-    def _set(self, rows: np.ndarray, space: StateSpace, names, labels) -> None:
+    def _set(self, rows: np.ndarray, space: StateSpace, names, labels, bounds=None) -> None:
         if rows.ndim != 2:
             raise ValidationError("rows must be a 2-d array")
         n, p = rows.shape
@@ -112,7 +115,7 @@ class Dataset:
             raise ValidationError("dataset needs at least one row")
         if p != space.p:
             raise ValidationError(f"rows have {p} columns, state space has {space.p}")
-        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        lo, hi = bounds or (rows.min(axis=0).tolist(), rows.max(axis=0).tolist())
         for j, d in enumerate(space.cards):
             if lo[j] < 0 or hi[j] >= d:
                 raise ValidationError(f"column {j} has values outside 0..{d - 1}")
@@ -365,19 +368,29 @@ def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
     records = None if split is None else _int_records(raw[split[1]:], len(split[0]))
     if records is None:
         names, codes, declared, label_map = _label_codes(path, raw, cards_row)
+        bounds = _column_bounds(codes)
     else:
+        # one pass over the rows below the first decides the cards-row rule
+        # and gives the column ranges, with or without the first row
         names, label_map = split[0], None
+        head, codes = records[0], records[1:]
+        bounds = _column_bounds(codes)
         declared = _declared_cards(
             path,
             cards_row,
-            records[0].tolist(),
-            lambda: len(records) > 1 and bool((records[1:] < records[0]).all()),
+            head.tolist(),
+            lambda: bounds is not None and bool((bounds[1] < head).all()),
         )
-        codes = records if declared is None else records[1:]
+        if declared is None:
+            codes = records
+            if bounds is None:
+                bounds = head, head
+            else:
+                bounds = np.minimum(bounds[0], head), np.maximum(bounds[1], head)
 
     if not len(codes):
         raise ParseError(f"{path}: no complete data rows")
-    lo, hi = codes.min(axis=0).tolist(), codes.max(axis=0).tolist()
+    lo, hi = bounds[0].tolist(), bounds[1].tolist()
     if min(lo) < 0:
         raise ParseError(f"{path}: negative category codes")
     if declared is not None:
@@ -397,7 +410,12 @@ def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
                     path,
                     names[j],
                 )
-    return Dataset._adopt(codes, StateSpace(cards), names=names, labels=label_map)
+    return Dataset._adopt(codes, StateSpace(cards), names=names, labels=label_map, bounds=(lo, hi))
+
+
+def _column_bounds(codes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Each column's minimum and maximum, or None for no rows."""
+    return (codes.min(axis=0), codes.max(axis=0)) if len(codes) else None
 
 
 def write_csv(data: Dataset, path, cards_row: bool = True) -> None:
@@ -462,8 +480,8 @@ def stage_counts(data: Dataset, var: int, staging: Staging) -> np.ndarray:
     stage holds; ``staging`` must partition its level, as in a ``CStree``."""
     d = data.space.cards[var]
     columns, weight = data._distinct
-    ids = stage_ids(staging, columns.__getitem__, len(weight))
-    code = ids * d + columns[var].astype(np.intp)
+    # widened first: narrow ids times d can pass their type's range
+    code = stage_ids(staging, columns.__getitem__).astype(np.intp) * d + columns[var]
     counts = np.bincount(code, weights=weight, minlength=len(staging.stages) * d)
     # every count is an integer <= n < 2**53, so the float sums are exact
     return counts.astype(np.int64).reshape(-1, d)
@@ -548,7 +566,7 @@ def build_count_table(
         )
 
     columns, weight = data._distinct
-    columns, weight = columns.astype(np.int64), weight.astype(np.float64)
+    weight = weight.astype(np.float64)
 
     # the targets i of each block: K_i itself when its table has no more
     # cells than there are distinct rows, else each min(beta, |K_i|)-subset
@@ -565,10 +583,12 @@ def build_count_table(
     block_tables = {}
     code_i = np.empty(len(weight), dtype=np.int64)
     for svars, group in targets.items():
-        # mixed-radix code of x_S, first variable most significant
-        code, radix = 0, 1
+        # mixed-radix code of x_S, first variable most significant, summed
+        # in int64 from the narrow columns
+        code, radix = np.zeros(len(weight), dtype=np.int64), 1
         for v in svars:
-            code = code * cards[v] + columns[v]
+            code *= cards[v]
+            code += columns[v]
             radix *= cards[v]
         for i in group:
             # the code of (x_S, x_i), x_i least significant

@@ -91,7 +91,7 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
             raise ValidationError(f"value {values[v]} of variable {v} is outside 0..{d - 1}")
     total = 0.0
     for lvl, staging in enumerate(tree.stagings):
-        idx = stage_ids(staging, values.__getitem__, ())
+        idx = stage_ids(staging, values.__getitem__)
         theta = tree.params[lvl][idx][values[tree.governed_var(lvl)]]
         if theta == 0.0:
             return -math.inf
@@ -100,7 +100,11 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
 
 
 def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-    """Exhaustive joint probability table, axes in natural variable order."""
+    """Exhaustive joint probability table, axes in natural variable order.
+
+    Each level's stage ids come from an open grid of its axes, so they and
+    the stage probabilities they gather are only as large as the axes the
+    contexts read; the broadcasting product spreads them over the level."""
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     size = tree.space.joint_size()
@@ -112,9 +116,8 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
     cards = tree.space.cards
     probs = np.ones(())
     for lvl, staging in enumerate(tree.stagings):
-        shape = tuple(cards[v] for v in order[:lvl])
-        grid = dict(zip(order[:lvl], np.ix_(*map(np.arange, shape))))
-        ids = stage_ids(staging, grid.get, shape)
+        grid = dict(zip(order[:lvl], np.ix_(*(np.arange(cards[v]) for v in order[:lvl]))))
+        ids = stage_ids(staging, grid.get)
         probs = probs[..., np.newaxis] * np.asarray(tree.params[lvl])[ids]
     # probs axes follow the ordering; rearrange to natural variable axes
     return probs.transpose([order.index(v) for v in range(tree.p)])
@@ -131,6 +134,10 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     These are the draws, and the generator end state, of one
     ``rng.choice(d, size=k, p=theta)`` per stage holding k > 0 rows, in
     stage order.
+
+    Each level sorts its rows by stage once, counts each stage's values by
+    d - 1 comparisons over the stage's contiguous slice of the uniforms,
+    and scatters the values back to row order in one step.
     """
     if tree.params is None:
         raise ValidationError("tree has no parameters")
@@ -147,28 +154,40 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     cols = tail.view(dtype).reshape(tree.p, n)
     for lvl, staging in enumerate(tree.stagings):
         _draw_level(cols, tree.governed_var(lvl), staging, tree.params[lvl], rng)
+    # the range check reads the narrow columns, before the rows overwrite them
+    bounds = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
     # a narrow copy first: the work array and the rows share memory
     rows[...] = cols.T.copy()
-    return Dataset._adopt(rows, tree.space, names=tree.names)
+    return Dataset._adopt(rows, tree.space, names=tree.names, bounds=bounds)
 
 
 def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, rng) -> None:
     """Fill ``cols[var]`` by the stream contract of ``sample``; the level's
     temporaries are freed on return."""
-    uniforms = rng.random(cols.shape[1])
+    n = cols.shape[1]
+    uniforms = rng.random(n)
     cdfs = [cdf / cdf[-1] for cdf in map(np.cumsum, params)]
     if len(cdfs) == 1:
-        cols[var] = cdfs[0].searchsorted(uniforms, side="right")
+        _count_at_or_below(cdfs[0], uniforms, cols[var])
         return
-    ids = stage_ids(staging, cols.__getitem__, cols.shape[1])
+    ids = stage_ids(staging, cols.__getitem__)
     ends = np.cumsum(np.bincount(ids, minlength=len(cdfs))).tolist()
-    ids = ids.astype(np.min_scalar_type(len(cdfs) - 1))
     # a stable sort keeps each stage's rows in row order
     by_stage = np.argsort(ids, kind="stable")
+    values = np.empty(n, dtype=cols.dtype)
     start = 0
     for cdf, end in zip(cdfs, ends):
-        cols[var, by_stage[start:end]] = cdf.searchsorted(uniforms[start:end], side="right")
+        _count_at_or_below(cdf, uniforms[start:end], values[start:end])
         start = end
+    cols[var, by_stage] = values
+
+
+def _count_at_or_below(cdf: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = how many entries of ``cdf`` are <= each uniform.  The last
+    entry is exactly 1.0 and every uniform is below 1, so it never counts."""
+    np.less_equal(cdf[0], uniforms, out=out)
+    for t in cdf[1:-1].tolist():
+        out += t <= uniforms
 
 
 def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> float:

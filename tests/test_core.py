@@ -189,7 +189,7 @@ def test_bad_arguments_raise_validation_error(call):
 
 def test_stage_ids_single_stage():
     staging = Staging.full_level(2)
-    assert stage_ids(staging, [1, 0].__getitem__, ()) == 0
+    assert stage_ids(staging, [1, 0].__getitem__) == 0
 
 
 def test_stage_ids_reference_tree(four_var_tree_a):
@@ -197,12 +197,12 @@ def test_stage_ids_reference_tree(four_var_tree_a):
     # one block of columns; stages are in canonical order
     staging = four_var_tree_a.stagings[3]
     contexts = [stage.context for stage in staging.stages]
-    blue = stage_ids(staging, [1, 1, 0].__getitem__, ())
+    blue = stage_ids(staging, [1, 1, 0].__getitem__)
     assert blue.shape == () and contexts[blue] == Context({2: 0})
-    white = stage_ids(staging, [1, 1, 1].__getitem__, ())
+    white = stage_ids(staging, [1, 1, 1].__getitem__)
     assert contexts[white] == Context({0: 1, 1: 1, 2: 1})
     level = np.array(list(product(range(2), repeat=3))).T
-    ids = stage_ids(staging, level.__getitem__, level.shape[1])
+    ids = stage_ids(staging, level.__getitem__)
     assert [contexts[i] for i in ids] == [
         Context({2: 0}),
         Context({1: 0, 2: 1}),

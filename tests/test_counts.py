@@ -583,6 +583,30 @@ def test_collapse_memory_bounded():
     assert peak <= 0.25 * rows.nbytes
 
 
+def test_table_build_memory_bounded():
+    # the same rows, collapsed beforehand, with |K_i| = 6: the block codes
+    # are summed in int64 from the narrow distinct columns, so the build
+    # stays well below an int64 copy of those columns
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    keys = rng.choice(1 << 20, size=50_000, replace=False)
+    picks = np.concatenate([np.arange(50_000), rng.integers(0, 50_000, size=150_000)])
+    data = Dataset((keys[picks, None] >> np.arange(19, -1, -1)) & 1, StateSpace([2] * 20))
+    pp = PossibleParents(
+        [set(rng.choice([j for j in range(20) if j != i], size=6, replace=False).tolist()) for i in range(20)]
+    )
+    columns, _ = data._distinct
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_count_table(data, pp, 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * columns.size * 8
+
+
 INT_CELLS = ["0", "1", "2", "3", "00", "01", "007", "10"]
 # cells that must send a file to the csv.reader path, or that sit at its edge
 ODD_CELLS = [

@@ -26,8 +26,10 @@ from ctxtree import (
     sample,
 )
 from ctxtree.core import stage_ids
+from ctxtree.counts import stage_counts
 from oracles import (
     is_partition,
+    mask_counts,
     mask_joint_table,
     mask_sample,
     per_outcome_log_density,
@@ -261,6 +263,31 @@ def test_kl_memory_bounded():
     assert kl_divergence(a, b) == expected
 
 
+def test_joint_table_and_kl_memory_bounded():
+    # 2^20 outcomes, so one table is 8 MiB.  joint_table holds the previous
+    # level's table beside the new one, and kl_divergence the first flat
+    # table beside the second one's build and flat copy; full-level stage
+    # ids and the gathered (level x d) probabilities kept alive fail both
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    a = random_cstree(StateSpace([2] * 20), 2, rng)
+    b = random_cstree(StateSpace([2] * 20), 2, rng)
+    table_bytes = 8 << 20
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (lambda: joint_table(a), lambda: joint_table(b), lambda: kl_divergence(a, b)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[:2]) <= 2.0 * table_bytes
+    assert peaks[2] <= 3.5 * table_bytes
+
+
 def test_kl_space_mismatch():
     rng = np.random.default_rng(10)
     a = random_cstree(StateSpace([2, 2]), 2, rng)
@@ -392,8 +419,8 @@ def test_stage_lookup_matches_per_stage_oracles(tree, n, seed):
             list(product(*(range(cards[v]) for v in level_vars))), dtype=np.int64
         ).reshape(math.prod(cards[v] for v in level_vars), lvl)
         pos = {v: j for j, v in enumerate(level_vars)}
-        ids = stage_ids(staging, lambda v: outcomes[:, pos[v]], len(outcomes))
-        assert ids.tolist() == [
+        ids = stage_ids(staging, lambda v: outcomes[:, pos[v]])
+        assert np.broadcast_to(ids, len(outcomes)).tolist() == [
             stage_index(staging, dict(zip(level_vars, o))) for o in outcomes.tolist()
         ]
     data = sample(tree, n, np.random.default_rng(seed))
@@ -454,6 +481,52 @@ def test_sample_stream_at_work_dtype_boundary(d, n):
         assert rows[:, 0].max() == d - 1
 
 
+@pytest.mark.parametrize("stages", [100, 256, 257, 300])
+def test_stage_lookup_at_id_dtype_boundary(stages):
+    # level 1 holds one stage per value of X0, so its ids are uint8 up to
+    # 256 stages and uint16 past that; level 2 mixes context sizes over
+    # stages + 2 stages.  Every target is ternary, so ids * d passes 255 in
+    # each case and a product left in uint8 would wrap into other stages
+    space = StateSpace([stages, 3, 3])
+    level1 = Staging(1, [Stage(Context({0: x}), 1) for x in range(stages)])
+    level2 = Staging(
+        2,
+        [Stage(Context({1: 0}), 2), Stage(Context({1: 2}), 2)]
+        + [Stage(Context({0: x, 1: 1}), 2) for x in range(stages)],
+    )
+    rng = np.random.default_rng(stages)
+    params = [(tuple(rng.dirichlet(np.ones(stages)).tolist()),)]
+    for staging in (level1, level2):
+        draws = rng.dirichlet(np.ones(3), size=len(staging.stages))
+        params.append(tuple(tuple((t / t.sum()).tolist()) for t in draws))
+    tree = CStree((0, 1, 2), space, [level1, level2]).with_params(tuple(params))
+
+    for staging in tree.stagings:
+        level_vars = tree.order[: staging.level]
+        outcomes = list(product(*(range(stages if v == 0 else 3) for v in level_vars)))
+        columns = np.array(outcomes, dtype=np.int64).reshape(len(outcomes), len(level_vars)).T
+        ids = stage_ids(staging, lambda v: columns[level_vars.index(v)])
+        assert ids.dtype == np.min_scalar_type(len(staging.stages) - 1)
+        assert np.broadcast_to(ids, len(outcomes)).tolist() == [
+            stage_index(staging, dict(zip(level_vars, o))) for o in outcomes
+        ]
+
+    g1, g2 = np.random.default_rng(0), np.random.default_rng(0)
+    data = sample(tree, 3000, g1)
+    assert np.array_equal(data.rows, mask_sample(tree, 3000, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
+        assert stage_counts(data, var, staging).tolist() == [
+            mask_counts(data, var, stage.context).tolist() for stage in staging.stages
+        ]
+    for mode in ("map", "mle"):
+        assert estimate_parameters(tree, data, mode).params == per_stage_estimate(tree, data, mode).params
+    prior = PriorSpec()
+    assert log_marginal_likelihood(tree, data, prior) == per_stage_lml(tree, data, prior)
+    assert np.array_equal(joint_table(tree), mask_joint_table(tree))
+
+
 def test_sample_memory_bounded():
     # the int64 output is n*p*8 bytes; one level's temporaries and the
     # narrow copy of the work array fit in the allowance, a second int64
@@ -474,12 +547,12 @@ def test_sample_memory_bounded():
 
 
 def test_stage_ids_single_stage_level_broadcasts():
-    # the empty context matches without reading a column, so the ids still
-    # take the requested shape
+    # the empty context matches without reading a column, so the ids are
+    # 0-d and broadcast to any block
     rows = np.ones((7, 3), dtype=np.int64)
-    ids = stage_ids(Staging.full_level(2), lambda v: rows[:, v], 7)
-    assert ids.shape == (7,) and not ids.any()
-    assert stage_ids(Staging.full_level(0), {}.get, ()).shape == ()
+    ids = stage_ids(Staging.full_level(2), lambda v: rows[:, v])
+    assert ids.shape == () and not np.broadcast_to(ids, 7).any()
+    assert stage_ids(Staging.full_level(0), {}.get).shape == ()
 
 
 @pytest.mark.parametrize(
