@@ -25,10 +25,13 @@ immutable afterwards.
 
 ``load_csv`` reads the file's bytes once.  A file whose header is a
 quote-free first line and whose body holds only ASCII digits, commas and
-line breaks is parsed by one ``np.loadtxt`` call into int64 rows.  Every
-other file goes through ``csv.reader``, with each decision (integer
-parsing, missing cells, the cardinality row, label codes) made once per
-distinct label of a column rather than once per cell.  The cardinality-row
+line breaks is parsed in numpy, a block of whole lines at a time: the cells
+end where a digit meets a separator, each row's shape is checked from the
+separator bytes, and each cell's value is its digits summed by place.  The
+blocks stay in narrow types, give the column ranges, and are joined into
+the int64 rows once.  Every other file goes through ``csv.reader``, with
+each decision (integer parsing, missing cells, the cardinality row, label
+codes) made once per distinct label of a column rather than once per cell.  The cardinality-row
 rule and the checks on the codes serve both paths.  ``write_csv`` encodes
 the rows as fixed-width digit cells in numpy, a block of rows at a time,
 and writes each block's bytes with one call.
@@ -40,6 +43,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -67,6 +71,14 @@ MISSING_TOKENS = ("", "?", "NA")
 DEFAULT_MAX_CELLS = 1 << 26
 
 _INT64 = np.iinfo(np.int64)
+
+# Bytes ``load_csv``'s integer path reads per block, cut at a line break:
+# a block's temporaries stay within a few megabytes whatever the file size.
+_READ_BLOCK_BYTES = 1 << 16
+
+_INT_BYTES = b"0123456789,\r\n"
+
+_LINE_BREAK = re.compile(rb"[\r\n]")
 
 # Cells ``write_csv`` encodes per write: a block's buffers stay within a
 # few megabytes whatever the row count, and blocks from 1k to 16k rows of
@@ -202,7 +214,8 @@ def _split_header(raw: bytes) -> Optional[tuple[list[str], int]]:
     """The stripped header names and the offset at which the body starts,
     when the file's first line is its header record and holds no quote, so
     that splitting it on commas is what csv.reader does; None otherwise."""
-    header = raw.split(b"\n", 1)[0].split(b"\r", 1)[0]
+    found = _LINE_BREAK.search(raw)
+    header = raw[: found.start() if found else len(raw)]
     if not header or b'"' in header:
         return None
     try:
@@ -214,19 +227,86 @@ def _split_header(raw: bytes) -> Optional[tuple[list[str], int]]:
     return [cell.strip() for cell in fields], len(header)
 
 
-def _int_records(body: bytes, p: int) -> Optional[np.ndarray]:
-    """The body's records as an int64 matrix, when every one has p cells,
-    each a run of ASCII digits inside the int64 range; None otherwise.
-    Anything that ``int()`` could read otherwise (a sign, whitespace, an
-    underscore, a non-ASCII digit) or that is not an integer fails the
-    byte check or the parse."""
-    if body.translate(None, b"0123456789,\r\n") or not body.strip(b"\r\n"):
+def _int_records(raw: bytes, start: int, p: int) -> Optional[tuple[np.ndarray, Optional[tuple]]]:
+    """The records of the body ``raw[start:]`` as int64 rows, and each
+    column's (minimum, maximum) over the rows below the first (None for a
+    single row), when every record has p cells, each a run of at most 18
+    ASCII digits; None otherwise.  ``raw[start]`` is a line break.
+
+    The body is read in numpy blocks of whole lines, views of ``raw``, each
+    cut at the first line break at or after ``_READ_BLOCK_BYTES`` from its
+    start.  Runs of CR and LF are blank lines and are skipped, as
+    csv.reader skips them.  Anything that ``int()`` could read otherwise (a
+    sign, whitespace, an underscore, a non-ASCII digit), an empty cell, a
+    ragged row or a cell of 19 or more digits gives None."""
+    if len(raw.translate(None, _INT_BYTES)) != len(raw[:start].translate(None, _INT_BYTES)):
         return None
-    try:
-        records = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    blocks, lows, highs = [], [], []
+    while start < len(raw):
+        found = _LINE_BREAK.search(raw, start + _READ_BLOCK_BYTES)
+        if found:
+            # the block ends with the break the next block starts with
+            end = found.start()
+            block = whole[start : end + 1]
+        else:
+            end = len(raw)
+            block = np.frombuffer(raw[start:] + b"\n", dtype=np.uint8)
+        values = _int_block(block, p)
+        if values is None:
+            return None
+        # the first row stays out of the bounds: it may be a cards row
+        block_bounds = _column_bounds(values if blocks else values[1:])
+        if block_bounds is not None:
+            lows.append(block_bounds[0])
+            highs.append(block_bounds[1])
+        if len(values):
+            blocks.append(values)
+        start = end
+    if not blocks:
         return None
-    return records if records.shape[1] == p else None
+    # int64 bounds: numpy compares uint64 with int64 as floats
+    bounds = None
+    if lows:
+        bounds = np.min(lows, axis=0).astype(np.int64), np.max(highs, axis=0).astype(np.int64)
+    return np.concatenate(blocks, dtype=np.int64), bounds
+
+
+def _int_block(block: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """The rows of ``block``, bytes that hold only ASCII digits, commas and
+    line breaks and that start and end with a line break, in the narrowest
+    unsigned type that holds them; None unless every row has p cells of 1
+    to 18 digits."""
+    digit = block > 47
+    comma = block == 44
+    # the last digit of each cell
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
+    rows, extra = divmod(len(ends), p)
+    commas = np.count_nonzero(comma)
+    if extra or commas != rows * (p - 1):
+        return None
+    # every comma sits between two digits, so it ends one cell and starts
+    # the next; with rows * (p - 1) commas and none after a row's last
+    # cell, every row has p cells
+    cells = ends.reshape(rows, p)
+    between = np.count_nonzero(comma[1:-1] & digit[:-2] & digit[2:])
+    if between != commas or (block[1:][cells[:, -1]] == 44).any():
+        return None
+    values = block[ends] - np.uint8(48)
+    if np.count_nonzero(digit) > len(ends):
+        # one Horner step per further digit; ``going`` marks the cells that
+        # have one at ``at``.  A cell that has ended may read a byte of the
+        # block's end through a negative index, which ``going`` masks
+        at, going, place = ends - 1, digit[ends - 1], 10
+        while going.any():
+            if place == 10**18:
+                return None
+            dtype = np.min_scalar_type(10 * place - 1)
+            digits = np.where(going, block[at] - np.uint8(48), np.uint8(0)).astype(dtype)
+            values = digits * dtype.type(place) + values
+            at, place = at - 1, 10 * place
+            going &= digit[at]
+    return values.reshape(rows, p)
 
 
 def _read_header(path, raw: bytes) -> list[str]:
@@ -349,11 +429,12 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     of surrounding whitespace.
 
     The file is read once, as bytes.  When the header is its first line and
-    holds no quote, and the rest holds only ASCII digits, commas and line
-    breaks and parses as int64 rows of the header's width, the rows come
-    from one ``np.loadtxt`` call.  Any other file (labels, missing cells,
-    signs, whitespace, quotes, ragged rows, values past int64) goes through
-    ``csv.reader``.  Both paths give the same dataset or the same error.
+    holds no quote, and every later line is blank or holds as many cells as
+    the header, each a run of at most 18 ASCII digits, the rows are parsed
+    from the bytes in numpy blocks of whole lines.  Any other file (labels,
+    missing cells, signs, whitespace, quotes, ragged rows, longer numbers)
+    goes through ``csv.reader``.  Both paths give the same dataset or the
+    same error.
     """
     if cards_row not in ("auto", "yes", "no"):
         raise ValidationError(f"cards_row must be auto/yes/no, got {cards_row!r}")
@@ -365,16 +446,16 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
 def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
     """``load_csv`` on the file's bytes ``raw``, already read."""
     split = _split_header(raw)
-    records = None if split is None else _int_records(raw[split[1]:], len(split[0]))
-    if records is None:
+    parsed = None if split is None else _int_records(raw, split[1], len(split[0]))
+    if parsed is None:
         names, codes, declared, label_map = _label_codes(path, raw, cards_row)
         bounds = _column_bounds(codes)
     else:
-        # one pass over the rows below the first decides the cards-row rule
-        # and gives the column ranges, with or without the first row
+        # the bounds of the rows below the first decide the cards-row rule
+        # and give the column ranges, with or without the first row
         names, label_map = split[0], None
+        records, bounds = parsed
         head, codes = records[0], records[1:]
-        bounds = _column_bounds(codes)
         declared = _declared_cards(
             path,
             cards_row,
@@ -415,7 +496,17 @@ def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
 
 def _column_bounds(codes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Each column's minimum and maximum, or None for no rows."""
-    return (codes.min(axis=0), codes.max(axis=0)) if len(codes) else None
+    if not len(codes):
+        return None
+    top = len(codes) - len(codes) % 64
+    if top:
+        # whole groups of 64 rows, reduced as one long row each, which numpy
+        # does far faster than a column at a time; a group's minima and
+        # maxima stand in for its rows
+        wide = codes[:top].reshape(-1, 64 * codes.shape[1])
+        lows, highs = (f(wide, axis=0).reshape(64, -1) for f in (np.min, np.max))
+        codes = np.concatenate([lows, highs, codes[top:]])
+    return codes.min(axis=0), codes.max(axis=0)
 
 
 def write_csv(data: Dataset, path, cards_row: bool = True) -> None:

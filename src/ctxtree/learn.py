@@ -19,7 +19,14 @@ from .core import CStree, ParseError, PossibleParents, ValidationError, as_int
 from .counts import DEFAULT_MAX_CELLS, CountTable, Dataset, build_count_table
 from .enumeration import EnumSpec, _check_beta
 from .order_mcmc import ChainConfig, map_order, run_chain
-from .scoring import PriorSpec, ScoreTables, _check_k_cap, build_score_tables, optimal_staging
+from .scoring import (
+    PriorSpec,
+    ScoreTables,
+    _check_k_cap,
+    _check_staging_cap,
+    build_score_tables,
+    optimal_staging,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +38,10 @@ class LearnConfig:
     ``possible_parents`` holds the sets K_i that stage contexts are drawn
     from, None letting every variable use all the others; read a file with
     ``load_possible_parents``.  Each |K_i| may be at most ``scoring.MAX_K``
-    (16), checked before any row is counted.  ``max_cells`` caps the count
+    (16), checked before any row is counted; ``learn`` also checks, before
+    counting, that no level over all of K_i has more than
+    ``scoring.MAX_STAGINGS`` (2**24) admissible stagings, since the staging
+    optimization scores each one.  ``max_cells`` caps the count
     table, which is built on one thread.  ``threads`` is accepted and checked
     as an integer but has no effect; it is kept only because the benchmark
     harness passes and reports it.
@@ -161,6 +171,7 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     from .model_ops import _fit  # local import to avoid a cycle
 
     space = data.space
+    _check_staging_cap(space, _checked_sets(config, space.p), config.beta)
     count_table = _count_table(data, config)
     tables = build_score_tables(count_table, config.prior)
     trace = run_chain(tables, config.chain)

@@ -23,6 +23,10 @@ from .scoring import PriorSpec
 
 DEFAULT_JOINT_CAP = 1 << 25
 
+# Outcomes ``kl_divergence`` takes its logs of at a time: a block's
+# temporaries (64 KiB each) stay small beside the two joint tables.
+_KL_BLOCK = 1 << 13
+
 
 def estimate_parameters(
     tree: CStree,
@@ -100,11 +104,23 @@ def log_density(tree: CStree, outcome: Sequence[int]) -> float:
 
 
 def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-    """Exhaustive joint probability table, axes in natural variable order.
+    """Exhaustive joint probability table, axes in natural variable order:
+    a view of ``_outcome_table``'s buffer."""
+    table = _outcome_table(tree, max_joint)
+    return table.transpose([tree.p - 1 - tree.order.index(v) for v in range(tree.p)])
 
-    Each level's stage ids come from an open grid of its axes, so they and
-    the stage probabilities they gather are only as large as the axes the
-    contexts read; the broadcasting product spreads them over the level."""
+
+def _outcome_table(tree: CStree, max_joint: int) -> np.ndarray:
+    """The joint probability table in one C-contiguous buffer whose axes are
+    the variables in reverse tree order, the last level's variable first.
+
+    The levels are built in place.  Level l's table is the block of the
+    buffer where every later level's variable is 0; it becomes the first
+    slice of level l + 1's block, so each value of the new variable writes
+    its own slice from it (the first slice last, in place).  Each level's
+    stage ids come from an open grid of its axes, so they and the stage
+    probabilities they gather are only as large as the axes the contexts
+    read."""
     if tree.params is None:
         raise ValidationError("tree has no parameters")
     size = tree.space.joint_size()
@@ -114,13 +130,16 @@ def joint_table(tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> np.ndarray:
         )
     order = tree.order
     cards = tree.space.cards
-    probs = np.ones(())
+    table = np.empty([cards[v] for v in reversed(order)])
+    table[(0,) * tree.p] = 1.0
     for lvl, staging in enumerate(tree.stagings):
-        grid = dict(zip(order[:lvl], np.ix_(*(np.arange(cards[v]) for v in order[:lvl]))))
-        ids = stage_ids(staging, grid.get)
-        probs = probs[..., np.newaxis] * np.asarray(tree.params[lvl])[ids]
-    # probs axes follow the ordering; rearrange to natural variable axes
-    return probs.transpose([order.index(v) for v in range(tree.p)])
+        block = table[(0,) * (tree.p - 1 - lvl)]
+        axes = order[lvl - 1 :: -1] if lvl else ()
+        grid = dict(zip(axes, np.ix_(*(np.arange(cards[v]) for v in axes))))
+        probs = np.asarray(tree.params[lvl])[stage_ids(staging, grid.get)]
+        for k in range(len(block) - 1, -1, -1):
+            np.multiply(block[0, ...], probs[..., k], out=block[k, ...])
+    return table
 
 
 def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
@@ -192,21 +211,28 @@ def _count_at_or_below(cdf: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -
 
 def kl_divergence(p_tree: CStree, q_tree: CStree, max_joint: int = DEFAULT_JOINT_CAP) -> float:
     """Exact KL divergence D(P || Q) by exhaustive enumeration of the joint
-    space.  Returns +inf when Q puts zero mass where P does not."""
+    space.  Returns +inf when Q puts zero mass where P does not.
+
+    P's table is read in its own contiguous layout and Q's through a view in
+    that layout, a block of outcomes at a time; each block's terms
+    p * (log p - log q) overwrite P's, and P's buffer is summed once."""
     if p_tree.space.cards != q_tree.space.cards:
         raise ValidationError("trees have different state spaces")
-    pvals = joint_table(p_tree, max_joint).ravel()
-    qvals = joint_table(q_tree, max_joint).ravel()
-    support = pvals > 0
-    if not support.all():
-        pvals, qvals = pvals[support], qvals[support]
-    if not qvals.all():
-        return math.inf
-    # both tables are this call's own: take logs and products in place
-    terms = np.log(pvals)
-    terms -= np.log(qvals, out=qvals)
-    terms *= pvals
-    return float(np.sum(terms))
+    q = joint_table(q_tree, max_joint).transpose(p_tree.order[::-1])
+    p = _outcome_table(p_tree, max_joint)
+    lead = 0
+    while math.prod(p.shape[lead:]) > _KL_BLOCK:
+        lead += 1
+    # q = 0 where p > 0 gives an infinite term, and so an infinite sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for at in np.ndindex(p.shape[:lead]):
+            pvals, qvals = p[at], q[at]
+            terms = np.log(pvals)
+            terms -= np.log(qvals, out=qvals)
+            terms *= pvals
+            # outside the support, p stays 0
+            np.copyto(pvals, terms, where=pvals > 0)
+    return float(np.sum(p))
 
 
 def random_cstree(

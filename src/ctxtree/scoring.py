@@ -94,6 +94,10 @@ from .enumeration import EnumSpec, _staging_count, count_stagings, iter_raw_stag
 
 MAX_K = 16
 
+# Admissible stagings of the largest level a K_i allows; ``optimal_staging``
+# scores every one of them.
+MAX_STAGINGS = 2**24
+
 PRIOR_SCHEMES = ("bdeu-path", "unit")
 
 
@@ -413,6 +417,19 @@ def _check_k_cap(pp: PossibleParents) -> None:
             raise ResourceCapError(
                 f"|K_{i}| = {len(k)} exceeds the cap {MAX_K}: local order scores take "
                 f"2^|K| entries per variable; supply sparser possible-parent sets (e.g. a CPDAG)"
+            )
+
+
+def _check_staging_cap(space: StateSpace, pp: PossibleParents, beta: int) -> None:
+    """Reject any K_i over which a level has more than ``MAX_STAGINGS``
+    admissible stagings.  The count grows with the usable set, and a level
+    can use all of K_i, so K_i itself is the worst case."""
+    for i, k in enumerate(pp.sets):
+        if _staging_count([space.cards[v] for v in k], beta) > MAX_STAGINGS:
+            raise ResourceCapError(
+                f"a level of variable {i} that can use all of K_{i} has more than "
+                f"{MAX_STAGINGS} admissible stagings, the cap: optimal_staging scores "
+                "each one; supply a smaller K_i, fewer high-cardinality members or a lower beta"
             )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -500,6 +501,25 @@ def test_k_cap_checked_before_rows_are_parsed(tmp_path, capsys, monkeypatch, quo
         assert "exceeds the cap 16" in err
     assert not out_path.exists()
 
+
+
+def test_learn_staging_cap_exit_3(tmp_path, capsys):
+    # cards (300, 2, 3, 2, 5, 1000) and |K_i| = 3: a level over all of K_i
+    # has far more than 2**24 admissible stagings, so learn stops at once
+    cards = [300, 2, 3, 2, 5, 1000]
+    rows = np.random.default_rng(2).integers(0, cards, size=(200, 6))
+    csv_path, pp_path, out_path = tmp_path / "d.csv", tmp_path / "pp.json", tmp_path / "m.json"
+    write_csv(Dataset(rows, StateSpace(cards)), csv_path)
+    pp_path.write_text(json.dumps({str(i): [(i + 1) % 6, (i + 2) % 6, (i + 3) % 6] for i in range(6)}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "learn", "--data", str(csv_path), "--possible-parents", str(pp_path),
+        "--iterations", "10", "--seed", "0", "--out", str(out_path),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert f"more than {2**24} admissible stagings" in err
+    assert not out_path.exists()
 
 
 def test_learn_reads_data_from_a_pipe(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ctxtree import (
     random_cstree,
     write_csv,
 )
-from ctxtree.counts import _WRITE_BLOCK_CELLS, _collapse, stage_counts
+from ctxtree.counts import _WRITE_BLOCK_CELLS, _collapse, _int_records, _split_header, stage_counts
 from oracles import (
     cellwise_load_csv,
     csv_module_write_csv,
@@ -37,6 +38,8 @@ from oracles import (
     table_contexts,
     void_key_collapse,
 )
+
+counts_module = importlib.import_module("ctxtree.counts")
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -645,6 +648,67 @@ def int_csv_texts(draw):
 @settings(max_examples=300, deadline=None)
 def test_load_int_texts_match_cellwise_oracle(tmp_path_factory, text):
     _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+# every cell width the integer path reads, each with leading zeros too
+WIDE_ROWS = "".join(
+    f"{'1' * w},{'0' * (w - 1)}7,{'9' * w}\r\n" for w in range(1, 19)
+)
+# (text, whether the integer path reads it rather than csv.reader)
+BLOCK_TEXTS = [
+    # CRLF line ends: small blocks end between a CR and its LF
+    ("c0,c1\r\n0,1\r\n1,0\r\n\r\n10,2\r\n", True),
+    # a line longer than any block
+    ("c0,c1,c2,c3,c4,c5\n" + "0123,456,7,89,1000,2\n" * 3 + "5,4,3,2,1,0", True),
+    ("c0,c1,c2\r\n" + WIDE_ROWS, True),
+    ("c0,c1,c2\r\n2,3,4\r\n" + WIDE_ROWS, True),
+    # a 19-digit cell is left to csv.reader, which reads it in range
+    ("c0\n1\n9223372036854775807\n", False),
+    ("c0,c1\n0,1\n1234567890123456789,0\n", False),
+    # a trailing comma, at a block's end at some sizes, makes a ragged row
+    ("c0,c1\n0,1,\n1,0\n", False),
+    ("c0,c1,c2\n0,1,\n1,0\n", False),
+    ("c0,c1\n0,1\n1,0,", False),
+    ("c0,c1\n,0,1\n1,0\n", False),
+    ("c0,c1\n0,,1\n1,0\n", False),
+    ("c0\r1\r\r0\r", True),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("text, fast", BLOCK_TEXTS, ids=range(len(BLOCK_TEXTS)))
+def test_int_path_at_block_boundaries(tmp_path_factory, block, text, fast):
+    raw = text.encode()
+    names, start = _split_header(raw)
+    with mock.patch.object(counts_module, "_READ_BLOCK_BYTES", block):
+        assert (_int_records(raw, start, len(names)) is not None) == fast
+        _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@given(text=int_csv_texts())
+@settings(max_examples=60, deadline=None)
+def test_load_int_texts_match_cellwise_oracle_in_small_blocks(tmp_path_factory, block, text):
+    with mock.patch.object(counts_module, "_READ_BLOCK_BYTES", block):
+        _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+def test_load_csv_memory_bounded(tmp_path):
+    # the bytes are parsed a block at a time into narrow values; the peak
+    # holds the file's bytes, the narrow blocks and the int64 rows
+    import tracemalloc
+
+    rows = np.random.default_rng(12).integers(0, 2, size=(200_000, 20))
+    write_csv(Dataset(rows, StateSpace([2] * 20)), tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = load_csv(tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.rows, rows)
+    assert peak <= 1.5 * rows.nbytes
 
 
 @st.composite

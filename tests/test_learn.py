@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ctxtree import (
     ValidationError,
     build_count_table,
     build_score_tables,
+    count_stagings,
     enumerate_stagings,
     estimate_parameters,
     kl_divergence,
@@ -31,6 +33,7 @@ from ctxtree import (
     sample,
 )
 from ctxtree.enumeration import iter_raw_stagings
+from ctxtree.scoring import MAX_STAGINGS, _check_staging_cap
 from oracles import enumerated_argmax, is_partition, per_stage_estimate, table_contexts
 
 
@@ -293,6 +296,42 @@ def test_k_cap_checked_before_counting(monkeypatch, pp):
     with pytest.raises(ResourceCapError, match="exceeds the cap 16") as info:
         learn(data, LearnConfig(possible_parents=pp))
     assert "beta" not in str(info.value)
+
+
+def staging_cap_problem():
+    """Cards (300, 2, 3, 2, 5, 1000) and |K_i| = 3 at beta 2: a level over all
+    of some K_i has far more than ``MAX_STAGINGS`` admissible stagings."""
+    cards = [300, 2, 3, 2, 5, 1000]
+    pp = PossibleParents([{(i + 1) % 6, (i + 2) % 6, (i + 3) % 6} for i in range(6)])
+    rows = np.random.default_rng(1).integers(0, cards, size=(200, 6))
+    return Dataset(rows, StateSpace(cards)), pp
+
+
+def test_staging_cap_checked_before_counting(monkeypatch):
+    learn_module = importlib.import_module("ctxtree.learn")
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("build_count_table called before the staging cap check")
+
+    monkeypatch.setattr(learn_module, "build_count_table", no_counting)
+    data, pp = staging_cap_problem()
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=f"more than {MAX_STAGINGS} admissible stagings"):
+        learn(data, LearnConfig(beta=2, possible_parents=pp))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_staging_cap_boundary():
+    # |K| = 16 with cards 5 gives 1 - C(16, 2) + 16 * 16**5 = 16,777,097
+    # stagings, just within 2**24; one member of 6 values passes the cap
+    assert MAX_STAGINGS == 2**24
+    pp = PossibleParents([set(range(1, 17))] + [set()] * 16)
+    assert count_stagings(EnumSpec.of_cards([5] * 16, beta=2)) == 16_777_097
+    _check_staging_cap(StateSpace([5] * 17), pp, 2)
+    with pytest.raises(ResourceCapError, match="K_0"):
+        _check_staging_cap(StateSpace([5] * 16 + [6]), pp, 2)
+    # beta 1 counts 1 + |K| stagings whatever the cardinalities
+    _check_staging_cap(StateSpace([1000] * 17), pp, 1)
 
 
 def test_learn_and_random_cstree_check_each_level_once(monkeypatch):

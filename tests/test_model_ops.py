@@ -264,10 +264,11 @@ def test_kl_memory_bounded():
 
 
 def test_joint_table_and_kl_memory_bounded():
-    # 2^20 outcomes, so one table is 8 MiB.  joint_table holds the previous
-    # level's table beside the new one, and kl_divergence the first flat
-    # table beside the second one's build and flat copy; full-level stage
-    # ids and the gathered (level x d) probabilities kept alive fail both
+    # 2^20 outcomes, so one table is 8 MiB.  The bounds leave joint_table
+    # room for a level's table beside the one built from it, and
+    # kl_divergence for one table beside the other's build and a flat copy;
+    # full-level stage ids and the gathered (level x d) probabilities kept
+    # alive fail both
     import tracemalloc
 
     rng = np.random.default_rng(7)
@@ -286,6 +287,31 @@ def test_joint_table_and_kl_memory_bounded():
         tracemalloc.stop()
     assert max(peaks[:2]) <= 2.0 * table_bytes
     assert peaks[2] <= 3.5 * table_bytes
+
+
+def test_kl_peak_within_two_and_a_half_tables():
+    # 2^20 outcomes, 8 MiB a table.  P's table is read in its own layout and
+    # Q's through a view in that layout, a block of outcomes at a time, so
+    # the call holds the two tables and block-sized temporaries; a flat
+    # copy of either table, or a level's table beside the one built from
+    # it while the other table is held, fails the bound
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    a = random_cstree(StateSpace([2] * 20), 2, rng)
+    b = random_cstree(StateSpace([2] * 20), 2, rng)
+    table_a, table_b = joint_table(a).ravel(), joint_table(b).ravel()
+    expected = float(np.sum(table_a * (np.log(table_a) - np.log(table_b))))
+    del table_a, table_b
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = kl_divergence(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (8 << 20)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_kl_space_mismatch():
