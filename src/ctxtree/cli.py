@@ -26,13 +26,13 @@ from .core import (
     StateSpace,
     ValidationError,
 )
-from .counts import Dataset, _parse_csv, _read_header, write_csv
+from .counts import Dataset, _parse_csv, _read_bytes, _read_header, build_count_table, write_csv
 from .enumeration import EnumSpec, count_stagings, enumerate_stagings
 from .ldag import export_dot, ldag_to_json_dict, to_ldag
-from .learn import LearnConfig, _checked_sets, _score_tables, learn, load_possible_parents
+from .learn import LearnConfig, _checked_sets, learn, load_possible_parents
 from .model_ops import kl_divergence, random_cstree, sample
 from .order_mcmc import ChainConfig, dump_trace
-from .scoring import PriorSpec, log_marginal_likelihood
+from .scoring import PriorSpec, build_score_tables, log_marginal_likelihood
 
 logger = logging.getLogger("ctxtree")
 
@@ -130,17 +130,16 @@ def _build_parser() -> _Parser:
 
 
 def _load_tables_inputs(args) -> tuple[Dataset, LearnConfig]:
-    """The dataset and table settings that ``learn`` and ``score`` share.
-    The CSV header gives the variable count, so beta and the |K_i| cap are
-    checked before the rows are parsed.  The file is read once, so a pipe
-    serves as well as a regular file."""
-    with open(args.data, "rb") as fh:
-        raw = fh.read()
+    """The dataset and table settings, sets K_i resolved and checked, that
+    ``learn`` and ``score`` share.  The CSV header gives the variable count,
+    so beta and the |K_i| cap are checked before the rows are parsed.  The
+    file is read once, so a pipe serves as well as a regular file."""
+    raw = _read_bytes(args.data)
     p = len(_read_header(args.data, raw))
     prior = PriorSpec(args.prior, args.ess)
     pp = load_possible_parents(args.possible_parents, p) if args.possible_parents else None
     config = LearnConfig(args.beta, prior, possible_parents=pp)
-    _checked_sets(config, p)
+    config = replace(config, possible_parents=_checked_sets(config, p))
     return _parse_csv(args.data, raw, args.cards_row), config
 
 
@@ -202,7 +201,7 @@ def _cmd_generate(args) -> int:
 def _cmd_ldag(args) -> int:
     tree = CStree.from_json(args.model)
     graph = to_ldag(tree)
-    dot = export_dot(graph)
+    dot = export_dot(graph) if args.dot or not args.json_out else None
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dot)
@@ -217,7 +216,8 @@ def _cmd_ldag(args) -> int:
 
 def _cmd_score(args) -> int:
     data, config = _load_tables_inputs(args)
-    tables = _score_tables(data, config)
+    counts = build_count_table(data, config.possible_parents, config.beta, max_cells=config.max_cells)
+    tables = build_score_tables(counts, config.prior)
     if args.dump_scores:
         with open(args.dump_scores, "w") as fh:
             tables.dump_z(fh)

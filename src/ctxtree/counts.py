@@ -23,22 +23,24 @@ Every table is the sum over axes of the first block table of i that holds S
 (the sums are of integers, so any would do).  Tables are int64 and
 immutable afterwards.
 
-``load_csv`` reads the file's bytes once.  A file whose header is a
-quote-free first line and whose body holds only ASCII digits, commas and
-line breaks is parsed in numpy, a block of whole lines at a time: the cells
-end where a digit meets a separator, each row's shape is checked from the
-separator bytes, and each cell's value is its digits summed by place.  The
-blocks stay in narrow types, give the column ranges, and are joined into
-the int64 rows once.  Every other file goes through ``csv.reader``, with
-each decision (integer parsing, missing cells, the cardinality row, label
-codes) made once per distinct label of a column rather than once per cell.  The cardinality-row
-rule and the checks on the codes serve both paths.  ``write_csv`` encodes
-the rows as fixed-width digit cells in numpy, a block of rows at a time,
-and writes each block's bytes with one call.
+``load_csv`` reads the file's bytes once, less a leading byte-order mark.  A
+file whose header is a quote-free first line and whose body holds only
+ASCII digits, commas and line breaks is parsed in numpy, a block of whole
+lines at a time: the cells end where a digit meets a separator, each row's
+shape is checked from the separator bytes, and each cell's value is its
+digits summed by place.  The blocks stay in narrow types, give the column
+ranges, and are joined into the int64 rows once.  Every other file goes
+through ``csv.reader``, with each decision (integer parsing, missing cells,
+the cardinality row, label codes) made once per distinct label of a column
+rather than once per cell.  The cardinality-row rule and the checks on the
+codes serve both paths.  ``write_csv`` encodes the rows as fixed-width digit
+cells in numpy, a block of rows at a time, and writes each block's bytes
+with one call.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import logging
@@ -91,7 +93,8 @@ class Dataset:
     """An n x p matrix of integer category codes plus its state space.
 
     The dataset owns its rows: they are copied at construction and frozen,
-    so writing to the caller's array afterwards changes nothing here.  The
+    so writing to the caller's array afterwards changes nothing here; the
+    range check reads ``_column_bounds``, as ``load_csv``'s does.  The
     distinct rows and their multiplicities are computed once, on first use,
     and shared by every count over this dataset.
     """
@@ -127,7 +130,7 @@ class Dataset:
             raise ValidationError("dataset needs at least one row")
         if p != space.p:
             raise ValidationError(f"rows have {p} columns, state space has {space.p}")
-        lo, hi = bounds or (rows.min(axis=0).tolist(), rows.max(axis=0).tolist())
+        lo, hi = bounds or (b.tolist() for b in _column_bounds(rows))
         for j, d in enumerate(space.cards):
             if lo[j] < 0 or hi[j] >= d:
                 raise ValidationError(f"column {j} has values outside 0..{d - 1}")
@@ -428,19 +431,24 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     ("", "?", or "NA") are dropped with a logged count.  Cells are stripped
     of surrounding whitespace.
 
-    The file is read once, as bytes.  When the header is its first line and
-    holds no quote, and every later line is blank or holds as many cells as
-    the header, each a run of at most 18 ASCII digits, the rows are parsed
-    from the bytes in numpy blocks of whole lines.  Any other file (labels,
-    missing cells, signs, whitespace, quotes, ragged rows, longer numbers)
-    goes through ``csv.reader``.  Both paths give the same dataset or the
-    same error.
+    The file is read once, as bytes, and one leading UTF-8 byte-order mark
+    is skipped.  When the header is its first line and holds no quote, and
+    every later line is blank or holds as many cells as the header, each a
+    run of at most 18 ASCII digits, the rows are parsed from the bytes in
+    numpy blocks of whole lines.  Any other file (labels, missing cells,
+    signs, whitespace, quotes, ragged rows, longer numbers) goes through
+    ``csv.reader``.  Both paths give the same dataset or the same error.
     """
     if cards_row not in ("auto", "yes", "no"):
         raise ValidationError(f"cards_row must be auto/yes/no, got {cards_row!r}")
+    return _parse_csv(path, _read_bytes(path), cards_row)
+
+
+def _read_bytes(path) -> bytes:
+    """A CSV file's bytes, less one leading UTF-8 byte-order mark, which
+    would otherwise start the first name."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    return _parse_csv(path, raw, cards_row)
+        return fh.read().removeprefix(codecs.BOM_UTF8)
 
 
 def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:

@@ -122,9 +122,16 @@ def label_str(ldag: Ldag, edge: tuple[int, int]) -> str:
     return ",".join(_pattern_str(p) for p in ldag.labels[edge])
 
 
+# DOT's keywords, in any case, are not node ids unless quoted
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
+
 def _node_id(ldag: Ldag, v: int) -> str:
     name = ldag.names[v] if ldag.names else str(v)
-    if name.isalnum() and not (name[0].isdigit() and not name.isdigit()):
+    # a DOT numeral is ASCII digits only: "1²" would split into two ids
+    numeral = name.isascii() and name.isdigit()
+    bare = numeral or (name.isalnum() and not name[0].isdigit())
+    if bare and name.lower() not in _DOT_KEYWORDS:
         return name
     if name.endswith("\\"):
         # a DOT quoted string cannot escape a final backslash: it would
@@ -135,17 +142,23 @@ def _node_id(ldag: Ldag, v: int) -> str:
 
 def export_dot(ldag: Ldag, names: Optional[Sequence[str]] = None) -> str:
     """Render the LDAG as a DOT digraph with deterministic node and edge
-    order.  Empty labels are rendered as unlabeled edges."""
+    order.  Empty labels are rendered as unlabeled edges.  Two variables
+    whose names give the same node id raise ValidationError, since DOT
+    would draw them as one node."""
     if names is not None:
         names = tuple(str(n) for n in names)
         if len(names) != ldag.p:
             raise ValidationError(f"expected {ldag.p} names, got {len(names)}")
         ldag = Ldag(ldag.p, ldag.edges, ldag.axes, ldag.labels, names)
+    ids = [_node_id(ldag, v) for v in range(ldag.p)]
+    first = {}
+    for v, node in enumerate(ids):
+        if first.setdefault(node, v) != v:
+            raise ValidationError(f"variables {first[node]} and {v} have the same DOT node id {node}")
     lines = ["digraph {"]
-    for v in range(ldag.p):
-        lines.append(f"  {_node_id(ldag, v)};")
+    lines.extend(f"  {node};" for node in ids)
     for edge in ldag.edges:
-        src, tgt = _node_id(ldag, edge[0]), _node_id(ldag, edge[1])
+        src, tgt = ids[edge[0]], ids[edge[1]]
         if ldag.labels[edge]:
             lines.append(f'  {src} -> {tgt} [label="{label_str(ldag, edge)}"];')
         else:

@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import CStree, ParseError, PossibleParents, ValidationError, as_int
-from .counts import DEFAULT_MAX_CELLS, CountTable, Dataset, build_count_table
+from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
 from .enumeration import EnumSpec, _check_beta
+from .model_ops import _fit
 from .order_mcmc import ChainConfig, map_order, run_chain
 from .scoring import (
     PriorSpec,
-    ScoreTables,
     _check_k_cap,
     _check_staging_cap,
     build_score_tables,
@@ -144,22 +144,12 @@ def _checked_sets(config: LearnConfig, p: int) -> PossibleParents:
     return pp
 
 
-def _count_table(data: Dataset, config: LearnConfig) -> CountTable:
-    """The count table of ``data`` under ``config``; beta and the |K_i| cap
-    are checked before any row is counted."""
-    pp = _checked_sets(config, data.p)
-    return build_count_table(data, pp, config.beta, max_cells=config.max_cells)
-
-
-def _score_tables(data: Dataset, config: LearnConfig) -> ScoreTables:
-    """Score tables of ``data`` under ``config``, from ``_count_table``."""
-    return build_score_tables(_count_table(data, config), config.prior)
-
-
 def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     """Estimate a CStree from data.
 
-    Builds the count and score tables, samples orderings with the
+    Resolves the possible-parent sets once and checks beta, the |K_i| cap
+    and the staging cap on them before any row is counted.  Then builds
+    the count and score tables, samples orderings with the
     relocation Gibbs chain, takes the best sampled ordering, and exactly
     optimizes each level's staging under L_i = K_i intersected with the
     ordering's predecessors.  Parameters are then fitted per
@@ -168,20 +158,20 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     beta variables, so the table holds its counts and no row is counted
     again.  Deterministic given the chain seed.
     """
-    from .model_ops import _fit  # local import to avoid a cycle
-
     space = data.space
-    _check_staging_cap(space, _checked_sets(config, space.p), config.beta)
-    count_table = _count_table(data, config)
+    pp = _checked_sets(config, space.p)
+    _check_staging_cap(space, pp, config.beta)
+    count_table = build_count_table(data, pp, config.beta, max_cells=config.max_cells)
     tables = build_score_tables(count_table, config.prior)
     trace = run_chain(tables, config.chain)
     order = map_order(trace)
     logger.info("best sampled ordering %s (log score %.6g)", order, tables.order_score(order))
 
-    stagings = []
+    stagings, before = [], set()
     for lvl in range(1, space.p):
+        before.add(order[lvl - 1])
         var = order[lvl]
-        usable = sorted(tables.pp[var] & set(order[:lvl]))
+        usable = sorted(pp[var] & before)
         spec = EnumSpec.for_level(space, order, lvl, config.beta, usable)
         stagings.append(optimal_staging(var, spec, tables))
     tree = CStree(order, space, stagings, names=data.names, labels=data.labels)

@@ -74,9 +74,9 @@ def _fit(tree: CStree, level_counts, mode: str, prior: Optional[PriorSpec]) -> C
                 else:
                     theta = post / post.sum()
             theta = theta / theta.sum()
-            level_params.append(tuple(float(t) for t in theta))
-        params.append(tuple(level_params))
-    return tree.with_params(tuple(params))
+            level_params.append(theta.tolist())
+        params.append(level_params)
+    return tree.with_params(params)
 
 
 def log_density(tree: CStree, outcome: Sequence[int]) -> float:
@@ -262,6 +262,6 @@ def random_cstree(
         for _ in staging.stages:
             draw = rng.dirichlet(np.ones(d))
             draw = draw / draw.sum()
-            level_params.append(tuple(float(t) for t in draw))
-        params.append(tuple(level_params))
-    return tree.with_params(tuple(params))
+            level_params.append(draw.tolist())
+        params.append(level_params)
+    return tree.with_params(params)

@@ -13,9 +13,9 @@ count table's layout, keyed (variable i, context variables S) with rows in
 mixed radix, and i's tables concatenated in table order are the evidence
 row the ``los`` kernel reads.  The score tables are built in two batched
 passes.  ``_log_evidences`` turns all of one variable's count tables,
-stacked with one alpha per row, into evidences, evaluating log Gamma once
-per distinct argument; ``log_context_marginal_likelihood`` is the same call
-on a single row, and ``log_marginal_likelihood`` makes one call per
+stacked with one alpha per row, into evidences with one elementwise log
+Gamma pass; ``log_context_marginal_likelihood`` is the same call on a
+single row, and ``log_marginal_likelihood`` makes one call per
 cardinality over the stages of a tree.  ``_local_order_scores`` then runs
 the closed form below once per cardinality profile (the variables whose
 sorted K_i have the same cardinalities), over a leading variable axis, with
@@ -146,8 +146,7 @@ def _log_evidences(tables: Sequence[tuple]) -> np.ndarray:
 
     ``tables`` holds ((variable, context variables), alpha, (cells x d)
     counts) triples, all of one width d; every cell of a table carries that
-    table's hyperparameter alpha.  log Gamma is evaluated once per distinct
-    argument over all the tables.
+    table's hyperparameter alpha.
     """
     owners, alphas, counts = zip(*tables)
     sizes = [len(c) for c in counts]
@@ -157,8 +156,7 @@ def _log_evidences(tables: Sequence[tuple]) -> np.ndarray:
     args = np.concatenate(
         [a_tot, a_tot + counts.sum(axis=1), alpha, (alpha[:, None] + counts).ravel()]
     )
-    distinct, inverse = np.unique(args, return_inverse=True)
-    logs = _gammaln(distinct)[inverse]
+    logs = _gammaln(args)
     rows = len(counts)
     log_cells = logs[3 * rows :].reshape(counts.shape)
     values = (

@@ -595,7 +595,8 @@ def _is_int(token):
 def cellwise_load_csv(path, cards_row="auto"):
     """``load_csv`` deciding every cell on its own: stripped Python strings,
     one ``int()`` per cell and a dict for first-appearance label codes.  It
-    logs through the ``oracles`` logger; the file is read as UTF-8."""
+    logs through the ``oracles`` logger; the file is read as UTF-8, less one
+    leading byte-order mark."""
     import csv
     import logging
 
@@ -605,7 +606,7 @@ def cellwise_load_csv(path, cards_row="auto"):
 
     logger = logging.getLogger("oracles")
     missing_tokens = ("", "?", "NA")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         table = [[cell.strip() for cell in row] for row in reader if row]
     if not table:

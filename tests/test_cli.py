@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import importlib
 import json
 import os
@@ -246,6 +247,42 @@ def test_ldag_rejects_name_dot_cannot_quote(tmp_path, capsys, four_var_tree_a):
     assert "ends in a backslash" in err
 
 
+def test_ldag_dot_quotes_keywords_and_rejects_equal_names(tmp_path, capsys, four_var_tree_a):
+    model, dot, js = tmp_path / "m.json", tmp_path / "g.dot", tmp_path / "g.json"
+    doc = four_var_tree_a.to_json_dict()
+    doc["names"] = ["node", "Edge", "c", "d"]
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "ldag", "--model", str(model))
+    assert code == 0
+    assert '  "node";\n  "Edge";\n' in out and '"node" -> d' in out
+    doc["names"] = ["a", "b", "a", "d"]
+    model.write_text(json.dumps(doc))
+    for argv in (["--dot", str(dot)], [], ["--dot", str(dot), "--json", str(js)]):
+        code, out, err = run(capsys, "ldag", "--model", str(model), *argv)
+        assert (code, out) == (2, "")
+        assert "variables 0 and 2 have the same DOT node id a" in err
+        assert not dot.exists() and not js.exists()
+    # the JSON export names variables by index, so equal names do not matter
+    code, out, _ = run(capsys, "ldag", "--model", str(model), "--json", str(js))
+    assert (code, out) == (0, "")
+    assert json.loads(js.read_text())["names"] == ["a", "b", "a", "d"]
+
+
+def test_learn_skips_byte_order_mark(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_csv(sample(random_cstree(StateSpace([2, 2, 3]), 2, rng), 200, rng), plain)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    models = []
+    for path in (plain, marked):
+        out = tmp_path / f"{path.stem}.json"
+        argv = ["learn", "--data", str(path), "--iterations", "50", "--seed", "1", "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        models.append(out.read_text())
+    assert models[0] == models[1]
+    assert json.loads(models[1])["names"] == ["X0", "X1", "X2"]
+
+
 def test_score_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     truth = random_cstree(StateSpace([2, 2, 2]), 2, rng)
@@ -376,7 +413,9 @@ def test_resource_cap_checked_before_counting(tmp_path, capsys, monkeypatch):
     def no_counting(*args, **kwargs):
         raise AssertionError("build_count_table called before the |K| cap check")
 
+    # learn counts through its own module's name, score through the CLI's
     monkeypatch.setattr(learn_module, "build_count_table", no_counting)
+    monkeypatch.setattr(cli_module, "build_count_table", no_counting)
     rng = np.random.default_rng(3)
     csv_path = tmp_path / "wide.csv"
     write_csv(Dataset(rng.integers(0, 2, size=(50, 20)), StateSpace([2] * 20)), csv_path)

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import importlib
 import logging
@@ -98,6 +99,26 @@ def test_load_label_mapping(tmp_path):
     assert data.space.cards == (3, 2)
 
 
+@pytest.mark.parametrize(
+    "body, fast",
+    [("0,1\r\n1,0\r\n1,1\r\n", True), ("red,0\nblue,1\nred,1\n", False)],
+    ids=["int-path", "csv-reader-path"],
+)
+def test_load_skips_one_byte_order_mark(tmp_path, body, fast):
+    raw = ("a,b\r\n" + body).encode()
+    names, start = _split_header(raw)
+    assert (_int_records(raw, start, len(names)) is not None) == fast
+    (tmp_path / "plain.csv").write_bytes(raw)
+    (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + raw)
+    (tmp_path / "bom2.csv").write_bytes(codecs.BOM_UTF8 * 2 + raw)
+    want, got = load_csv(tmp_path / "plain.csv"), load_csv(tmp_path / "bom.csv")
+    assert got.names == want.names == ("a", "b")
+    assert np.array_equal(got.rows, want.rows)
+    assert (got.space.cards, got.labels) == (want.space.cards, want.labels)
+    # only one mark is skipped
+    assert load_csv(tmp_path / "bom2.csv").names == ("\ufeffa", "b")
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(ParseError):
         load_csv(write(tmp_path, ""))
@@ -196,6 +217,25 @@ def test_dataset_validation():
     ):
         with pytest.raises(ValidationError, match=f"integers or whole-number floats, got dtype {bad.dtype}"):
             Dataset(bad, StateSpace([2, 2]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_dataset_rejects_an_out_of_range_cell_anywhere(n, dtype):
+    # the column bounds reduce whole groups of 64 rows, then the tail
+    cards = [2, 3, 4]
+    rng = np.random.default_rng(n)
+    rows = np.column_stack([rng.integers(0, d, size=n) for d in cards])
+    assert Dataset(rows.astype(dtype), StateSpace(cards)).rows.tolist() == rows.tolist()
+    top = n - n % 64
+    # the first group, the last full group and the tail, where there are such
+    for r in {0, top - 1, n - 1} - {-1}:
+        for j, d in enumerate(cards):
+            for bad in (-1, d):
+                broken = rows.copy()
+                broken[r, j] = bad
+                with pytest.raises(ValidationError, match=f"column {j} has values outside 0..{d - 1}"):
+                    Dataset(broken.astype(dtype), StateSpace(cards))
 
 
 def test_compute_counts_marginal():

@@ -105,6 +105,26 @@ def test_export_dot_quotes_names():
         export_dot(to_ldag(tree), names=["x", "a\\"])
 
 
+@pytest.mark.parametrize("keyword", ["node", "Edge", "GRAPH", "digraph", "subGraph", "strict"])
+def test_export_dot_quotes_keywords(four_var_tree_a, keyword):
+    dot = export_dot(to_ldag(four_var_tree_a), names=[keyword, "b", "c", "d"])
+    assert f'  "{keyword}";' in dot and f'  "{keyword}" -> d' in dot
+    assert f"  {keyword};" not in dot
+
+
+def test_export_dot_quotes_names_that_are_not_one_dot_id(four_var_tree_a):
+    dot = export_dot(to_ldag(four_var_tree_a), names=["1\u00b2", "2a", "\u0663", "007"])
+    assert '  "1\u00b2";\n  "2a";\n  "\u0663";\n  007;\n' in dot
+
+
+def test_export_dot_rejects_equal_node_ids(four_var_tree_a):
+    graph = to_ldag(four_var_tree_a)
+    with pytest.raises(ValidationError, match="variables 0 and 2 have the same DOT node id a"):
+        export_dot(graph, names=["a", "b", "a", "c"])
+    with pytest.raises(ValidationError, match='variables 1 and 3 have the same DOT node id "x y"'):
+        export_dot(graph, names=["a", "x y", "c", "x y"])
+
+
 def test_label_str_single_and_multi(four_var_tree_b):
     g = to_ldag(four_var_tree_b)
     assert label_str(g, (1, 3)) == "(1,*),(*,1)"
