@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except ResourceCapError as exc:
+    except (ResourceCapError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
     except (CtxTreeError, OSError) as exc:

@@ -28,14 +28,15 @@ file whose header is a quote-free first line and whose body holds only
 ASCII digits, commas and line breaks is parsed in numpy, a block of whole
 lines at a time: the cells end where a digit meets a separator, each row's
 shape is checked from the separator bytes, and each cell's value is its
-digits summed by place.  The blocks stay in narrow types, give the column
-ranges, and are joined into the int64 rows once.  Every other file goes
-through ``csv.reader``, with each decision (integer parsing, missing cells,
-the cardinality row, label codes) made once per distinct label of a column
-rather than once per cell.  The cardinality-row rule and the checks on the
-codes serve both paths.  ``write_csv`` encodes the rows as fixed-width digit
-cells in numpy, a block of rows at a time, and writes each block's bytes
-with one call.
+digits summed by place.  The blocks stay in narrow types until they are
+joined into the int64 rows; one pass over the rows below the first then
+decides the cardinality-row rule and gives the column ranges.  Every other
+file goes through ``csv.reader``, with each decision (integer parsing,
+missing cells, the cardinality row, label codes) made once per distinct
+label of a column rather than once per cell.  The cardinality-row rule and
+the checks on the codes serve both paths.  ``write_csv`` encodes the rows
+as fixed-width digit cells in numpy, a block of rows at a time, and writes
+each block's bytes with one call.
 """
 
 from __future__ import annotations
@@ -230,22 +231,23 @@ def _split_header(raw: bytes) -> Optional[tuple[list[str], int]]:
     return [cell.strip() for cell in fields], len(header)
 
 
-def _int_records(raw: bytes, start: int, p: int) -> Optional[tuple[np.ndarray, Optional[tuple]]]:
-    """The records of the body ``raw[start:]`` as int64 rows, and each
-    column's (minimum, maximum) over the rows below the first (None for a
-    single row), when every record has p cells, each a run of at most 18
-    ASCII digits; None otherwise.  ``raw[start]`` is a line break.
+def _int_records(raw: bytes, start: int, p: int) -> Optional[np.ndarray]:
+    """The records of the body ``raw[start:]`` as int64 rows, when there is
+    one and every record has p cells, each a run of at most 19 ASCII digits
+    that is at most 2**63 - 1; None otherwise.  The body, when there is one,
+    starts with a line break.
 
     The body is read in numpy blocks of whole lines, views of ``raw``, each
     cut at the first line break at or after ``_READ_BLOCK_BYTES`` from its
-    start.  Runs of CR and LF are blank lines and are skipped, as
-    csv.reader skips them.  Anything that ``int()`` could read otherwise (a
-    sign, whitespace, an underscore, a non-ASCII digit), an empty cell, a
-    ragged row or a cell of 19 or more digits gives None."""
-    if len(raw.translate(None, _INT_BYTES)) != len(raw[:start].translate(None, _INT_BYTES)):
+    start, and the blocks are joined straight into int64.  Runs of CR and LF
+    are blank lines and are skipped, as csv.reader skips them.  Anything
+    that ``int()`` could read otherwise (a sign, whitespace, an underscore,
+    a non-ASCII digit), an empty cell, a ragged row, a value past the int64
+    range or a cell of 20 or more digits gives None."""
+    if start == len(raw) or len(raw.translate(None, _INT_BYTES)) != len(raw[:start].translate(None, _INT_BYTES)):
         return None
     whole = np.frombuffer(raw, dtype=np.uint8)
-    blocks, lows, highs = [], [], []
+    blocks = []
     while start < len(raw):
         found = _LINE_BREAK.search(raw, start + _READ_BLOCK_BYTES)
         if found:
@@ -258,28 +260,17 @@ def _int_records(raw: bytes, start: int, p: int) -> Optional[tuple[np.ndarray, O
         values = _int_block(block, p)
         if values is None:
             return None
-        # the first row stays out of the bounds: it may be a cards row
-        block_bounds = _column_bounds(values if blocks else values[1:])
-        if block_bounds is not None:
-            lows.append(block_bounds[0])
-            highs.append(block_bounds[1])
-        if len(values):
-            blocks.append(values)
+        blocks.append(values)
         start = end
-    if not blocks:
-        return None
-    # int64 bounds: numpy compares uint64 with int64 as floats
-    bounds = None
-    if lows:
-        bounds = np.min(lows, axis=0).astype(np.int64), np.max(highs, axis=0).astype(np.int64)
-    return np.concatenate(blocks, dtype=np.int64), bounds
+    rows = np.concatenate(blocks, dtype=np.int64)
+    return rows if len(rows) else None
 
 
 def _int_block(block: np.ndarray, p: int) -> Optional[np.ndarray]:
     """The rows of ``block``, bytes that hold only ASCII digits, commas and
     line breaks and that start and end with a line break, in the narrowest
     unsigned type that holds them; None unless every row has p cells of 1
-    to 18 digits."""
+    to 19 digits, each at most 2**63 - 1."""
     digit = block > 47
     comma = block == 44
     # the last digit of each cell
@@ -302,13 +293,16 @@ def _int_block(block: np.ndarray, p: int) -> Optional[np.ndarray]:
         # block's end through a negative index, which ``going`` masks
         at, going, place = ends - 1, digit[ends - 1], 10
         while going.any():
-            if place == 10**18:
+            if place == 10**19:
                 return None
             dtype = np.min_scalar_type(10 * place - 1)
             digits = np.where(going, block[at] - np.uint8(48), np.uint8(0)).astype(dtype)
             values = digits * dtype.type(place) + values
             at, place = at - 1, 10 * place
             going &= digit[at]
+        # 19 digits stay below 2**64 in uint64, but may pass the int64 range
+        if place == 10**19 and values.max() > _INT64.max:
+            return None
     return values.reshape(rows, p)
 
 
@@ -434,10 +428,11 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     The file is read once, as bytes, and one leading UTF-8 byte-order mark
     is skipped.  When the header is its first line and holds no quote, and
     every later line is blank or holds as many cells as the header, each a
-    run of at most 18 ASCII digits, the rows are parsed from the bytes in
-    numpy blocks of whole lines.  Any other file (labels, missing cells,
-    signs, whitespace, quotes, ragged rows, longer numbers) goes through
-    ``csv.reader``.  Both paths give the same dataset or the same error.
+    run of at most 19 ASCII digits whose value is at most 2**63 - 1, the
+    rows are parsed from the bytes in numpy blocks of whole lines.  Any
+    other file (labels, missing cells, signs, whitespace, quotes, ragged
+    rows, longer or larger numbers) goes through ``csv.reader``.  Both
+    paths give the same dataset or the same error.
     """
     if cards_row not in ("auto", "yes", "no"):
         raise ValidationError(f"cards_row must be auto/yes/no, got {cards_row!r}")
@@ -454,28 +449,21 @@ def _read_bytes(path) -> bytes:
 def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
     """``load_csv`` on the file's bytes ``raw``, already read."""
     split = _split_header(raw)
-    parsed = None if split is None else _int_records(raw, split[1], len(split[0]))
-    if parsed is None:
+    records = None if split is None else _int_records(raw, split[1], len(split[0]))
+    if records is None:
         names, codes, declared, label_map = _label_codes(path, raw, cards_row)
         bounds = _column_bounds(codes)
     else:
-        # the bounds of the rows below the first decide the cards-row rule
-        # and give the column ranges, with or without the first row
+        # one pass over the rows below the first decides the cards-row rule
+        # and gives the column ranges, with the first row when it is data
         names, label_map = split[0], None
-        records, bounds = parsed
         head, codes = records[0], records[1:]
-        declared = _declared_cards(
-            path,
-            cards_row,
-            head.tolist(),
-            lambda: bounds is not None and bool((bounds[1] < head).all()),
-        )
+        # with no rows below, the head's own range holds no value below it
+        bounds = _column_bounds(codes) or (head, head)
+        declared = _declared_cards(path, cards_row, head.tolist(), lambda: bool((bounds[1] < head).all()))
         if declared is None:
             codes = records
-            if bounds is None:
-                bounds = head, head
-            else:
-                bounds = np.minimum(bounds[0], head), np.maximum(bounds[1], head)
+            bounds = np.minimum(bounds[0], head), np.maximum(bounds[1], head)
 
     if not len(codes):
         raise ParseError(f"{path}: no complete data rows")

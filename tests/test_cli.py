@@ -348,6 +348,44 @@ def test_learn_unreadable_data_exit_2(tmp_path, capsys, raw, message):
     assert not out_path.exists()
 
 
+def test_score_unreadable_header_exit_2(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(b"a\xff,b\n0,1\n1,0\n")
+    code, out, err = run(capsys, "score", "--data", str(csv_path), "--order", "0,1")
+    assert (code, out) == (2, "")
+    assert "not UTF-8 text" in err
+
+
+def test_learn_empty_file_exit_2(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(b"")
+    out_path = tmp_path / "m.json"
+    code, out, err = run(capsys, "learn", "--data", str(csv_path), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "empty file" in err
+    assert not out_path.exists()
+
+
+def test_memory_error_exit_3(tmp_path):
+    # the rows asked for pass the address space, so the allocation fails at
+    # once and nothing is allocated
+    tree = random_cstree(StateSpace([2, 2, 2]), 2, np.random.default_rng(1))
+    tree.to_json(tmp_path / "m.json")
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxtree.cli", "sample", "--model", str(tmp_path / "m.json"),
+         "-n", str(10**14), "--seed", "1", "--out", str(tmp_path / "d.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("beta, message", [("-1", "nonnegative"), ("3", "not supported")])
 def test_bad_beta_exit_2(tmp_path, capsys, beta, message):
     rng = np.random.default_rng(2)

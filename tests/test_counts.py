@@ -157,6 +157,20 @@ def test_load_unreadable_text(tmp_path):
         load_csv(write(tmp_path, "a\n" + "1" * 200_000 + "\n"))
 
 
+def test_load_unsplittable_header(tmp_path):
+    # a header the integer path cannot split is left to csv.reader
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a\xff,b\n0,1\n")
+    assert _split_header(path.read_bytes()) is None
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_csv(path)
+    raw = b"a" * (csv.field_size_limit() + 1) + b",b\n0,1\n"
+    path.write_bytes(raw)
+    assert _split_header(raw) is None
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        load_csv(path)
+
+
 def test_load_constant_column_warns(tmp_path, caplog):
     path = write(tmp_path, "a,b\n0,1\n0,0\n")
     with caplog.at_level(logging.WARNING):
@@ -655,6 +669,7 @@ INT_CELLS = ["0", "1", "2", "3", "00", "01", "007", "10"]
 ODD_CELLS = [
     "", "?", "NA", " 1", "+1", "-1", "1_0", "\u0663",
     "9223372036854775807", "9223372036854775808", "99999999999999999999",
+    "0000000000000000001", "00000000000000000001",
 ]
 
 
@@ -702,9 +717,9 @@ BLOCK_TEXTS = [
     ("c0,c1,c2,c3,c4,c5\n" + "0123,456,7,89,1000,2\n" * 3 + "5,4,3,2,1,0", True),
     ("c0,c1,c2\r\n" + WIDE_ROWS, True),
     ("c0,c1,c2\r\n2,3,4\r\n" + WIDE_ROWS, True),
-    # a 19-digit cell is left to csv.reader, which reads it in range
-    ("c0\n1\n9223372036854775807\n", False),
-    ("c0,c1\n0,1\n1234567890123456789,0\n", False),
+    # 19-digit cells are read in uint64 up to the int64 maximum
+    ("c0\n1\n9223372036854775807\n", True),
+    ("c0,c1\n0,1\n1234567890123456789,0\n", True),
     # a trailing comma, at a block's end at some sizes, makes a ragged row
     ("c0,c1\n0,1,\n1,0\n", False),
     ("c0,c1,c2\n0,1,\n1,0\n", False),
@@ -712,6 +727,11 @@ BLOCK_TEXTS = [
     ("c0,c1\n,0,1\n1,0\n", False),
     ("c0,c1\n0,,1\n1,0\n", False),
     ("c0\r1\r\r0\r", True),
+    # a zero-padded 19-digit cell under a cards row; 2**63 and a 20th digit,
+    # even a padding zero, are left to csv.reader
+    ("c0,c1\n3,2\n0000000000000000002,1\n0,0\n", True),
+    ("c0\n1\n9223372036854775808\n", False),
+    ("c0,c1\n0,1\n00000000000000000001,0\n", False),
 ]
 
 
