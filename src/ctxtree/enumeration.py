@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -104,17 +104,25 @@ class EnumSpec:
             raise ValidationError(
                 f"usable variables {usable} not contained in level variables {level_vars}"
             )
-        object.__setattr__(self, "level_vars", level_vars)
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "usable", usable)
-        object.__setattr__(self, "beta", _check_beta(beta))
+        self._set(level_vars, cards, usable, _check_beta(beta))
+
+    def _set(self, level_vars: tuple, cards: tuple, usable: tuple, beta: int) -> None:
+        """Set the frozen fields and the card of each level variable."""
+        for name, value in (
+            ("level_vars", level_vars),
+            ("cards", cards),
+            ("usable", usable),
+            ("beta", beta),
+            ("_card", dict(zip(level_vars, cards))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def level(self) -> int:
         return len(self.level_vars)
 
     def card_of(self, var: int) -> int:
-        return self.cards[self.level_vars.index(var)]
+        return self._card[var]
 
     @staticmethod
     def for_level(
@@ -129,6 +137,24 @@ class EnumSpec:
             raise ValidationError(f"level must be in 0..{len(order)}, got {level}")
         level_vars = order[:level]
         return EnumSpec(level_vars, [space.cards[v] for v in level_vars], usable, beta)
+
+    @staticmethod
+    def _checked_level(
+        space: StateSpace, order: tuple, level: int, beta: int, usable: Optional[tuple] = None
+    ) -> "EnumSpec":
+        """``for_level`` without its checks, for callers that have checked
+        them once: ``order`` a tuple of distinct ints, ``level`` in range,
+        ``usable`` a sorted tuple inside ``order[:level]`` and ``beta``
+        in 0..2."""
+        level_vars = order[:level]
+        spec = object.__new__(EnumSpec)
+        spec._set(
+            level_vars,
+            tuple(space.cards[v] for v in level_vars),
+            tuple(sorted(level_vars)) if usable is None else usable,
+            beta,
+        )
+        return spec
 
     @staticmethod
     def of_cards(cards: Sequence[int], beta: int = 2, usable=None) -> "EnumSpec":
@@ -312,6 +338,15 @@ def _pivot_stages(k: int, d: dict, refine: Sequence[Optional[int]]) -> list:
     return stages
 
 
+def _unrank_pair(r: int, m: int) -> tuple[int, int]:
+    """``list(combinations(range(m), 2))[r]``, by arithmetic.  Counted from
+    the last pair, t = C(m, 2) - 1 - r: the i + 1 pairs whose first member
+    is m - 2 - i follow the i (i + 1) / 2 pairs of larger first members."""
+    t = math.comb(m, 2) - 1 - r
+    i = (math.isqrt(8 * t + 1) - 1) // 2
+    return m - 2 - i, m - 1 - (t - i * (i + 1) // 2)
+
+
 def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
     """Draw a staging uniformly from the admissible set.
 
@@ -330,7 +365,8 @@ def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
         j = usable[r - 1]
         stages = [((j, x),) for x in range(d[j])]
     elif r <= m + n_pairs:
-        j, k = list(combinations(usable, 2))[r - m - 1]
+        a, b = _unrank_pair(r - m - 1, m)
+        j, k = usable[a], usable[b]
         stages = _pivot_stages(k, d, [j] * d[k])
     else:
         r -= 1 + m + n_pairs

@@ -40,8 +40,9 @@ class LearnConfig:
     ``load_possible_parents``.  Each |K_i| may be at most ``scoring.MAX_K``
     (16), checked before any row is counted; ``learn`` also checks, before
     counting, that no level over all of K_i has more than
-    ``scoring.MAX_STAGINGS`` (2**24) admissible stagings, since the staging
-    optimization scores each one.  ``max_cells`` caps the count
+    ``scoring.MAX_STAGINGS`` (2**24) admissible stagings: the staging
+    optimization scores only those near the optimum, but all of them
+    where they all tie.  ``max_cells`` caps the count
     table, which is built on one thread.  ``threads`` is accepted and checked
     as an integer but has no effect; it is kept only because the benchmark
     harness passes and reports it.
@@ -171,8 +172,8 @@ def learn(data: Dataset, config: LearnConfig, return_trace: bool = False):
     for lvl in range(1, space.p):
         before.add(order[lvl - 1])
         var = order[lvl]
-        usable = sorted(pp[var] & before)
-        spec = EnumSpec.for_level(space, order, lvl, config.beta, usable)
+        usable = tuple(sorted(pp[var] & before))
+        spec = EnumSpec._checked_level(space, order, lvl, config.beta, usable)
         stagings.append(optimal_staging(var, spec, tables))
     tree = CStree(order, space, stagings, names=data.names, labels=data.labels)
     if config.estimator != "none":

@@ -18,7 +18,7 @@ from .core import (
     stage_ids,
 )
 from .counts import Dataset, stage_counts
-from .enumeration import EnumSpec, sample_staging_uniform
+from .enumeration import EnumSpec, _check_beta, sample_staging_uniform
 from .scoring import PriorSpec
 
 DEFAULT_JOINT_CAP = 1 << 25
@@ -246,11 +246,12 @@ def random_cstree(
     distributions."""
     if theta not in ("dirichlet1", "none"):
         raise ValidationError(f"theta must be dirichlet1 or none, got {theta!r}")
+    beta = _check_beta(beta)
     p = space.p
     order = tuple(int(v) for v in rng.permutation(p))
     stagings = [Staging.full_level(0)]
     for lvl in range(1, p):
-        spec = EnumSpec.for_level(space, order, lvl, beta)
+        spec = EnumSpec._checked_level(space, order, lvl, beta)
         stagings.append(sample_staging_uniform(spec, rng))
     tree = CStree(order, space, stagings)
     if theta == "none":

@@ -47,8 +47,10 @@ subtracted as ``pos + log1p(-exp(neg - pos))``, with exp(neg - pos) summed
 as sum_{j<k} e^{P(j,k) - pos}.  Each pair staging is counted in two pivot
 products, so neg <= pos - log 2 and the log1p argument stays in
 [-1/2, 0], where it loses no precision.  Entries match the enumeration
-oracle within 1e-12 relative.  ``optimal_staging`` still walks the
-enumerated stagings once and keeps the first strict maximum in
+oracle within 1e-12 relative.  ``optimal_staging`` takes the max-plus form
+of the same factorization, a sum over x of the best option per pivot, and
+then scores only the stagings within rounding of that optimum, as the
+enumeration would, so it keeps the first strict maximum in
 ``iter_raw_stagings`` order.
 
 The per-cell hyperparameter allocation "bdeu-path" spreads the equivalent
@@ -89,13 +91,13 @@ from .core import (
     validate_order,
 )
 from .counts import CountTable, Dataset, _context_sets, _row, stage_counts
-from .enumeration import EnumSpec, _staging_count, count_stagings, iter_raw_stagings
+from .enumeration import EnumSpec, _pivot_stages, _staging_count, count_stagings
 
 
 MAX_K = 16
 
-# Admissible stagings of the largest level a K_i allows; ``optimal_staging``
-# scores every one of them.
+# Admissible stagings of the largest level a K_i allows.  ``optimal_staging``
+# scores every one of them only when they all tie, as with a few rows.
 MAX_STAGINGS = 2**24
 
 PRIOR_SCHEMES = ("bdeu-path", "unit")
@@ -212,14 +214,21 @@ class ScoreTables:
         context = context if isinstance(context, Context) else Context(context)
         return _row(self._z, self.space, var, context, "context marginal likelihood")
 
-    def _level(self, var: int, spec: EnumSpec) -> Iterator[tuple[tuple, float]]:
-        """The z entries of ``var`` on ``spec``'s level, as ((variable, value)
-        pairs, value) in table order; the spec must fit the tables."""
+    def _fitted(self, var: int, spec: EnumSpec) -> int:
+        """``var`` as an int, once ``spec``'s level is checked to fit the
+        tables: usable variables inside K_var, beta and cardinalities of
+        the tables'."""
         var, _ = self._mask(var, spec.usable)
         if spec.beta > self.beta or any(spec.card_of(v) != self.space.cards[v] for v in spec.usable):
             raise ValidationError(
                 f"no z entries for variable {var} at beta {spec.beta}, cards {spec.cards}"
             )
+        return var
+
+    def _level(self, var: int, spec: EnumSpec) -> Iterator[tuple[tuple, float]]:
+        """The z entries of ``var`` on ``spec``'s level, as ((variable, value)
+        pairs, value) in table order; the spec must fit the tables."""
+        var = self._fitted(var, spec)
         for svars in _context_sets(spec.usable, spec.beta):
             values = product(*(range(self.space.cards[v]) for v in svars))
             for xs, value in zip(values, self._z[(var, svars)]):
@@ -384,21 +393,128 @@ def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> floa
     return float(scores[0, -1])
 
 
+def _within(slacks: Sequence[Sequence[float]], budget: float) -> Iterator[tuple[tuple, float]]:
+    """Every index tuple c, one index per row of ``slacks``, whose slacks
+    ``slacks[r][c[r]]`` sum to at most ``budget``, in lexicographic order,
+    each with the budget it leaves.  A branch is cut once the least slacks
+    of its remaining rows overrun what is left."""
+    least = [0.0]
+    for row in reversed(slacks):
+        least.append(least[-1] + min(row))
+    least.reverse()
+
+    def walk(r: int, left: float) -> Iterator[tuple[tuple, float]]:
+        if r == len(slacks):
+            yield (), left
+            return
+        for c, s in enumerate(slacks[r]):
+            if s + least[r + 1] <= left:
+                for rest, rest_left in walk(r + 1, left - s):
+                    yield (c, *rest), rest_left
+
+    return walk(0, budget)
+
+
+def _band(plain: dict, slacks: dict, budgets: dict) -> Iterator[tuple[int, list]]:
+    """The stagings of strata 3 and 4 whose slacks at their pivot k sum to
+    at most ``budgets[k]``, in ``iter_raw_stagings`` order, as (k, refine);
+    the three mappings hold the same pivots in increasing order.
+
+    Pivot k is the k-th usable variable.  ``plain[k][x]`` is the slack of
+    leaving value x of k whole, ``slacks[k][x][c]`` that of refining it by
+    the c-th member of L - k; ``refine[x]`` is that c, or None for a plain
+    value.
+    """
+    for k, budget in budgets.items():
+        for choice, _ in _within(slacks[k], budget):
+            # a constant choice of j < k is the pair staging listed at pivot j
+            if choice[0] >= k or choice.count(choice[0]) < len(choice):
+                yield k, list(choice)
+    for k, budget in budgets.items():
+        d = len(plain[k])
+        # value x plain (bit 0) or refined (bit 1), high bit first, so the
+        # masks of refined values come in increasing order
+        bits = [(plain[k][x], min(slacks[k][x])) for x in reversed(range(d))]
+        for high_first, left in _within(bits, budget):
+            split = [x for x in range(d) if high_first[d - 1 - x]]
+            if 0 < len(split) < d:
+                for choice, _ in _within([slacks[k][x] for x in split], left):
+                    refine = [None] * d
+                    for x, c in zip(split, choice):
+                        refine[x] = c
+                    yield k, refine
+
+
 def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
     """Exact argmax of the staging score over the admissible stagings.
 
     The uniform staging prior and the order-position prior are constant
     within a level, so the argmax is by summed stage evidences; ties keep
     the first staging in canonical enumeration order.
+
+    Each staging is scored as a running sum over its stages in
+    ``iter_raw_stagings``' stage order, plain stages before refined ones.
+    Past the empty-context and single-variable stagings, only those in a
+    band below the optimum M are scored.  M is the max-plus form of the
+    module docstring's pivot factorization: pivot k reaches at most
+    P_k = sum_x max(z(k=x), max_j B(k,x,j)), which bounds its
+    single-variable staging too, so M = max(z_0, max_k P_k); a pivot
+    staging falls short of P_k by the slacks of its options, value by
+    value.  The band is 1e-9 (1 + sum |z|) deep, over the level's z
+    entries.  A staging's stages are distinct entries, so that depth is
+    orders of magnitude above the rounding of any of its sums, and every
+    staging whose running sum can reach the maximum is scored.  Where all
+    stagings tie, the band holds them all, as many as the caller's
+    ``MAX_STAGINGS`` check allows.
     """
-    z_l = dict(tables._level(var, spec))
-    best, raw = -math.inf, None
-    for candidate in iter_raw_stagings(spec):
+    var = tables._fitted(var, spec)
+    z, usable = tables._z, spec.usable
+    z0 = z[(var, ())][0]
+    best, raw = z0, ((),)
+    single = [z[(var, (j,))] for j in usable] if spec.beta >= 1 else []
+    for j, row in zip(usable, single):
         total = 0.0
-        for items in candidate:
-            total += z_l[items]
+        for value in row:
+            total += value
         if total > best:
-            best, raw = total, candidate
+            best, raw = total, tuple(((j, x),) for x in range(len(row)))
+    m = len(usable)
+    if spec.beta == 2 and m > 1:
+        d = [len(row) for row in single]
+        mass = 1 + abs(z0) + sum(abs(v) for row in single for v in row)
+        # blocks[k][c][x]: the z entries of the stages {k=x, j=y} in y order,
+        # j the c-th member of L - k; pair table rows are x_a * d_b + x_b
+        blocks: list[list] = [[None] * (m - 1) for _ in range(m)]
+        for a, b in combinations(range(m), 2):
+            table = z[(var, (usable[a], usable[b]))]
+            mass += sum(map(abs, table))
+            blocks[a][b - 1] = [table[x * d[b] : (x + 1) * d[b]] for x in range(d[a])]
+            blocks[b][a] = [table[x :: d[b]] for x in range(d[b])]
+        refined = [[[sum(block[x]) for block in blocks[k]] for x in range(d[k])] for k in range(m)]
+        top = [[max(v, *options) for v, options in zip(single[k], refined[k])] for k in range(m)]
+        reach = [sum(row) for row in top]
+        floor = max(z0, *reach) - 1e-9 * mass
+        # only pivots that reach the band need their slacks
+        band = [k for k in range(m) if reach[k] >= floor]
+        plain = {k: [t - v for t, v in zip(top[k], single[k])] for k in band}
+        slacks = {k: [[t - b for b in options] for t, options in zip(top[k], refined[k])] for k in band}
+        winner = None
+        for k, refine in _band(plain, slacks, {k: reach[k] - floor for k in band}):
+            total = 0.0
+            for x, c in enumerate(refine):
+                if c is None:
+                    total += single[k][x]
+            for x, c in enumerate(refine):
+                if c is not None:
+                    for value in blocks[k][c][x]:
+                        total += value
+            if total > best:
+                best, winner = total, (k, refine)
+        if winner is not None:
+            k, refine = winner
+            others = usable[:k] + usable[k + 1 :]
+            refine = [None if c is None else others[c] for c in refine]
+            raw = _pivot_stages(usable[k], dict(zip(usable, d)), refine)
     level = spec.level
     return Staging(level, tuple(Stage(Context(a), level) for a in raw))
 
@@ -420,14 +536,17 @@ def _check_k_cap(pp: PossibleParents) -> None:
 
 def _check_staging_cap(space: StateSpace, pp: PossibleParents, beta: int) -> None:
     """Reject any K_i over which a level has more than ``MAX_STAGINGS``
-    admissible stagings.  The count grows with the usable set, and a level
-    can use all of K_i, so K_i itself is the worst case."""
+    admissible stagings.  ``optimal_staging`` scores only the stagings near
+    the optimum, but where all of them tie that is every one.  The count
+    grows with the usable set, and a level can use all of K_i, so K_i
+    itself is the worst case."""
     for i, k in enumerate(pp.sets):
         if _staging_count([space.cards[v] for v in k], beta) > MAX_STAGINGS:
             raise ResourceCapError(
                 f"a level of variable {i} that can use all of K_{i} has more than "
-                f"{MAX_STAGINGS} admissible stagings, the cap: optimal_staging scores "
-                "each one; supply a smaller K_i, fewer high-cardinality members or a lower beta"
+                f"{MAX_STAGINGS} admissible stagings, the cap: where they all tie, "
+                "optimal_staging scores each one; supply a smaller K_i, fewer "
+                "high-cardinality members or a lower beta"
             )
 
 

@@ -19,7 +19,8 @@ over predecessor sets instead of orderings and reads only the public
 argmax walks the library's enumeration; it checks only the tie rule.  The
 stratum sampler is the uniform staging sampler as it was before it walked
 one draw over the pivot counts; it pins the sampler's draws and its random
-stream.  The cell-by-cell CSV loader and the per-set count build are the
+stream, and ``stratum_random_cstree`` runs it level by level on specs that
+the public ``EnumSpec.for_level`` checks, as ``random_cstree`` did.  The cell-by-cell CSV loader and the per-set count build are the
 data layer as it was before it worked on whole columns and collapsed rows;
 the void-key collapse is the row collapse as it was before it packed each
 row into one integer key.  The ``csv.writer`` CSV writer is ``write_csv``
@@ -583,6 +584,26 @@ def stratum_sample(spec, rng):
             return wrap(stages)
         r -= w
     raise AssertionError("stratum 4 weights inconsistent")
+
+def stratum_random_cstree(space, beta, rng):
+    """``random_cstree`` with every level's spec built and checked by the
+    public ``EnumSpec.for_level`` and its staging drawn by
+    ``stratum_sample``."""
+    import numpy as np
+
+    from ctxtree import CStree, EnumSpec, Staging
+
+    order = tuple(int(v) for v in rng.permutation(space.p))
+    stagings = [Staging.full_level(0)]
+    for lvl in range(1, space.p):
+        stagings.append(stratum_sample(EnumSpec.for_level(space, order, lvl, beta), rng))
+    tree = CStree(order, space, stagings)
+    params = [
+        [rng.dirichlet(np.ones(space.cards[tree.governed_var(lvl)])) for _ in staging.stages]
+        for lvl, staging in enumerate(tree.stagings)
+    ]
+    return tree.with_params([[(draw / draw.sum()).tolist() for draw in level] for level in params])
+
 
 def _is_int(token):
     try:

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -15,10 +15,12 @@ from ctxtree import (
     count_stagings,
     enumerate_stagings,
     max_stage_count,
+    random_cstree,
     sample_staging_uniform,
 )
+from ctxtree.enumeration import _unrank_pair
 
-from oracles import brute_force_stagings, is_partition, stratum_sample
+from oracles import brute_force_stagings, is_partition, stratum_random_cstree, stratum_sample
 
 
 def staging_key(staging):
@@ -168,6 +170,18 @@ def test_for_level_checks_level():
             EnumSpec.for_level(space, (2, 0, 1), bad)
 
 
+def test_checked_level_is_for_level_unchecked():
+    # learn and random_cstree build their specs this way from a checked
+    # ordering; fields, cards and equality are those of for_level
+    space = StateSpace([2, 3, 4, 2])
+    order = (2, 0, 3, 1)
+    for level in range(5):
+        for usable in (None, tuple(sorted(order[:level]))[1:]):
+            spec = EnumSpec._checked_level(space, order, level, 2, usable)
+            assert spec == EnumSpec.for_level(space, order, level, 2, usable)
+            assert [spec.card_of(v) for v in order[:level]] == list(spec.cards)
+
+
 def test_count_cstrees_all_orders_matches_permutation_sum():
     for cards in ([2, 3, 2, 4], [2, 2, 3], [3, 2]):
         space = StateSpace(cards)
@@ -279,6 +293,22 @@ def test_sample_stream_matches_stratum_oracle(spec, seed):
     g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(8):
         assert sample_staging_uniform(spec, g1) == stratum_sample(spec, g2)
+    assert g1.bit_generator.state == g2.bit_generator.state
+
+
+def test_unrank_pair_is_the_rth_combination():
+    for m in range(2, 31):
+        pairs = list(combinations(range(m), 2))
+        assert [_unrank_pair(r, m) for r in range(len(pairs))] == pairs
+
+
+@pytest.mark.parametrize("p", [5, 100, 400])
+def test_random_cstree_draws_match_stratum_oracle(p):
+    # the same tree and the generator left in the same state as with the
+    # per-stratum sampler on checked specs
+    space = StateSpace([2, 3, 2, 4][: min(p, 4)] * (p // 4) + [2] * (p % 4))
+    g1, g2 = np.random.default_rng(p), np.random.default_rng(p)
+    assert random_cstree(space, 2, g1).to_json() == stratum_random_cstree(space, 2, g2).to_json()
     assert g1.bit_generator.state == g2.bit_generator.state
 
 

@@ -1,9 +1,13 @@
 import importlib
 import json
+import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxtree import (
     ChainConfig,
@@ -15,6 +19,9 @@ from ctxtree import (
     PossibleParents,
     PriorSpec,
     ResourceCapError,
+    ScoreTables,
+    Stage,
+    Staging,
     StateSpace,
     ValidationError,
     build_count_table,
@@ -197,6 +204,96 @@ def test_optimal_staging_tie_rule_matches_enumerated_argmax():
                 evidences = [sum(z_i[items] for items in raw) for raw in iter_raw_stagings(spec)]
                 ties += evidences.count(max(evidences)) > 1
     assert ties > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cards=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+    n=st.integers(1, 8),
+    beta=st.integers(0, 2),
+    unit=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimal_staging_is_the_enumerated_argmax(cards, n, beta, unit, seed):
+    # at 1-8 rows many stagings tie exactly, so the band around the
+    # closed-form optimum must hold every one the enumeration could pick
+    rows = np.random.default_rng(seed).integers(0, cards, size=(n, len(cards)))
+    prior = PriorSpec("unit") if unit else PriorSpec()
+    tables = build_score_tables(build_count_table(Dataset(rows, StateSpace(cards)), beta=beta), prior)
+    var = len(cards) - 1
+    spec = EnumSpec(range(var), cards[:var], beta=beta)
+    assert optimal_staging(var, spec, tables) == enumerated_argmax(var, spec, tables)
+
+
+def hand_set_tables(z, cards):
+    """Score tables whose only z entries are ``z``, for the last variable
+    with all the others as possible parents."""
+    p = len(cards)
+    pp = PossibleParents([set()] * (p - 1) + [set(range(p - 1))])
+    return ScoreTables(StateSpace(cards), pp, 2, PriorSpec(), {(p - 1, s): v for s, v in z.items()}, None)
+
+
+def pair_staging(j, k, cards, level):
+    contexts = [((j, x), (k, y)) for x in range(cards[j]) for y in range(cards[k])]
+    return Staging(level, [Stage(Context(c), level) for c in contexts])
+
+
+def test_optimal_staging_integer_ties_across_strata_and_pivots():
+    # integer z sum exactly in any order.  Pivot 1 refining each value by
+    # 2 and pivot 2 refining each value by 1 both give the pair staging
+    # {1, 2} (-4), which enumeration lists at pivot 1 only; pivot 2 leaving
+    # 2=0 plain and refining 2=1 by 1 ties with it from stratum 4
+    cards = [2, 2, 2, 2]
+    z = {
+        (): [-10.0],
+        (0,): [-9.0, -9.0],
+        (1,): [-9.0, -9.0],
+        (2,): [-2.0, -9.0],
+        (0, 1): [-9.0] * 4,
+        (0, 2): [-9.0] * 4,
+        (1, 2): [-1.0] * 4,
+    }
+    tables = hand_set_tables(z, cards)
+    spec = EnumSpec([0, 1, 2], cards[:3], beta=2)
+    totals = [sum(tables.z(3, Context(c)) for c in raw) for raw in iter_raw_stagings(spec)]
+    winners = [raw for raw, total in zip(iter_raw_stagings(spec), totals) if total == max(totals)]
+    assert max(totals) == -4.0
+    # the pair staging, then stratum 4's, with its plain stage listed first
+    assert [len(raw) for raw in winners] == [4, 3] and winners[1][0] == ((2, 0),)
+    got = optimal_staging(3, spec, tables)
+    assert got == pair_staging(1, 2, cards, 3) == enumerated_argmax(3, spec, tables)
+    # with z(1=1, 2=0) one lower the pair staging drops to -5, and the
+    # stratum 4 staging is the one maximum
+    z[(1, 2)] = [-1.0, -1.0, -2.0, -1.0]
+    tables = hand_set_tables(z, cards)
+    stages = [((2, 0),), ((1, 0), (2, 1)), ((1, 1), (2, 1))]
+    assert optimal_staging(3, spec, tables) == Staging(3, [Stage(Context(c), 3) for c in stages])
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
+def test_optimal_staging_all_equal_z_takes_the_first_staging(value):
+    # every stage scores the same, so the stagings with the fewest stages
+    # (value < 0), all of them (value 0) or those with the most stages tie.
+    # The first with the most is the pair {0, 2}, listed at pivot 0 only
+    cards = [2, 2, 3, 2]
+    sets = [s for size in range(3) for s in combinations(range(3), size)]
+    z = {s: [value] * math.prod(cards[v] for v in s) for s in sets}
+    tables = hand_set_tables(z, cards)
+    spec = EnumSpec([0, 1, 2], cards[:3], beta=2)
+    first = Staging.full_level(3) if value <= 0 else pair_staging(0, 2, cards, 3)
+    assert optimal_staging(3, spec, tables) == first == enumerated_argmax(3, spec, tables)
+
+
+def test_optimal_staging_sums_plain_stages_first():
+    # the pair staging sums 0.6 + 0.2 + 0.2 + 0.2 = 1.2; refining only 0=0
+    # sums z(0=1) first, 0.4 + 0.6 + 0.2 = 1.2, and ties, so the pair
+    # staging, listed first, wins.  Summed in value order, 0.6 + 0.2 + 0.4
+    # would round to 1.2000000000000002 and win
+    z = {(): [-9.0], (0,): [0.1, 0.4], (1,): [-9.0, -9.0], (0, 1): [0.6, 0.2, 0.2, 0.2]}
+    tables = hand_set_tables(z, [2, 2, 2])
+    spec = EnumSpec([0, 1], [2, 2], beta=2)
+    got = optimal_staging(2, spec, tables)
+    assert got == pair_staging(0, 1, [2, 2, 2], 2) == enumerated_argmax(2, spec, tables)
 
 
 def test_learn_p1():

@@ -332,17 +332,19 @@ def test_los_closed_form_matches_enumeration_random(cards, n, seed):
 
 
 def test_score_build_never_enumerates(monkeypatch):
-    # the los entries come from the closed form alone
+    # the los entries and the staging argmax come from closed forms alone;
+    # scoring does not import the enumerator, so a later import is caught too
     def refuse(spec):
         raise AssertionError("staging enumeration on the scoring hot path")
 
     monkeypatch.setattr(ctxtree.enumeration, "iter_raw_stagings", refuse)
-    monkeypatch.setattr(ctxtree.scoring, "iter_raw_stagings", refuse)
+    monkeypatch.setattr(ctxtree.scoring, "iter_raw_stagings", refuse, raising=False)
     rng = np.random.default_rng(21)
     cards = [2, 3, 2, 3]
     tables = make_tables(rng.integers(0, cards, size=(60, 4)), cards)
     spec = EnumSpec([0, 1, 2], cards[:3], beta=2)
     assert log_local_order_score(3, spec, tables) == tables.los(3, {0, 1, 2})
+    optimal_staging(3, spec, tables)
 
 
 def assert_tables_match_oracle(count_table, prior):
