@@ -12,10 +12,11 @@ Partition invariant: each level of a ``CStree`` is partitioned by its
 stages.  The constructor checks this from the contexts alone, in O(s^2 *
 beta) for s stages of at most beta context variables: every two stages
 must conflict (fix a shared variable to different values), so they are
-disjoint, and the stage sizes (products of the cardinalities of the level
-variables outside the context) must add up to the level size, so they
-cover it.  A violation raises CorruptStagingError; a bare ``Staging`` is
-not checked.
+disjoint, and the stage sizes must add up to the level size, so they
+cover it.  The sizes are counted over the Q outcomes of the context
+variables' union, where a stage holds Q / q_s for q_s outcomes of its own
+context variables.  A violation raises CorruptStagingError; a bare
+``Staging`` is not checked.
 
 Stage lookup lives here, in ``stage_ids``: it maps a block of level
 outcomes to stage indices through ``Context.mask``, as the sum of each
@@ -288,21 +289,23 @@ def _stage_indices(count: int) -> tuple:
 
 def _check_partition(staging: Staging, order: Sequence[int], space: StateSpace) -> None:
     """Raise CorruptStagingError unless the stages partition the level,
-    judged from the contexts alone (see the module docstring)."""
+    judged from the contexts alone (see the module docstring); the level
+    size is computed only for the message."""
     level = staging.level
-    level_size = math.prod(space.cards[v] for v in order[:level])
-    covered = 0
     seen: list[tuple[Context, dict[int, int]]] = []
     for stage in staging.stages:
         ctx = stage.context
-        covered += level_size // math.prod(space.cards[v] for v in ctx.vars)
         for other, fixed in seen:
             if all(fixed.get(v, x) == x for v, x in ctx.items):
                 raise CorruptStagingError(f"level-{level} stages {other} and {ctx} overlap")
         seen.append((ctx, ctx.as_dict()))
-    if covered != level_size:
+    q = math.prod(space.cards[v] for v in set().union(*(ctx.vars for ctx, _ in seen)))
+    covered = sum(q // math.prod(space.cards[v] for v in ctx.vars) for ctx, _ in seen)
+    if covered != q:
+        level_size = math.prod(space.cards[v] for v in order[:level])
         raise CorruptStagingError(
-            f"level-{level} stages cover {covered} of the level's {level_size} outcomes"
+            f"level-{level} stages cover {covered * (level_size // q)} of the level's "
+            f"{level_size} outcomes"
         )
 
 

@@ -109,8 +109,11 @@ class Dataset:
         rows = np.asarray(rows)
         if rows.dtype.kind not in "iuf":
             raise ValidationError(f"rows must hold integers or whole-number floats, got dtype {rows.dtype}")
-        if rows.dtype.kind == "f" and not (np.isfinite(rows) & (np.trunc(rows) == rows)).all():
-            raise ValidationError("rows must hold whole numbers")
+        if rows.dtype.kind == "f":
+            # checked before the int64 cast, which warns on values past its
+            # range; the bound is a float64, which float16 rows cannot overflow
+            if not ((np.trunc(rows) == rows) & (abs(rows) < np.float64(2**63))).all():
+                raise ValidationError("rows must hold whole numbers of magnitude below 2**63")
         self._set(np.array(rows, dtype=np.int64, order="C"), space, names, labels)
 
     @classmethod

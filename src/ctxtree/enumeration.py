@@ -22,6 +22,13 @@ C(m, 2) + sum_k ((m-1)^{d_k} - (m-1)); stratum 4 has
 sum_k (m^{d_k} - (m-1)^{d_k} - 1).  The total telescopes to
 1 - C(m, 2) + sum_{k in L} m^{d_k}; ``_staging_count`` is that one count.
 
+Strata 3 and 4 have one definition, the walk ``_pivot_walk``.  It lists
+each staging as its pivot k and a refinement of k's values (None for a
+plain stage, else the index in L - k of the second variable): stratum 3
+then 4, pivots increasing, then the refined values' bitmask increasing,
+then choices in lexicographic order.  ``iter_raw_stagings`` runs it at
+zero slacks and infinite budgets, ``scoring.optimal_staging`` on its band.
+
 Bounds above 2 would require solving further cases of an open cube-face
 partition enumeration problem (Alon and Balogh) and are rejected.
 
@@ -34,8 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, combinations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -162,79 +169,123 @@ class EnumSpec:
         return EnumSpec(tuple(range(len(cards))), cards, usable, beta)
 
 
-def _block(k: int, xk: int, j: int, d: dict) -> list:
-    """The stages {k = xk, j = y} over the values y of j (cards ``d``)."""
-    return [tuple(sorted(((k, xk), (j, y)))) for y in range(d[j])]
+def _pivot_options(spec: EnumSpec, k: int, options: Iterable[int]) -> tuple[list, dict]:
+    """What each value x of pivot k, the k-th usable variable, can become:
+    the plain stage ``plain[x]`` = {k = x}, or the block ``blocks[c][x]`` of
+    stages {k = x, j = y} over y, for j the c-th member of L - k and each
+    option c in ``options``."""
+    kv = spec.usable[k]
+    others = spec.usable[:k] + spec.usable[k + 1 :]
+    xs = range(spec.card_of(kv))
+    blocks = {}
+    for c in options:
+        j = others[c]
+        ys = range(spec.card_of(j))
+        # a context lists its smaller variable first, and j > k exactly when c >= k
+        blocks[c] = [[((kv, x), (j, y)) if c >= k else ((j, y), (kv, x)) for y in ys] for x in xs]
+    return [((kv, x),) for x in xs], blocks
+
+
+def _pivot_stages(plain: Sequence, blocks, refine: Sequence[Optional[int]]) -> list:
+    """A pivot staging's stages: ``plain[x]`` for each value x that
+    ``refine`` leaves whole (None), then ``blocks[refine[x]][x]`` for each
+    refined one, both in value order.  ``optimal_staging`` sums z entries
+    in this order."""
+    stages = [plain[x] for x, c in enumerate(refine) if c is None]
+    for x, c in enumerate(refine):
+        if c is not None:
+            stages += blocks[c][x]
+    return stages
+
+
+def _within(slacks: Sequence[Sequence[float]], budget: float) -> Iterator[tuple[tuple, float]]:
+    """Every index tuple c, one index per row of ``slacks``, whose slacks
+    ``slacks[r][c[r]]`` sum to at most ``budget``, in lexicographic order,
+    each with the budget it leaves.  A branch is cut once the least slacks
+    of its remaining rows overrun what is left."""
+    least = [0.0]
+    for row in reversed(slacks):
+        least.append(least[-1] + min(row))
+    least.reverse()
+
+    def walk(r: int, prefix: tuple, left: float) -> Iterator[tuple[tuple, float]]:
+        if r == len(slacks):
+            yield prefix, left
+            return
+        for c, s in enumerate(slacks[r]):
+            if s + least[r + 1] <= left:
+                yield from walk(r + 1, (*prefix, c), left - s)
+
+    return walk(0, (), budget) if least[0] <= budget else iter(())
+
+
+def _pivot_walk(plain: dict, slacks: dict, budgets: dict) -> Iterator[tuple[int, Sequence]]:
+    """The stagings of strata 3 and 4 whose slacks at their pivot k sum to
+    at most ``budgets[k]``, in enumeration order, as (k, refine); the three
+    mappings hold the same pivots k, the k-th usable variables, increasing.
+    ``plain[k][x]`` is the slack of leaving value x of k whole,
+    ``slacks[k][x][c]`` that of refining it by the c-th member of L - k;
+    ``refine[x]`` is that c, or None for a plain value."""
+    for k, budget in budgets.items():
+        for choice, _ in _within(slacks[k], budget):
+            # a constant choice of j < k is the pair staging listed at pivot j
+            if choice[0] >= k or choice.count(choice[0]) < len(choice):
+                yield k, choice
+    for k, budget in budgets.items():
+        d = len(plain[k])
+        # value x plain (bit 0) or refined (bit 1), high bit first, so the
+        # masks of refined values come in increasing order
+        bits = [(plain[k][x], min(slacks[k][x])) for x in reversed(range(d))]
+        for high_first, left in _within(bits, budget):
+            split = [x for x in range(d) if high_first[d - 1 - x]]
+            if 0 < len(split) < d:
+                for choice, _ in _within([slacks[k][x] for x in split], left):
+                    refine = [None] * d
+                    for x, c in zip(split, choice):
+                        refine[x] = c
+                    yield k, refine
 
 
 def iter_raw_stagings(spec: EnumSpec) -> Iterator[RawStaging]:
     """Yield each admissible staging once, as a tuple of contexts, in
     deterministic stratum order.  Stage order within a staging is not
     canonical here; enumerate_stagings sorts it."""
-    usable = spec.usable
-    d = {v: spec.card_of(v) for v in usable}
-
     yield ((),)
 
     if spec.beta < 1:
         return
 
-    for j in usable:
-        yield tuple(((j, x),) for x in range(d[j]))
+    for j in spec.usable:
+        yield tuple(((j, x),) for x in range(spec.card_of(j)))
 
-    if spec.beta < 2:
+    m = len(spec.usable)
+    if spec.beta < 2 or m < 2:
         return
 
-    # refined[k][j][xk]: the stages fixing k = xk and running over values of j
-    refined = {
-        k: {j: tuple(_block(k, xk, j, d) for xk in range(d[k])) for j in usable if j != k}
-        for k in usable
-    }
-
-    # Stratum 3: pivot k, one second variable per value of k.  Constant
-    # choices are deduplicated through the smaller pivot.
-    for k in usable:
-        others = tuple(j for j in usable if j != k)
-        blocks = refined[k]
-        for choice in product(others, repeat=d[k]):
-            if len(set(choice)) == 1 and choice[0] < k:
-                continue
-            stages: list = []
-            for xk, j in enumerate(choice):
-                stages.extend(blocks[j][xk])
-            yield tuple(stages)
-
-    # Stratum 4: pivot k, a nonempty proper subset of its values refined.
-    for k in usable:
-        others = tuple(j for j in usable if j != k)
-        if not others:
-            continue
-        blocks = refined[k]
-        for mask in range(1, (1 << d[k]) - 1):
-            split = [x for x in range(d[k]) if mask >> x & 1]
-            plain = [((k, x),) for x in range(d[k]) if not mask >> x & 1]
-            for choice in product(others, repeat=len(split)):
-                stages = list(plain)
-                for xk, j in zip(split, choice):
-                    stages.extend(blocks[j][xk])
-                yield tuple(stages)
+    # the walk at zero slacks and infinite budgets: both pivot strata whole
+    options = [_pivot_options(spec, k, range(m - 1)) for k in range(m)]
+    plain = {k: [0.0] * len(stages) for k, (stages, _) in enumerate(options)}
+    refined = {k: [[0.0] * (m - 1)] * len(row) for k, row in plain.items()}
+    for k, refine in _pivot_walk(plain, refined, dict.fromkeys(plain, math.inf)):
+        yield tuple(_pivot_stages(*options[k], refine))
 
 
 def enumerate_stagings(spec: EnumSpec) -> Iterator[Staging]:
     """Yield every admissible staging of the level exactly once, in canonical
     form, in deterministic enumeration order."""
-    level = spec.level
-    cache: dict[Assignment, tuple[tuple, Stage]] = {}
+    level, card = spec.level, spec.card_of
+    # every context of at most beta usable variables, in ``Stage.sort_key``
+    # order: by size, then by variables, then by values
+    contexts = [
+        tuple(zip(svars, xs))
+        for size in range(spec.beta + 1)
+        for svars in combinations(spec.usable, size)
+        for xs in product(*(range(card(v)) for v in svars))
+    ]
+    rank = {a: r for r, a in enumerate(contexts)}
+    stages = [Stage(Context(a), level) for a in contexts]
     for raw in iter_raw_stagings(spec):
-        keyed = []
-        for a in raw:
-            entry = cache.get(a)
-            if entry is None:
-                stage = Stage(Context(a), level)
-                entry = cache[a] = (stage.sort_key(), stage)
-            keyed.append(entry)
-        keyed.sort(key=lambda e: e[0])
-        yield Staging._trusted(level, tuple(s for _, s in keyed))
+        yield Staging._trusted(level, tuple([stages[r] for r in sorted([rank[a] for a in raw])]))
 
 
 def _staging_count(cards: Sequence[int], beta: int) -> int:
@@ -245,13 +296,6 @@ def _staging_count(cards: Sequence[int], beta: int) -> int:
     if beta < 2:
         return 1 + m * beta
     return 1 - math.comb(m, 2) + sum(m**d for d in cards)
-
-
-def _pivot_counts(m: int, dk: int) -> tuple[int, int]:
-    """Stagings of strata 3 and 4 at one pivot of dk values among m usable
-    variables; stratum 3 leaves out the constant choices, which the common
-    pair stagings count once."""
-    return (m - 1) ** dk - (m - 1), m**dk - (m - 1) ** dk - 1
 
 
 def count_stagings(spec: EnumSpec) -> int:
@@ -326,18 +370,6 @@ def _rand_below(rng: np.random.Generator, n: int) -> int:
             return x
 
 
-def _pivot_stages(k: int, d: dict, refine: Sequence[Optional[int]]) -> list:
-    """The stages of a pivot-k staging: value xk of k is refined by the
-    variable ``refine[xk]``, or left whole where that is None."""
-    stages: list = []
-    for xk, j in enumerate(refine):
-        if j is None:
-            stages.append(((k, xk),))
-        else:
-            stages.extend(_block(k, xk, j, d))
-    return stages
-
-
 def _unrank_pair(r: int, m: int) -> tuple[int, int]:
     """``list(combinations(range(m), 2))[r]``, by arithmetic.  Counted from
     the last pair, t = C(m, 2) - 1 - r: the i + 1 pairs whose first member
@@ -356,42 +388,43 @@ def sample_staging_uniform(spec: EnumSpec, rng: np.random.Generator) -> Staging:
     """
     r = _rand_below(rng, count_stagings(spec))
     usable = spec.usable
-    d = {v: spec.card_of(v) for v in usable}
+    d = [spec.card_of(v) for v in usable]
     m = len(usable)
     n_pairs = math.comb(m, 2)
     if r == 0:
         stages = [()]
     elif r <= m:
         j = usable[r - 1]
-        stages = [((j, x),) for x in range(d[j])]
-    elif r <= m + n_pairs:
-        a, b = _unrank_pair(r - m - 1, m)
-        j, k = usable[a], usable[b]
-        stages = _pivot_stages(k, d, [j] * d[k])
+        stages = [((j, x),) for x in range(d[r - 1])]
     else:
-        r -= 1 + m + n_pairs
-        pivots = {k: _pivot_counts(m, d[k]) for k in usable}
-        for stratum, k in product((3, 4), usable):
-            w = pivots[k][stratum - 3]
-            if r < w:
-                break
-            r -= w
+        if r <= m + n_pairs:
+            # the pair of the c-th and k-th usable variables, c < k: pivot
+            # k with every value refined by its c-th other variable
+            c, k = _unrank_pair(r - m - 1, m)
+            refine: list = [c] * d[k]
         else:
-            raise AssertionError("pivot weights inconsistent")
-        others = tuple(j for j in usable if j != k)
-        if stratum == 3:
-            # uniform over the non-constant choices, by rejection
-            refine: list = []
-            while len(set(refine)) < 2:
-                refine = [others[_rand_below(rng, m - 1)] for _ in range(d[k])]
-        else:
-            # how many values are refined, then which, then by what
-            weights = [math.comb(d[k], s) * (m - 1) ** s for s in range(1, d[k])]
-            acc = _rand_below(rng, sum(weights))
-            n_refined = 1 + bisect_right(list(accumulate(weights)), acc)
-            refine = [None] * d[k]
-            for xk in sorted(rng.choice(d[k], size=n_refined, replace=False).tolist()):
-                refine[xk] = others[_rand_below(rng, m - 1)]
-        stages = _pivot_stages(k, d, refine)
+            r -= 1 + m + n_pairs
+            for stratum, k in product((3, 4), range(m)):
+                # the module docstring's counts of strata 3 and 4 at pivot k
+                w = m ** d[k] - (m - 1) ** d[k] - 1 if stratum == 4 else (m - 1) ** d[k] - (m - 1)
+                if r < w:
+                    break
+                r -= w
+            else:
+                raise AssertionError("pivot weights inconsistent")
+            if stratum == 3:
+                # uniform over the non-constant choices, by rejection
+                refine = []
+                while len(set(refine)) < 2:
+                    refine = [_rand_below(rng, m - 1) for _ in range(d[k])]
+            else:
+                # how many values are refined, then which, then by what
+                weights = [math.comb(d[k], s) * (m - 1) ** s for s in range(1, d[k])]
+                acc = _rand_below(rng, sum(weights))
+                n_refined = 1 + bisect_right(list(accumulate(weights)), acc)
+                refine = [None] * d[k]
+                for xk in sorted(rng.choice(d[k], size=n_refined, replace=False).tolist()):
+                    refine[xk] = _rand_below(rng, m - 1)
+        stages = _pivot_stages(*_pivot_options(spec, k, set(refine) - {None}), refine)
     level = spec.level
     return Staging(level, tuple(Stage(Context(a), level) for a in stages))

@@ -49,9 +49,10 @@ products, so neg <= pos - log 2 and the log1p argument stays in
 [-1/2, 0], where it loses no precision.  Entries match the enumeration
 oracle within 1e-12 relative.  ``optimal_staging`` takes the max-plus form
 of the same factorization, a sum over x of the best option per pivot, and
-then scores only the stagings within rounding of that optimum, as the
-enumeration would, so it keeps the first strict maximum in
-``iter_raw_stagings`` order.
+then scores only the stagings within rounding of that optimum.  It draws
+that band from ``enumeration._pivot_walk``, the walk that defines the
+enumeration order of the pivot strata, so it keeps the first strict
+maximum in ``iter_raw_stagings`` order.
 
 The per-cell hyperparameter allocation "bdeu-path" spreads the equivalent
 sample size uniformly over root-to-leaf paths of the tree:
@@ -91,7 +92,8 @@ from .core import (
     validate_order,
 )
 from .counts import CountTable, Dataset, _context_sets, _row, stage_counts
-from .enumeration import EnumSpec, _pivot_stages, _staging_count, count_stagings
+from .enumeration import EnumSpec, _pivot_options, _pivot_stages, _pivot_walk
+from .enumeration import _staging_count, count_stagings
 
 
 MAX_K = 16
@@ -393,58 +395,6 @@ def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> floa
     return float(scores[0, -1])
 
 
-def _within(slacks: Sequence[Sequence[float]], budget: float) -> Iterator[tuple[tuple, float]]:
-    """Every index tuple c, one index per row of ``slacks``, whose slacks
-    ``slacks[r][c[r]]`` sum to at most ``budget``, in lexicographic order,
-    each with the budget it leaves.  A branch is cut once the least slacks
-    of its remaining rows overrun what is left."""
-    least = [0.0]
-    for row in reversed(slacks):
-        least.append(least[-1] + min(row))
-    least.reverse()
-
-    def walk(r: int, left: float) -> Iterator[tuple[tuple, float]]:
-        if r == len(slacks):
-            yield (), left
-            return
-        for c, s in enumerate(slacks[r]):
-            if s + least[r + 1] <= left:
-                for rest, rest_left in walk(r + 1, left - s):
-                    yield (c, *rest), rest_left
-
-    return walk(0, budget)
-
-
-def _band(plain: dict, slacks: dict, budgets: dict) -> Iterator[tuple[int, list]]:
-    """The stagings of strata 3 and 4 whose slacks at their pivot k sum to
-    at most ``budgets[k]``, in ``iter_raw_stagings`` order, as (k, refine);
-    the three mappings hold the same pivots in increasing order.
-
-    Pivot k is the k-th usable variable.  ``plain[k][x]`` is the slack of
-    leaving value x of k whole, ``slacks[k][x][c]`` that of refining it by
-    the c-th member of L - k; ``refine[x]`` is that c, or None for a plain
-    value.
-    """
-    for k, budget in budgets.items():
-        for choice, _ in _within(slacks[k], budget):
-            # a constant choice of j < k is the pair staging listed at pivot j
-            if choice[0] >= k or choice.count(choice[0]) < len(choice):
-                yield k, list(choice)
-    for k, budget in budgets.items():
-        d = len(plain[k])
-        # value x plain (bit 0) or refined (bit 1), high bit first, so the
-        # masks of refined values come in increasing order
-        bits = [(plain[k][x], min(slacks[k][x])) for x in reversed(range(d))]
-        for high_first, left in _within(bits, budget):
-            split = [x for x in range(d) if high_first[d - 1 - x]]
-            if 0 < len(split) < d:
-                for choice, _ in _within([slacks[k][x] for x in split], left):
-                    refine = [None] * d
-                    for x, c in zip(split, choice):
-                        refine[x] = c
-                    yield k, refine
-
-
 def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
     """Exact argmax of the staging score over the admissible stagings.
 
@@ -460,10 +410,11 @@ def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
     P_k = sum_x max(z(k=x), max_j B(k,x,j)), which bounds its
     single-variable staging too, so M = max(z_0, max_k P_k); a pivot
     staging falls short of P_k by the slacks of its options, value by
-    value.  The band is 1e-9 (1 + sum |z|) deep, over the level's z
-    entries.  A staging's stages are distinct entries, so that depth is
-    orders of magnitude above the rounding of any of its sums, and every
-    staging whose running sum can reach the maximum is scored.  Where all
+    value.  The band is drawn from ``enumeration._pivot_walk`` at those
+    slacks, in enumeration order, and is 1e-9 (1 + sum |z|) deep, over the
+    level's z entries.  A staging's stages are distinct entries, so that
+    depth is orders of magnitude above the rounding of any of its sums,
+    and every staging whose running sum can reach the maximum is scored.  Where all
     stagings tie, the band holds them all, as many as the caller's
     ``MAX_STAGINGS`` check allows.
     """
@@ -498,23 +449,12 @@ def optimal_staging(var: int, spec: EnumSpec, tables: ScoreTables) -> Staging:
         band = [k for k in range(m) if reach[k] >= floor]
         plain = {k: [t - v for t, v in zip(top[k], single[k])] for k in band}
         slacks = {k: [[t - b for b in options] for t, options in zip(top[k], refined[k])] for k in band}
-        winner = None
-        for k, refine in _band(plain, slacks, {k: reach[k] - floor for k in band}):
+        for k, refine in _pivot_walk(plain, slacks, {k: reach[k] - floor for k in band}):
             total = 0.0
-            for x, c in enumerate(refine):
-                if c is None:
-                    total += single[k][x]
-            for x, c in enumerate(refine):
-                if c is not None:
-                    for value in blocks[k][c][x]:
-                        total += value
+            for value in _pivot_stages(single[k], blocks[k], refine):
+                total += value
             if total > best:
-                best, winner = total, (k, refine)
-        if winner is not None:
-            k, refine = winner
-            others = usable[:k] + usable[k + 1 :]
-            refine = [None if c is None else others[c] for c in refine]
-            raw = _pivot_stages(usable[k], dict(zip(usable, d)), refine)
+                best, raw = total, _pivot_stages(*_pivot_options(spec, k, set(refine) - {None}), refine)
     level = spec.level
     return Staging(level, tuple(Stage(Context(a), level) for a in raw))
 

@@ -30,7 +30,13 @@ before it ran in batched passes: one evidence call per count table, with
 one ``math.lgamma`` per cell, and one closed-form call per variable reading
 its z dict.  It shares the library's evidence formula, closed form and
 staging counts, so it checks only how the batched build stacks tables,
-groups variables by cardinality profile and splits them into batches.
+groups variables by cardinality profile and splits them into batches.  The
+product-loop enumerator is ``iter_raw_stagings`` as it was before its pivot
+strata came from the walk that the staging argmax shares; it pins the
+enumeration order and the stage order inside each staging.  The level-size
+partition check is ``core._check_partition`` as it was before it counted
+stage sizes over the union of the context variables; it pins which
+stagings are rejected and with what message.
 """
 
 from __future__ import annotations
@@ -113,6 +119,73 @@ def is_partition(staging, order, space):
         if hits != 1:
             return False
     return True
+
+
+def product_raw_stagings(spec):
+    """``iter_raw_stagings`` as it was before strata 3 and 4 came from the
+    pivot walk: each pivot stratum as ``product`` loops over the second
+    variables, the stage order inside each staging included."""
+
+    def block(k, xk, j):
+        return [tuple(sorted(((k, xk), (j, y)))) for y in range(spec.card_of(j))]
+
+    usable = spec.usable
+    d = {v: spec.card_of(v) for v in usable}
+    yield ((),)
+    if spec.beta < 1:
+        return
+    for j in usable:
+        yield tuple(((j, x),) for x in range(d[j]))
+    if spec.beta < 2:
+        return
+    refined = {
+        k: {j: tuple(block(k, xk, j) for xk in range(d[k])) for j in usable if j != k}
+        for k in usable
+    }
+    # stratum 3: pivot k, one second variable per value of k; constant
+    # choices are deduplicated through the smaller pivot
+    for k in usable:
+        others = tuple(j for j in usable if j != k)
+        for choice in product(others, repeat=d[k]):
+            if len(set(choice)) == 1 and choice[0] < k:
+                continue
+            stages = []
+            for xk, j in enumerate(choice):
+                stages.extend(refined[k][j][xk])
+            yield tuple(stages)
+    # stratum 4: pivot k, a nonempty proper subset of its values refined
+    for k in usable:
+        others = tuple(j for j in usable if j != k)
+        if not others:
+            continue
+        for mask in range(1, (1 << d[k]) - 1):
+            split = [x for x in range(d[k]) if mask >> x & 1]
+            plain = [((k, x),) for x in range(d[k]) if not mask >> x & 1]
+            for choice in product(others, repeat=len(split)):
+                stages = list(plain)
+                for xk, j in zip(split, choice):
+                    stages.extend(refined[k][j][xk])
+                yield tuple(stages)
+
+
+def level_size_partition_error(staging, order, space):
+    """The message with which ``core._check_partition`` rejected a staging
+    when it counted stage sizes over the whole level, or None where it
+    accepted it."""
+    level = staging.level
+    level_size = math.prod(space.cards[v] for v in order[:level])
+    covered = 0
+    seen = []
+    for stage in staging.stages:
+        ctx = stage.context
+        covered += level_size // math.prod(space.cards[v] for v in ctx.vars)
+        for other, fixed in seen:
+            if all(fixed.get(v, x) == x for v, x in ctx.items):
+                return f"level-{level} stages {other} and {ctx} overlap"
+        seen.append((ctx, ctx.as_dict()))
+    if covered != level_size:
+        return f"level-{level} stages cover {covered} of the level's {level_size} outcomes"
+    return None
 
 
 def polya_log_evidence(counts, alphas):

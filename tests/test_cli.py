@@ -366,13 +366,19 @@ def test_learn_empty_file_exit_2(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def src_env() -> dict:
+    """The environment with the package's source tree first on PYTHONPATH,
+    for CLI subprocesses: the package need not be installed."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_memory_error_exit_3(tmp_path):
     # the rows asked for pass the address space, so the allocation fails at
     # once and nothing is allocated
     tree = random_cstree(StateSpace([2, 2, 2]), 2, np.random.default_rng(1))
     tree.to_json(tmp_path / "m.json")
-    src = os.path.dirname(os.path.dirname(cli_module.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ctxtree.cli", "sample", "--model", str(tmp_path / "m.json"),
          "-n", str(10**14), "--seed", "1", "--out", str(tmp_path / "d.csv")],
@@ -439,6 +445,7 @@ def test_console_script_version():
         [sys.executable, "-m", "ctxtree.cli", "--version"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "ctxtree" in proc.stdout
@@ -608,8 +615,7 @@ def test_learn_reads_data_from_a_pipe(tmp_path, capsys):
     flags = ["--iterations", "50", "--burn-in", "5", "--seed", "0"]
     from_file, from_pipe = tmp_path / "file.json", tmp_path / "pipe.json"
     assert run(capsys, "learn", "--data", str(csv_path), *flags, "--out", str(from_file))[0] == 0
-    src = os.path.dirname(os.path.dirname(cli_module.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ctxtree.cli", "learn", "--data", "/dev/stdin", *flags, "--out", str(from_pipe)],
         input=csv_path.read_bytes(),

@@ -23,8 +23,8 @@ from ctxtree import (
     stage_members,
     to_ldag,
 )
-from ctxtree.core import stage_ids
-from oracles import is_partition
+from ctxtree.core import _check_partition, stage_ids
+from oracles import is_partition, level_size_partition_error
 
 
 def test_state_space_validation():
@@ -297,6 +297,21 @@ def test_constructor_accepts_exactly_the_partitions(case):
     else:
         with pytest.raises(CorruptStagingError):
             tree_with_last_level(staging, cards)
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_stagings())
+def test_check_partition_matches_level_size_rule(case):
+    # counting sizes over the context variables' union rejects the same
+    # stagings, with the same message, as counting them over the level
+    cards, staging = case
+    order, space = tuple(range(staging.level + 1)), StateSpace(cards)
+    try:
+        _check_partition(staging, order, space)
+        got = None
+    except CorruptStagingError as e:
+        got = str(e)
+    assert got == level_size_partition_error(staging, order, space)
 
 
 def test_possible_parents():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -218,6 +219,12 @@ def test_dataset_validation():
     for bad in (0.7, 1.2, np.nan, np.inf):
         with pytest.raises(ValidationError, match="whole numbers"):
             Dataset(np.array([[bad, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
+    # past the int64 range: rejected before the cast, so no cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1e300, 2.0**63, -1e19):
+            with pytest.raises(ValidationError, match="whole numbers of magnitude below 2\\*\\*63"):
+                Dataset(np.array([[bad, 0]]), StateSpace([2, 2]))
     data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), StateSpace([2, 2]))
     assert data.rows.dtype == np.int64 and data.rows.tolist() == [[0, 1], [1, 0]]
     for dtype in (np.uint8, np.int16, np.float32):

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -18,9 +18,15 @@ from ctxtree import (
     random_cstree,
     sample_staging_uniform,
 )
-from ctxtree.enumeration import _unrank_pair
+from ctxtree.enumeration import _unrank_pair, _within, iter_raw_stagings
 
-from oracles import brute_force_stagings, is_partition, stratum_random_cstree, stratum_sample
+from oracles import (
+    brute_force_stagings,
+    is_partition,
+    product_raw_stagings,
+    stratum_random_cstree,
+    stratum_sample,
+)
 
 
 def staging_key(staging):
@@ -294,6 +300,45 @@ def test_sample_stream_matches_stratum_oracle(spec, seed):
     for _ in range(8):
         assert sample_staging_uniform(spec, g1) == stratum_sample(spec, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cards=st.lists(st.integers(2, 4), max_size=5),
+    beta=st.integers(0, 2),
+    keep=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+# |L| = 5 with four values per pivot: 3,116 stagings
+@example(cards=[4] * 5, beta=2, keep=[True] * 5)
+def test_raw_stagings_match_product_oracle(cards, beta, keep):
+    # the walk gives the product loops' stagings in their order, and the
+    # stages inside each staging in theirs: plain stages first, then the
+    # refined blocks in value order, which the argmax's running sums follow
+    usable = [v for v in range(len(cards)) if keep[v]]
+    spec = EnumSpec.of_cards(cards, beta=beta, usable=usable)
+    assert list(iter_raw_stagings(spec)) == list(product_raw_stagings(spec))
+
+
+slack_rows = st.lists(
+    st.lists(st.integers(-2, 4).map(float), min_size=1, max_size=3), max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_rows, st.one_of(st.integers(-3, 12).map(float), st.just(math.inf)))
+@example([[0.0]], 0.0)
+@example([[1.0], [0.0, 2.0]], -1.0)
+@example([[3.0, 0.0], [1.0]], math.inf)
+def test_within_is_the_brute_force_filter(slacks, budget):
+    # integer slacks make every sum exact: the walk yields exactly the index
+    # tuples whose slacks sum to at most the budget, lexicographically, each
+    # with the budget it leaves
+    expected = []
+    for choice in product(*(range(len(row)) for row in slacks)):
+        total = sum(row[c] for row, c in zip(slacks, choice))
+        if total <= budget:
+            expected.append((choice, budget - total))
+    assert list(_within(slacks, budget)) == expected
 
 
 def test_unrank_pair_is_the_rth_combination():
