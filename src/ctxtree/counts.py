@@ -18,10 +18,12 @@ prod(d_v, v in K_i) * d_i cells, has no more cells than there are distinct
 rows, and otherwise each subset of K_i of size min(beta, |K_i|).  The
 mixed-radix code of x_B over the distinct rows is summed once per block B,
 in int64 from the narrow columns, then one weighted ``bincount`` of (code,
-x_i) per variable i it serves.
-Every table is the sum over axes of the first block table of i that holds S
-(the sums are of integers, so any would do).  Tables are int64 and
-immutable afterwards.
+x_i) per variable i it serves.  The block tables of one shape (the
+cardinalities of B, then d_i) are the rows of one int64 stack, so the
+tables come from one axis sum per (shape, kept positions of B) over the
+whole stack, not one per (i, S).  Each table is a read-only row view of the
+first such sum of i that holds S (the sums are of integers, so any would
+do).
 
 ``load_csv`` reads the file's bytes once, less a leading byte-order mark.  A
 file whose header is a quote-free first line and whose body holds only
@@ -553,14 +555,21 @@ def _encode_rows(block: np.ndarray, width: int) -> bytes:
     return lines.tobytes().translate(None, b"\0")
 
 
-def compute_counts(data: Dataset, var: int, context: Context) -> np.ndarray:
-    """N_isk for k = 0..d_i-1: rows matching ``context`` with row[var] = k."""
+def _check_target(space: StateSpace, var, context: Context) -> int:
+    """``var`` as an int, once it is a variable of ``space`` and ``context``
+    is a context in ``space`` that does not condition on it."""
     var = as_int("variable", var)
-    if not 0 <= var < data.p:
-        raise ValidationError(f"variable {var} out of range for p={data.p}")
+    if not 0 <= var < space.p:
+        raise ValidationError(f"variable {var} out of range for p={space.p}")
     if var in context.vars:
         raise ValidationError(f"context conditions on the target variable {var}")
-    context.check_in_space(data.space)
+    context.check_in_space(space)
+    return var
+
+
+def compute_counts(data: Dataset, var: int, context: Context) -> np.ndarray:
+    """N_isk for k = 0..d_i-1: rows matching ``context`` with row[var] = k."""
+    var = _check_target(data.space, var, context)
     mask = np.broadcast_to(context.mask(lambda v: data.rows[:, v]), data.n)
     return np.bincount(data.rows[mask, var], minlength=data.space.cards[var])
 
@@ -670,33 +679,44 @@ def build_count_table(
         for svars in blocks:
             targets.setdefault(svars, []).append(i)
 
-    block_tables = {}
+    # the block tables of one shape (the block's cardinalities, then d_i)
+    # are the rows of one stack; ``slots`` holds each row's cells flat
+    members: dict[tuple, list[tuple]] = {}
+    for sup, group in targets.items():
+        for i in group:
+            members.setdefault((*(cards[v] for v in sup), cards[i]), []).append((i, sup))
+    stacks, slots = {}, {}
+    for shape, keys in members.items():
+        stacks[shape] = np.empty((len(keys), *shape), dtype=np.int64)
+        slots.update(zip(keys, stacks[shape].reshape(len(keys), -1)))
+
     code_i = np.empty(len(weight), dtype=np.int64)
-    for svars, group in targets.items():
-        # mixed-radix code of x_S, first variable most significant, summed
+    for sup, group in targets.items():
+        # mixed-radix code of x_B, first variable most significant, summed
         # in int64 from the narrow columns
         code, radix = np.zeros(len(weight), dtype=np.int64), 1
-        for v in svars:
+        for v in sup:
             code *= cards[v]
             code += columns[v]
             radix *= cards[v]
         for i in group:
-            # the code of (x_S, x_i), x_i least significant
+            # the code of (x_B, x_i), x_i least significant
             np.multiply(code, cards[i], out=code_i)
             code_i += columns[i]
-            flat = np.bincount(code_i, weights=weight, minlength=radix * cards[i])
             # every count is an integer <= n < 2**53, so the float sums are exact
-            shape = [cards[v] for v in svars] + [cards[i]]
-            block_tables[(i, svars)] = flat.astype(np.int64).reshape(shape)
+            slots[(i, sup)][:] = np.bincount(code_i, weights=weight, minlength=radix * cards[i])
 
-    # the first block table of i that holds S sums to S's table
+    # one axis sum per (shape, kept block positions) gives those tables for
+    # every row of the stack; a table is the first such row of i that holds S
     tables = {}
-    for (i, sup), top in block_tables.items():
-        for size in range(min(beta, len(sup)) + 1):
-            for svars in combinations(sup, size):
-                if (i, svars) not in tables:
-                    axes = tuple(pos for pos, v in enumerate(sup) if v not in svars)
-                    table = top.sum(axis=axes).reshape(-1, cards[i])
-                    table.setflags(write=False)
-                    tables[(i, svars)] = table
+    for shape, keys in members.items():
+        stack, m = stacks[shape], len(shape) - 1
+        stack.setflags(write=False)
+        for size in range(min(beta, m) + 1):
+            for kept in combinations(range(m), size):
+                axes = tuple(1 + k for k in range(m) if k not in kept)
+                summed = stack.sum(axis=axes) if axes else stack
+                summed.setflags(write=False)
+                for (i, sup), table in zip(keys, summed.reshape(len(keys), -1, shape[-1])):
+                    tables.setdefault((i, tuple([sup[k] for k in kept])), table)
     return CountTable(space, pp, beta, tables)

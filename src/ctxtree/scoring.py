@@ -12,11 +12,14 @@ admissible stagings of a level are reduced to a score.  z is kept in the
 count table's layout, keyed (variable i, context variables S) with rows in
 mixed radix, and i's tables concatenated in table order are the evidence
 row the ``los`` kernel reads.  The score tables are built in two batched
-passes.  ``_log_evidences`` turns all of one variable's count tables,
-stacked with one alpha per row, into evidences with one elementwise log
-Gamma pass; ``log_context_marginal_likelihood`` is the same call on a
-single row, and ``log_marginal_likelihood`` makes one call per
-cardinality over the stages of a tree.  ``_local_order_scores`` then runs
+passes.  ``_log_evidences`` turns count tables of one width d, stacked with
+one alpha per row, into evidences, evaluating log Gamma once per distinct
+argument (``np.unique`` and an inverse gather).  The build makes one call
+per width over every table of the variables with d_i = d, so tables that
+share alphas and small counts share their log Gamma values;
+``log_context_marginal_likelihood`` is the same call on a single row, and
+``log_marginal_likelihood`` makes one call per cardinality over the stages
+of a tree.  ``_local_order_scores`` then runs
 the closed form below once per cardinality profile (the variables whose
 sorted K_i have the same cardinalities), over a leading variable axis, with
 the staging counts computed once per profile; ``log_local_order_score`` is
@@ -91,7 +94,7 @@ from .core import (
     as_int,
     validate_order,
 )
-from .counts import CountTable, Dataset, _context_sets, _row, stage_counts
+from .counts import CountTable, Dataset, _check_target, _context_sets, _row, stage_counts
 from .enumeration import EnumSpec, _pivot_options, _pivot_stages, _pivot_walk
 from .enumeration import _staging_count, count_stagings
 
@@ -160,7 +163,10 @@ def _log_evidences(tables: Sequence[tuple]) -> np.ndarray:
     args = np.concatenate(
         [a_tot, a_tot + counts.sum(axis=1), alpha, (alpha[:, None] + counts).ravel()]
     )
-    logs = _gammaln(args)
+    # one log Gamma per distinct argument: the tables of many variables
+    # share their alphas and most of their small counts
+    distinct, inverse = np.unique(args, return_inverse=True)
+    logs = _gammaln(distinct)[inverse]
     rows = len(counts)
     log_cells = logs[3 * rows :].reshape(counts.shape)
     values = (
@@ -183,10 +189,13 @@ def log_context_marginal_likelihood(
     prior: PriorSpec,
 ) -> float:
     """Log Dirichlet-multinomial evidence of one (variable, context) cell."""
+    var = _check_target(space, var, context)
     counts = np.asarray(counts, dtype=np.float64)
     d = space.cards[var]
     if counts.shape != (d,):
         raise ValidationError(f"expected {d} counts for variable {var}, got {counts.shape}")
+    if not ((counts >= 0) & (counts < math.inf)).all():
+        raise ValidationError(f"counts must be finite and non-negative, got {counts.tolist()}")
     a = prior.alpha_cell(space, var, context.vars)
     return float(_log_evidences([((var, context.vars), a, counts[None, :])])[0])
 
@@ -504,19 +513,30 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
     beta = count_table.beta
     _check_k_cap(pp)
 
-    z: dict[tuple, list[float]] = {}
-    evidences = []
+    # one evidence pass per width d_i over all its variables' tables, each
+    # variable's tables in table order
+    widths: dict[int, list[int]] = {}
     profiles: dict[tuple, list[int]] = {}
     for i in range(space.p):
-        tables = list(count_table.tables(i))
-        values = _log_evidences(
-            [((i, svars), prior.alpha_cell(space, i, svars), counts) for svars, counts in tables]
-        )
-        flat = iter(values.tolist())
-        for svars, counts in tables:
-            z[(i, svars)] = list(islice(flat, len(counts)))
-        evidences.append(values)
+        widths.setdefault(space.cards[i], []).append(i)
         profiles.setdefault(tuple(space.cards[v] for v in sorted(pp[i])), []).append(i)
+    z: dict[tuple, list[float]] = {}
+    evidences: list = [None] * space.p
+    for members in widths.values():
+        tables, sizes = [], []
+        for i in members:
+            own = [
+                ((i, svars), prior.alpha_cell(space, i, svars), counts)
+                for svars, counts in count_table.tables(i)
+            ]
+            tables += own
+            sizes.append(sum(len(counts) for *_, counts in own))
+        values = _log_evidences(tables)
+        flat = iter(values.tolist())
+        for key, _, counts in tables:
+            z[key] = list(islice(flat, len(counts)))
+        for i, row in zip(members, np.split(values, np.cumsum(sizes)[:-1])):
+            evidences[i] = row
 
     los: list = [None] * space.p
     for cards, members in profiles.items():

@@ -23,14 +23,18 @@ stream, and ``stratum_random_cstree`` runs it level by level on specs that
 the public ``EnumSpec.for_level`` checks, as ``random_cstree`` did.  The cell-by-cell CSV loader and the per-set count build are the
 data layer as it was before it worked on whole columns and collapsed rows;
 the void-key collapse is the row collapse as it was before it packed each
-row into one integer key.  The ``csv.writer`` CSV writer is ``write_csv``
+row into one integer key.  The per-set count build counts every table on
+its own, so it also checks how the build stacks the block tables of one
+shape and derives each table as a row of one axis sum over the stack.  The ``csv.writer`` CSV writer is ``write_csv``
 as it was before it encoded rows in numpy blocks; it pins the bytes of the
 file.  The per-variable score-table build is the score layer as it was
 before it ran in batched passes: one evidence call per count table, with
 one ``math.lgamma`` per cell, and one closed-form call per variable reading
 its z dict.  It shares the library's evidence formula, closed form and
-staging counts, so it checks only how the batched build stacks tables,
-groups variables by cardinality profile and splits them into batches.  The
+staging counts, so it checks only how the batched build stacks the tables
+of all variables of one width into one evidence pass, evaluates log Gamma
+once per distinct argument, groups variables by cardinality profile and
+splits them into batches.  The
 product-loop enumerator is ``iter_raw_stagings`` as it was before its pivot
 strata came from the walk that the staging argmax shares; it pins the
 enumeration order and the stage order inside each staging.  The level-size

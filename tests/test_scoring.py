@@ -39,6 +39,7 @@ from oracles import (
     brute_force_order_score,
     count_rows,
     path_alphas,
+    per_set_count_tables,
     per_variable_score_tables,
     polya_log_evidence,
     table_contexts,
@@ -92,6 +93,38 @@ def test_evidence_empty_counts_is_one():
     space = StateSpace([2, 2])
     for prior in (UNIT, BDEU):
         assert log_context_marginal_likelihood(space, 0, Context(), [0, 0], prior) == 0.0
+
+
+@pytest.mark.parametrize(
+    "var, context, counts, message",
+    [
+        (5, Context(), [1, 1], "variable 5 out of range for p=2"),
+        (-1, Context(), [1, 1], "variable -1 out of range for p=2"),
+        (0, Context({0: 1}), [1, 1], "context conditions on the target variable 0"),
+        (0, Context({1: 5}), [1, 1], r"context value 5 out of range for variable 1 \(d=2\)"),
+        (0, Context({3: 0}), [1, 1], "context variable 3 out of range for p=2"),
+        (0, Context(), [-0.2, 0], r"counts must be finite and non-negative, got \[-0.2, 0.0\]"),
+        (0, Context(), [2, -0.1], r"counts must be finite and non-negative, got \[2.0, -0.1\]"),
+        (0, Context(), [math.nan, 0], "counts must be finite and non-negative"),
+        (0, Context(), [1, math.inf], "counts must be finite and non-negative"),
+    ],
+    ids=[
+        "var-past-p",
+        "var-negative",
+        "context-on-target",
+        "context-value-past-card",
+        "context-var-past-p",
+        "negative-first-count",
+        "negative-last-count",
+        "nan-count",
+        "infinite-count",
+    ],
+)
+def test_context_evidence_rejects_bad_input(var, context, counts, message):
+    # the checks compute_counts makes on a (variable, context) pair, plus
+    # counts that a table could hold
+    with pytest.raises(ValidationError, match=message):
+        log_context_marginal_likelihood(StateSpace([2, 2]), var, context, counts, BDEU)
 
 
 def close(value, reference, tol):
@@ -397,6 +430,70 @@ def test_batched_tables_span_several_batches(monkeypatch):
     monkeypatch.setattr(ctxtree.scoring, "_log_summed_evidence", spy)
     assert_tables_match_oracle(count_table, BDEU)
     assert batches == [16, 16, 8]
+
+
+def shape_batch_problem(cards, k_size, n, seed):
+    """Rows drawn uniformly over ``cards`` and a K_i of ``k_size`` other
+    variables drawn at random for each i."""
+    rng = np.random.default_rng(seed)
+    p = len(cards)
+    rows = rng.integers(0, cards, size=(n, p))
+    others = [[j for j in range(p) if j != i] for i in range(p)]
+    pp = PossibleParents([set(rng.choice(o, size=k_size, replace=False).tolist()) for o in others])
+    return Dataset(rows, StateSpace(cards)), pp
+
+
+@pytest.mark.parametrize(
+    "cards, k_size", [((2,) * 60, 4), ((2, 3) * 30, 6)], ids=["binary-k4", "mixed-k6"]
+)
+@pytest.mark.parametrize("n, family", [(3000, True), (20, False)], ids=["family-blocks", "pair-blocks"])
+def test_shape_batched_tables_equal_oracles(cards, k_size, n, family):
+    # bit for bit at p = 60, where many variables share each block-table
+    # shape and each evidence width: with 3000 rows every K_i's family table
+    # fits within the distinct rows and is counted as one block, with 20
+    # rows none does and the tables come from the shared pair blocks
+    data, pp = shape_batch_problem(cards, k_size, n, seed=25)
+    distinct = len(data._distinct[1])
+    fits = [math.prod(cards[v] for v in pp[i]) * cards[i] <= distinct for i in range(data.p)]
+    assert fits == [family] * data.p
+    count_table = build_count_table(data, pp, 2)
+    want = per_set_count_tables(data, pp, 2)
+    got = {(i, svars): t for i in range(data.p) for svars, t in count_table.tables(i)}
+    assert got.keys() == want.keys()
+    for key, t in got.items():
+        assert t.dtype == np.int64 and not t.flags.writeable, key
+        assert np.array_equal(t, want[key]), key
+    for prior in (UNIT, BDEU):
+        assert_tables_match_oracle(count_table, prior)
+
+
+def test_score_build_one_evidence_pass_per_width(monkeypatch):
+    # cardinalities 2, 3 and 4 give three evidence calls, each over every
+    # table of the variables of one width, and log Gamma is evaluated once
+    # per distinct argument
+    cards = (2, 3, 4) * 5
+    data, pp = shape_batch_problem(cards, 4, 200, seed=26)
+    count_table = build_count_table(data, pp, 2)
+    evidences, gammaln = ctxtree.scoring._log_evidences, ctxtree.scoring._gammaln
+    calls, args = [], []
+
+    def spy_evidences(tables):
+        calls.append([(owner, counts.shape[1]) for owner, _, counts in tables])
+        return evidences(tables)
+
+    def spy_gammaln(x):
+        args.append(x.copy())
+        return gammaln(x)
+
+    monkeypatch.setattr(ctxtree.scoring, "_log_evidences", spy_evidences)
+    monkeypatch.setattr(ctxtree.scoring, "_gammaln", spy_gammaln)
+    assert_tables_match_oracle(count_table, BDEU)
+    assert len(calls) == len(args) == 3
+    for d, call in zip((2, 3, 4), calls):
+        members = [i for i in range(data.p) if cards[i] == d]
+        assert call == [((i, svars), d) for i in members for svars, _ in count_table.tables(i)]
+    for x in args:
+        assert len(np.unique(x)) == x.size
 
 
 def test_batched_build_memory_stays_near_per_variable():
