@@ -10,20 +10,22 @@ spaces make the rows unique as byte strings.  The count table and
 floats below 2**53); ``compute_counts`` masks the full rows.
 
 The count table stores, for every variable i and every admissible context
-x_S with S inside the possible-parent set K_i and |S| <= beta, the vector of
-cell counts over the values of variable i.  The build runs on one thread.
-One walk over the keys (i, S) sums the cells for the cap before any row is
-collapsed.  Each variable's blocks are then K_i itself when its table, of
-prod(d_v, v in K_i) * d_i cells, has no more cells than there are distinct
-rows, and otherwise each subset of K_i of size min(beta, |K_i|).  The
-mixed-radix code of x_B over the distinct rows is summed once per block B,
-in int64 from the narrow columns, then one weighted ``bincount`` of (code,
-x_i) per variable i it serves.  The block tables of one shape (the
-cardinalities of B, then d_i) are the rows of one int64 stack, so the
-tables come from one axis sum per (shape, kept positions of B) over the
-whole stack, not one per (i, S).  Each table is a read-only row view of the
-first such sum of i that holds S (the sums are of integers, so any would
-do).
+x_S with S inside the possible-parent set K_i and |S| <= beta, the vector
+of cell counts over the values of variable i.  The build runs on one
+thread.  The cap is checked before any row is collapsed, in closed form:
+variable i's tables hold d_i * sum_{s <= beta} e_s cells, e_s the s-th
+elementary symmetric sum of the cardinalities of K_i, which the usual
+recurrence gives in O(|K_i| beta).  Each variable's blocks are then K_i
+itself when its table, of prod(d_v, v in K_i) * d_i cells, has no more
+cells than there are distinct rows, and otherwise each subset of K_i of
+size min(beta, |K_i|).  The mixed-radix code of x_B over the distinct rows
+is summed once per block B, in int64 from the narrow columns, then one
+weighted ``bincount`` of (code, x_i) per variable i it serves.  The block
+tables of one shape (the cardinalities of B, then d_i) are the rows of one
+int64 stack, so the tables come from one axis sum per (shape, kept
+positions of B) over the whole stack, not one per (i, S).  Each table is a
+read-only row view of the first such sum of i that holds S (the sums are of
+integers, so any would do).
 
 ``load_csv`` reads the file's bytes once, less a leading byte-order mark.  A
 file whose header is a quote-free first line and whose body holds only
@@ -648,15 +650,19 @@ def build_count_table(
     space = data.space
     if pp is None:
         pp = PossibleParents.full(space.p)
+    if not isinstance(pp, PossibleParents):
+        raise ValidationError(f"pp must be a PossibleParents or None, got {type(pp).__name__}")
     if pp.p != space.p:
         raise ValidationError("possible-parent sets do not match the state space")
 
     cards = space.cards
-    total_cells = sum(
-        math.prod(cards[v] for v in svars) * cards[i]
-        for i in range(space.p)
-        for svars in _context_sets(pp[i], beta)
-    )
+    total_cells = 0
+    for i in range(space.p):
+        # e[s]: the s-th elementary symmetric sum of K_i's cardinalities
+        e = [1] + [0] * beta
+        for v in pp[i]:
+            e[1:] = [e[s] + e[s - 1] * cards[v] for s in range(1, beta + 1)]
+        total_cells += cards[i] * sum(e)
     if total_cells > max_cells:
         raise ResourceCapError(
             f"count table needs {total_cells} cells, above the cap {max_cells}; "

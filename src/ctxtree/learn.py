@@ -61,6 +61,9 @@ class LearnConfig:
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.estimator not in ("map", "mle", "none"):
             raise ValidationError(f"estimator must be map/mle/none, got {self.estimator!r}")
+        for name, kind in (("prior", PriorSpec), ("chain", ChainConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.possible_parents, (PossibleParents, type(None))):
             raise ValidationError(
                 "possible_parents must be a PossibleParents or None; read a file "

@@ -12,14 +12,16 @@ admissible stagings of a level are reduced to a score.  z is kept in the
 count table's layout, keyed (variable i, context variables S) with rows in
 mixed radix, and i's tables concatenated in table order are the evidence
 row the ``los`` kernel reads.  The score tables are built in two batched
-passes.  ``_log_evidences`` turns count tables of one width d, stacked with
-one alpha per row, into evidences, evaluating log Gamma once per distinct
-argument (``np.unique`` and an inverse gather).  The build makes one call
-per width over every table of the variables with d_i = d, so tables that
-share alphas and small counts share their log Gamma values;
+passes.  ``_log_evidences`` turns count tables of any widths, in any
+order, into their evidences flat in input order, each table with the alpha
+the prior gives its key.  The tables of one width share one log Gamma pass
+over their distinct arguments (``np.unique`` and an inverse gather), so
+tables that share alphas and small counts share their log Gamma values.
+The build makes one call over every table, in variable and then table
+order, and slices each variable's kernel row from the result;
 ``log_context_marginal_likelihood`` is the same call on a single row, and
-``log_marginal_likelihood`` makes one call per cardinality over the stages
-of a tree.  ``_local_order_scores`` then runs
+``log_marginal_likelihood`` one call over the stages of a tree, in level
+and then stage order.  ``_local_order_scores`` then runs
 the closed form below once per cardinality profile (the variables whose
 sorted K_i have the same cardinalities), over a leading variable axis, with
 the staging counts computed once per profile; ``log_local_order_score`` is
@@ -147,31 +149,41 @@ def _gammaln(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(_lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _log_evidences(tables: Sequence[tuple]) -> np.ndarray:
+def _log_evidences(space: StateSpace, prior: PriorSpec, tables: Sequence[tuple]) -> np.ndarray:
     """Log Dirichlet-multinomial evidence of every row of the count tables,
-    stacked in the order given.
+    flat in the order given.
 
-    ``tables`` holds ((variable, context variables), alpha, (cells x d)
-    counts) triples, all of one width d; every cell of a table carries that
-    table's hyperparameter alpha.
+    ``tables`` holds ((variable, context variables), (cells x d) counts)
+    pairs of any widths d, in any order; every cell of a table carries the
+    hyperparameter ``prior.alpha_cell`` gives its key.  The tables of one
+    width share one log Gamma pass over their distinct arguments.  Where an
+    evidence is not finite, the error names the first such table.
     """
-    owners, alphas, counts = zip(*tables)
+    if not isinstance(prior, PriorSpec):
+        raise ValidationError(f"prior must be a PriorSpec, got {prior!r}")
+    owners, counts = zip(*tables)
+    alphas = [prior.alpha_cell(space, var, context_vars) for var, context_vars in owners]
     sizes = [len(c) for c in counts]
-    counts = np.concatenate(counts)
-    alpha = np.repeat(alphas, sizes)
-    a_tot = alpha * counts.shape[1]
-    args = np.concatenate(
-        [a_tot, a_tot + counts.sum(axis=1), alpha, (alpha[:, None] + counts).ravel()]
-    )
-    # one log Gamma per distinct argument: the tables of many variables
-    # share their alphas and most of their small counts
-    distinct, inverse = np.unique(args, return_inverse=True)
-    logs = _gammaln(distinct)[inverse]
-    rows = len(counts)
-    log_cells = logs[3 * rows :].reshape(counts.shape)
-    values = (
-        logs[:rows] - logs[rows : 2 * rows] + (log_cells - logs[2 * rows : 3 * rows, None]).sum(axis=1)
-    )
+    widths = [c.shape[1] for c in counts]
+    row_widths = np.repeat(widths, sizes)
+    values = np.empty(len(row_widths))
+    for d in set(widths):
+        members = [t for t, w in enumerate(widths) if w == d]
+        stacked = np.concatenate([counts[t] for t in members])
+        alpha = np.repeat([alphas[t] for t in members], [sizes[t] for t in members])
+        a_tot = alpha * d
+        args = np.concatenate(
+            [a_tot, a_tot + stacked.sum(axis=1), alpha, (alpha[:, None] + stacked).ravel()]
+        )
+        # one log Gamma per distinct argument: the tables of many variables
+        # share their alphas and most of their small counts
+        distinct, inverse = np.unique(args, return_inverse=True)
+        logs = _gammaln(distinct)[inverse]
+        rows = len(stacked)
+        log_cells = logs[3 * rows :].reshape(stacked.shape)
+        values[row_widths == d] = (
+            logs[:rows] - logs[rows : 2 * rows] + (log_cells - logs[2 * rows : 3 * rows, None]).sum(axis=1)
+        )
     finite = np.isfinite(values)
     if not finite.all():
         var, context_vars = owners[np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")]
@@ -196,8 +208,7 @@ def log_context_marginal_likelihood(
         raise ValidationError(f"expected {d} counts for variable {var}, got {counts.shape}")
     if not ((counts >= 0) & (counts < math.inf)).all():
         raise ValidationError(f"counts must be finite and non-negative, got {counts.tolist()}")
-    a = prior.alpha_cell(space, var, context.vars)
-    return float(_log_evidences([((var, context.vars), a, counts[None, :])])[0])
+    return float(_log_evidences(space, prior, [((var, context.vars), counts[None, :])])[0])
 
 
 class ScoreTables:
@@ -236,15 +247,6 @@ class ScoreTables:
             )
         return var
 
-    def _level(self, var: int, spec: EnumSpec) -> Iterator[tuple[tuple, float]]:
-        """The z entries of ``var`` on ``spec``'s level, as ((variable, value)
-        pairs, value) in table order; the spec must fit the tables."""
-        var = self._fitted(var, spec)
-        for svars in _context_sets(spec.usable, spec.beta):
-            values = product(*(range(self.space.cards[v]) for v in svars))
-            for xs, value in zip(values, self._z[(var, svars)]):
-                yield tuple(zip(svars, xs)), value
-
     def _mask(self, var, usable: Iterable[int]) -> tuple[int, int]:
         """``var`` as an int and the bitmask of ``usable`` over sorted K_var."""
         var, usable = as_int("variable", var), set(usable)
@@ -279,11 +281,12 @@ class ScoreTables:
 
     def dump_z(self, fh) -> None:
         """One line per z entry: variable, context as JSON, log value."""
-        for var, k_var in enumerate(self.pp.sets):
-            spec = EnumSpec.for_level(self.space, sorted(k_var), len(k_var), self.beta)
-            for items, value in self._level(var, spec):
-                ctx = json.dumps({str(v): x for v, x in items}, separators=(",", ":"))
-                fh.write(f"{var}\t{ctx}\t{value:.12g}\n")
+        for var in range(self.space.p):
+            for svars in _context_sets(self.pp[var], self.beta):
+                values = product(*(range(self.space.cards[v]) for v in svars))
+                for xs, value in zip(values, self._z[(var, svars)]):
+                    ctx = json.dumps({str(v): x for v, x in zip(svars, xs)}, separators=(",", ":"))
+                    fh.write(f"{var}\t{ctx}\t{value:.12g}\n")
 
 
 def _subset_logsumexp(terms: np.ndarray) -> np.ndarray:
@@ -398,7 +401,8 @@ def log_staging_score(var: int, staging: Staging, tables: ScoreTables, spec: Enu
 
 def log_local_order_score(var: int, spec: EnumSpec, tables: ScoreTables) -> float:
     """Log-sum-exp of staging scores over all admissible stagings of a level."""
-    ev = [value for _, value in tables._level(var, spec)]
+    var = tables._fitted(var, spec)
+    ev = [value for svars in _context_sets(spec.usable, spec.beta) for value in tables._z[(var, svars)]]
     cards = [spec.card_of(v) for v in spec.usable]
     (scores,) = _local_order_scores(np.array([ev]), cards, spec.beta)
     return float(scores[0, -1])
@@ -513,34 +517,23 @@ def build_score_tables(count_table: CountTable, prior: PriorSpec) -> ScoreTables
     beta = count_table.beta
     _check_k_cap(pp)
 
-    # one evidence pass per width d_i over all its variables' tables, each
-    # variable's tables in table order
-    widths: dict[int, list[int]] = {}
+    # one evidence pass over every table, in variable and then table order;
+    # variable i's kernel row is values[bounds[i] : bounds[i + 1]]
+    tables: list[tuple] = []
+    bounds = [0]
     profiles: dict[tuple, list[int]] = {}
     for i in range(space.p):
-        widths.setdefault(space.cards[i], []).append(i)
+        own = [((i, svars), counts) for svars, counts in count_table.tables(i)]
+        tables += own
+        bounds.append(bounds[-1] + sum(len(counts) for _, counts in own))
         profiles.setdefault(tuple(space.cards[v] for v in sorted(pp[i])), []).append(i)
-    z: dict[tuple, list[float]] = {}
-    evidences: list = [None] * space.p
-    for members in widths.values():
-        tables, sizes = [], []
-        for i in members:
-            own = [
-                ((i, svars), prior.alpha_cell(space, i, svars), counts)
-                for svars, counts in count_table.tables(i)
-            ]
-            tables += own
-            sizes.append(sum(len(counts) for *_, counts in own))
-        values = _log_evidences(tables)
-        flat = iter(values.tolist())
-        for key, _, counts in tables:
-            z[key] = list(islice(flat, len(counts)))
-        for i, row in zip(members, np.split(values, np.cumsum(sizes)[:-1])):
-            evidences[i] = row
+    values = _log_evidences(space, prior, tables)
+    flat = iter(values.tolist())
+    z = {key: list(islice(flat, len(counts))) for key, counts in tables}
 
     los: list = [None] * space.p
     for cards, members in profiles.items():
-        ev = np.stack([evidences[i] for i in members])
+        ev = np.stack([values[bounds[i] : bounds[i + 1]] for i in members])
         blocks = _local_order_scores(ev, cards, beta)
         for i, scores in zip(members, chain.from_iterable(b.tolist() for b in blocks)):
             los[i] = scores
@@ -556,18 +549,12 @@ def log_marginal_likelihood(tree: CStree, data: Dataset, prior: PriorSpec) -> fl
     """
     if data.space.cards != tree.space.cards:
         raise ValidationError("dataset and tree have different state spaces")
-    space = tree.space
-    levels = [(tree.governed_var(lvl), staging) for lvl, staging in enumerate(tree.stagings)]
-    by_width: dict[int, list] = {}
-    for var, staging in levels:
+    stages: list[tuple] = []
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
         counts = stage_counts(data, var, staging)
-        by_width.setdefault(space.cards[var], []).extend(
-            ((var, s.context.vars), prior.alpha_cell(space, var, s.context.vars), counts[k : k + 1])
-            for k, s in enumerate(staging.stages)
-        )
-    values = {d: iter(_log_evidences(stages).tolist()) for d, stages in by_width.items()}
+        stages += [((var, s.context.vars), counts[k : k + 1]) for k, s in enumerate(staging.stages)]
     total = 0.0
-    for var, staging in levels:
-        for _ in staging.stages:
-            total += next(values[space.cards[var]])
+    for value in _log_evidences(tree.space, prior, stages).tolist():
+        total += value
     return total

@@ -31,16 +31,18 @@ file.  The per-variable score-table build is the score layer as it was
 before it ran in batched passes: one evidence call per count table, with
 one ``math.lgamma`` per cell, and one closed-form call per variable reading
 its z dict.  It shares the library's evidence formula, closed form and
-staging counts, so it checks only how the batched build stacks the tables
-of all variables of one width into one evidence pass, evaluates log Gamma
-once per distinct argument, groups variables by cardinality profile and
+staging counts, so it checks only how the batched build puts the tables
+of all variables into one evidence pass, grouped by width, evaluates log
+Gamma once per distinct argument, groups variables by cardinality profile and
 splits them into batches.  The
 product-loop enumerator is ``iter_raw_stagings`` as it was before its pivot
 strata came from the walk that the staging argmax shares; it pins the
 enumeration order and the stage order inside each staging.  The level-size
 partition check is ``core._check_partition`` as it was before it counted
 stage sizes over the union of the context variables; it pins which
-stagings are rejected and with what message.
+stagings are rejected and with what message.  The per-key cell walk is the
+count table's cap check as it was before it summed elementary symmetric
+sums; it pins the total the cap is checked against.
 """
 
 from __future__ import annotations
@@ -813,6 +815,18 @@ def void_key_collapse(rows, cards):
     keys = narrow.view(np.dtype((np.void, narrow.itemsize * rows.shape[1]))).ravel()
     _, first, weight = np.unique(keys, return_index=True, return_counts=True)
     return np.ascontiguousarray(narrow[first].T), weight
+
+
+def per_key_table_cells(space, pp, beta):
+    """The cells of every count table of ``build_count_table``, summed by
+    walking the keys (i, S)."""
+    cards = space.cards
+    return sum(
+        math.prod(cards[v] for v in svars) * cards[i]
+        for i in range(space.p)
+        for size in range(beta + 1)
+        for svars in combinations(sorted(pp[i]), size)
+    )
 
 
 def per_set_count_tables(data, pp, beta):

@@ -36,6 +36,7 @@ from ctxtree.counts import _WRITE_BLOCK_CELLS, _collapse, _int_records, _split_h
 from oracles import (
     cellwise_load_csv,
     csv_module_write_csv,
+    per_key_table_cells,
     per_set_count_tables,
     table_contexts,
     void_key_collapse,
@@ -335,12 +336,14 @@ def test_table_row_order_invariance(seed):
             assert np.array_equal(table.counts(i, ctx), table2.counts(i, ctx))
 
 
-def test_import_starts_no_thread_pool():
+@pytest.mark.parametrize("module", ["concurrent.futures", "scipy"])
+def test_import_starts_no_thread_pool(module):
     # the count table is built on one thread, so importing the package
-    # loads no executor machinery
+    # loads no executor machinery; numpy is its only runtime dependency,
+    # so it loads no scipy either
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ctxtree; print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, ctxtree; print({module!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -547,6 +550,39 @@ def test_table_cap_checked_before_collapse(monkeypatch):
     assert calls == []
     build_count_table(data, beta=2)
     assert calls == [(10, 6)]
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+def test_table_cap_exact_boundary(beta):
+    # mixed cardinalities and |K_i| from 0 to 3, so some K_i are smaller
+    # than beta: the closed form's total is the per-key walk's, a table of
+    # exactly the cap is built and one cell more is refused
+    cards = [2, 3, 4, 2, 3]
+    pp = PossibleParents([set(), {2}, {0, 1}, {0, 2, 4}, {1, 2, 3}])
+    data = Dataset(np.random.default_rng(29).integers(0, cards, size=(40, 5)), StateSpace(cards))
+    total = per_key_table_cells(data.space, pp, beta)
+    table = build_count_table(data, pp, beta, max_cells=total)
+    assert sum(t.size for i in range(5) for _, t in table.tables(i)) == total
+    with pytest.raises(ResourceCapError, match=f"needs {total} cells, above the cap {total - 1};"):
+        build_count_table(data, pp, beta, max_cells=total - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cards=st.lists(st.integers(2, 5), min_size=1, max_size=9),
+    beta=st.sampled_from([0, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_cap_total_matches_per_key_walk(cards, beta, seed):
+    # the cap is checked before any row is counted, so max_cells=0 reports
+    # the closed form's total alone
+    rng = np.random.default_rng(seed)
+    p = len(cards)
+    pp = PossibleParents([{j for j in range(p) if j != i and rng.random() < 0.6} for i in range(p)])
+    data = Dataset(np.zeros((1, p), dtype=np.int64), StateSpace(cards))
+    total = per_key_table_cells(data.space, pp, beta)
+    with pytest.raises(ResourceCapError, match=f"needs {total} cells,"):
+        build_count_table(data, pp, beta, max_cells=0)
 
 
 def boundary_problem(side):
@@ -881,6 +917,10 @@ def test_dataset_owns_its_rows():
         (
             lambda: build_count_table(Dataset(np.zeros((2, 2), dtype=int), StateSpace([2, 2])), PossibleParents.full(3)),
             "possible-parent sets do not match the state space",
+        ),
+        (
+            lambda: build_count_table(Dataset(np.zeros((2, 2), dtype=int), StateSpace([2, 2])), [{1}, {0}]),
+            "pp must be a PossibleParents or None, got list",
         ),
     ],
 )

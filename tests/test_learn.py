@@ -358,6 +358,11 @@ def test_learn_returned_order_score_is_trace_max():
 def test_learn_config_validation(tmp_path):
     with pytest.raises(ValidationError):
         LearnConfig(estimator="bogus")
+    # checked at construction, before learn counts any row
+    with pytest.raises(ValidationError, match="prior must be a PriorSpec, got 'unit'"):
+        LearnConfig(prior="unit")
+    with pytest.raises(ValidationError, match="chain must be a ChainConfig, got 5"):
+        LearnConfig(chain=5)
     path = tmp_path / "pp.json"
     path.write_text(json.dumps({"0": [1]}))
     for src in (str(path), path, {"0": [1]}):

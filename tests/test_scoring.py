@@ -33,6 +33,8 @@ from ctxtree import (
     log_order_score,
     log_staging_score,
     optimal_staging,
+    random_cstree,
+    sample,
 )
 
 from oracles import (
@@ -40,6 +42,7 @@ from oracles import (
     count_rows,
     path_alphas,
     per_set_count_tables,
+    per_stage_lml,
     per_variable_score_tables,
     polya_log_evidence,
     table_contexts,
@@ -467,19 +470,15 @@ def test_shape_batched_tables_equal_oracles(cards, k_size, n, family):
         assert_tables_match_oracle(count_table, prior)
 
 
-def test_score_build_one_evidence_pass_per_width(monkeypatch):
-    # cardinalities 2, 3 and 4 give three evidence calls, each over every
-    # table of the variables of one width, and log Gamma is evaluated once
-    # per distinct argument
-    cards = (2, 3, 4) * 5
-    data, pp = shape_batch_problem(cards, 4, 200, seed=26)
-    count_table = build_count_table(data, pp, 2)
+def spy_evidence_passes(monkeypatch):
+    """Record each ``_log_evidences`` call's tables as (key, width) pairs,
+    and each ``_gammaln`` argument."""
     evidences, gammaln = ctxtree.scoring._log_evidences, ctxtree.scoring._gammaln
     calls, args = [], []
 
-    def spy_evidences(tables):
-        calls.append([(owner, counts.shape[1]) for owner, _, counts in tables])
-        return evidences(tables)
+    def spy_evidences(space, prior, tables):
+        calls.append([(owner, counts.shape[1]) for owner, counts in tables])
+        return evidences(space, prior, tables)
 
     def spy_gammaln(x):
         args.append(x.copy())
@@ -487,13 +486,82 @@ def test_score_build_one_evidence_pass_per_width(monkeypatch):
 
     monkeypatch.setattr(ctxtree.scoring, "_log_evidences", spy_evidences)
     monkeypatch.setattr(ctxtree.scoring, "_gammaln", spy_gammaln)
+    return calls, args
+
+
+def test_score_build_one_evidence_pass_per_width(monkeypatch):
+    # one evidence call over every table, in variable and then table order;
+    # within it cardinalities 2, 3 and 4 give three log Gamma passes, each
+    # evaluating log Gamma once per distinct argument
+    cards = (2, 3, 4) * 5
+    data, pp = shape_batch_problem(cards, 4, 200, seed=26)
+    count_table = build_count_table(data, pp, 2)
+    calls, args = spy_evidence_passes(monkeypatch)
     assert_tables_match_oracle(count_table, BDEU)
-    assert len(calls) == len(args) == 3
-    for d, call in zip((2, 3, 4), calls):
-        members = [i for i in range(data.p) if cards[i] == d]
-        assert call == [((i, svars), d) for i in members for svars, _ in count_table.tables(i)]
+    assert calls == [[((i, svars), cards[i]) for i in range(data.p) for svars, _ in count_table.tables(i)]]
+    assert len(args) == 3
     for x in args:
         assert len(np.unique(x)) == x.size
+
+
+def test_marginal_likelihood_one_evidence_pass(monkeypatch):
+    # every stage of a mixed-width tree in one evidence call, in level and
+    # then stage order, with one log Gamma pass per width
+    rng = np.random.default_rng(29)
+    space = StateSpace([2, 3, 4, 3, 2, 4])
+    tree = random_cstree(space, 2, rng)
+    data = sample(tree, 300, rng)
+    want = per_stage_lml(tree, data, BDEU)
+    calls, args = spy_evidence_passes(monkeypatch)
+    assert log_marginal_likelihood(tree, data, BDEU) == pytest.approx(want, rel=1e-12)
+    stages = [
+        ((tree.governed_var(lvl), stage.context.vars), space.cards[tree.governed_var(lvl)])
+        for lvl, staging in enumerate(tree.stagings)
+        for stage in staging.stages
+    ]
+    assert calls == [stages]
+    assert len(args) == 3
+    for x in args:
+        assert len(np.unique(x)) == x.size
+
+
+@st.composite
+def evidence_tables(draw):
+    """A state space and a list of count tables of mixed widths, keyed
+    (variable, context variables), with a row per context."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
+    tables = []
+    for _ in range(draw(st.integers(1, 12))):
+        var = draw(st.integers(0, len(cards) - 1))
+        others = [v for v in range(len(cards)) if v != var]
+        svars = tuple(sorted(draw(st.sets(st.sampled_from(others), max_size=2))))
+        shape = (math.prod(cards[v] for v in svars), cards[var])
+        cells = draw(st.lists(st.integers(0, 60), min_size=math.prod(shape), max_size=math.prod(shape)))
+        tables.append(((var, svars), np.array(cells, dtype=np.int64).reshape(shape)))
+    return StateSpace(cards), tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=evidence_tables(), prior=st.sampled_from([BDEU, UNIT, PriorSpec("bdeu-path", 0.3)]))
+def test_evidences_of_a_mixed_list_equal_single_table_calls(problem, prior):
+    # bit for bit: grouping by width and putting the values back in input
+    # order changes no value
+    space, tables = problem
+    got = ctxtree.scoring._log_evidences(space, prior, tables)
+    alone = [ctxtree.scoring._log_evidences(space, prior, [table]) for table in tables]
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.concatenate(alone))
+
+
+def test_non_finite_evidence_names_the_lowest_failing_variable():
+    # at ess 1e-323 the one-variable contexts of variables 1 (d = 3) and 2
+    # (d = 2) have an alpha that underflows to 0; the error names the first
+    # failing table in variable order, not the first of some width
+    data = Dataset(np.array([[0, 1, 1], [1, 2, 0], [0, 0, 1]]), StateSpace([2, 3, 2]))
+    count_table = build_count_table(data, PossibleParents([set(), {0, 2}, {0, 1}]), 2)
+    message = r"non-finite evidence for variable 1, context variables \(0,\)$"
+    with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
+        build_score_tables(count_table, PriorSpec("bdeu-path", 1e-323))
 
 
 def test_batched_build_memory_stays_near_per_variable():
@@ -736,6 +804,15 @@ def test_dump_z_format():
         (
             lambda tree, data: log_marginal_likelihood(tree, Dataset(data.rows, StateSpace([2, 3, 3])), PriorSpec()),
             "dataset and tree have different state spaces",
+        ),
+        (lambda tree, data: log_marginal_likelihood(tree, data, None), "prior must be a PriorSpec, got None"),
+        (
+            lambda tree, data: log_context_marginal_likelihood(tree.space, 2, Context(), [1, 2, 0], "unit"),
+            "prior must be a PriorSpec, got 'unit'",
+        ),
+        (
+            lambda tree, data: build_score_tables(build_count_table(data), 1.0),
+            "prior must be a PriorSpec, got 1.0",
         ),
     ],
 )
