@@ -190,9 +190,11 @@ def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, rng) -> No
         _count_at_or_below(cdfs[0], uniforms, cols[var])
         return
     ids = stage_ids(staging, cols.__getitem__)
-    ends = np.cumsum(np.bincount(ids, minlength=len(cdfs))).tolist()
     # a stable sort keeps each stage's rows in row order
     by_stage = np.argsort(ids, kind="stable")
+    # stage ids in their own narrow type, so the sorted ids are not widened
+    stages = np.arange(len(cdfs), dtype=ids.dtype)
+    ends = np.searchsorted(ids[by_stage], stages, side="right").tolist()
     values = np.empty(n, dtype=cols.dtype)
     start = 0
     for cdf, end in zip(cdfs, ends):

@@ -17,14 +17,23 @@ O((|K_v| + |R_v|) log(|K_v| + |R_v|) + delta), not O(p).  The move is an
 exact Gibbs update on the variable's position (the relocation move of
 Friedman & Koller 2003), so the normalized order posterior is stationary
 for the chain.
+
+The chain is recorded as moves, not orderings: the initial ordering, each
+step's (v_pos, new_pos) in one integer array and each recorded score in one
+float array.  Recording a step appends two integers and at most one float,
+whatever p is, and allocates nothing that outlives the step.  Samples are
+replayed from the moves on demand, one list pop and insert per move.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -62,24 +71,93 @@ class ChainConfig:
             object.__setattr__(self, "init", tuple(as_int("init entry", v) for v in self.init))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainTrace:
-    """Recorded (ordering, log score) samples plus move bookkeeping."""
+    """A chain's record: its initial ordering ``init``, each step's
+    (v_pos, new_pos) flat in ``moves`` (the variable at position v_pos of
+    the ordering moved to position new_pos), and the log score of each
+    recorded sample in ``scores``.  Sample i is recorded after step
+    burn_in + 1 + i * thin of ``config`` (after step i + 1 without one).
 
-    samples: list[tuple[tuple[int, ...], float]] = field(default_factory=list)
-    move_distances: Counter = field(default_factory=Counter)
+    ``run_chain`` fills ``moves`` (4-byte integers) and ``scores`` (8-byte
+    floats) as arrays, so the record costs 8 bytes per step and 8 per
+    sample.  ``samples`` is a read-only sequence of the (ordering, log
+    score) pairs, replayed from ``init`` and ``moves``: iterating replays
+    every move once, and indexing replays from the start up to that
+    sample, an O(p) list pop and insert per move.  ``move_distances``
+    counts the steps by |new_pos - v_pos|."""
+
+    init: tuple[int, ...]
+    moves: Sequence[int]
+    scores: Sequence[float]
     config: Optional[ChainConfig] = None
+    move_distances: Counter = field(init=False)
+
+    def __post_init__(self):
+        at = iter(self.moves)
+        object.__setattr__(self, "move_distances", Counter(abs(a - b) for a, b in zip(at, at)))
+
+    @property
+    def samples(self) -> Sequence[tuple[tuple[int, ...], float]]:
+        return _Samples(self)
+
+    def _steps(self) -> range:
+        """The number of steps taken when each sample was recorded."""
+        start, thin = (self.config.burn_in + 1, self.config.thin) if self.config else (1, 1)
+        return range(start, start + thin * len(self.scores), thin)
+
+    def _replay(self, steps: Iterable[int]):
+        """The ordering after each of the increasing step counts ``steps``."""
+        order = list(self.init)
+        at = iter(self.moves)
+        moves = zip(at, at)
+        done = 0
+        for step in steps:
+            for v_pos, new_pos in islice(moves, step - done):
+                order.insert(new_pos, order.pop(v_pos))
+            done = step
+            yield tuple(order)
 
 
-def _links(bits: list[dict[int, int]]) -> list[list[tuple[int, int, int]]]:
+class _Samples(Sequence):
+    """A trace's (ordering, log score) samples, replayed from its moves."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: ChainTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.scores)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        trace = self._trace
+        return next(trace._replay([trace._steps()[index]])), trace.scores[index]
+
+    def __iter__(self):
+        trace = self._trace
+        return zip(trace._replay(trace._steps()), trace.scores)
+
+    # Sequence's own would index, and so replay from the start, per sample
+    def __reversed__(self):
+        return reversed(list(self))
+
+    def index(self, value, start=0, stop=None):
+        return list(self).index(value, start, len(self) if stop is None else stop)
+
+
+def _links(bits: list[dict[int, int]], los: list) -> list[list[tuple]]:
     """Each v's neighbours u in K_v | R_v as (u, u's bit in v's predecessor
-    mask or 0, v's bit in u's predecessor mask or 0)."""
+    mask or 0, v's bit in u's predecessor mask or 0, u's local order
+    scores)."""
     reverse = [set() for _ in bits]
     for v, bits_v in enumerate(bits):
         for u in bits_v:
             reverse[u].add(v)
     return [
-        [(u, bits_v.get(u, 0), bits[u].get(v, 0)) for u in sorted(bits_v.keys() | reverse[v])]
+        [(u, bits_v.get(u, 0), bits[u].get(v, 0), los[u]) for u in sorted(bits_v.keys() | reverse[v])]
         for v, bits_v in enumerate(bits)
     ]
 
@@ -91,21 +169,21 @@ def _segments(order, pos, masks, score, v_pos, links, los):
 
     Returns the segments' first positions from 0 up, their scores (v's own
     is ``score``; each runs up to the next start, the last to p), and the
-    neighbours (position, u, bit_u, bit_v) before and after v, nearest first.
+    neighbours as (position, link) pairs before and after v, nearest first.
     """
     v = order[v_pos]
     los_v = los[v]
     before, after = [], []
-    for u, bit_u, bit_v in links[v]:
-        at = pos[u]
-        (before if at < v_pos else after).append((at, u, bit_u, bit_v))
+    for link in links[v]:
+        at = pos[link[0]]
+        (before if at < v_pos else after).append((at, link))
     before.sort(reverse=True)
     after.sort()
     starts, scores = [], []
     # toward the front, v leaves the segment starting just past each
     # neighbour it passes, nearest first
     mask_v, acc = masks[v], score
-    for a, u, bit_u, bit_v in before:
+    for a, (u, bit_u, bit_v, los_u) in before:
         starts.append(a + 1)
         scores.append(acc)
         if bit_u:
@@ -113,20 +191,20 @@ def _segments(order, pos, masks, score, v_pos, links, los):
             mask_v ^= bit_u
         if bit_v:
             mask_u = masks[u]
-            acc += los[u][mask_u ^ bit_v] - los[u][mask_u]
+            acc += los_u[mask_u ^ bit_v] - los_u[mask_u]
     starts.append(0)
     scores.append(acc)
     starts.reverse()
     scores.reverse()
     # toward the back, it enters the segment starting at each one
     mask_v, acc = masks[v], score
-    for b, u, bit_u, bit_v in after:
+    for b, (u, bit_u, bit_v, los_u) in after:
         if bit_u:
             acc += los_v[mask_v ^ bit_u] - los_v[mask_v]
             mask_v ^= bit_u
         if bit_v:
             mask_u = masks[u]
-            acc += los[u][mask_u ^ bit_v] - los[u][mask_u]
+            acc += los_u[mask_u ^ bit_v] - los_u[mask_u]
         starts.append(b)
         scores.append(acc)
     return starts, scores, before, after
@@ -162,35 +240,41 @@ def run_chain(tables: ScoreTables, config: ChainConfig) -> ChainTrace:
         order = [int(v) for v in rng.permutation(p)]
     else:
         order = list(validate_order(config.init, p))
+    init = tuple(order)
     score = tables.order_score(order)
     masks = tables._pred_masks(order)
     pos = [0] * p
     for at, v in enumerate(order):
         pos[v] = at
-    links = _links(tables._bits)
     los = tables._los
-    trace = ChainTrace(config=config)
+    links = _links(tables._bits, los)
+    moves, recorded = array("i"), array("d")
+    record = config.burn_in + 1
     for first in range(0, config.iterations, _BLOCK):
-        block = rng.random((min(_BLOCK, config.iterations - first), 2)).tolist()
-        for step, (u_pick, u_at) in enumerate(block, first + 1):
-            v_pos = min(int(u_pick * p), p - 1)
+        block = rng.random((min(_BLOCK, config.iterations - first), 2))
+        picks = np.minimum((block[:, 0] * p).astype(np.intp), p - 1).tolist()
+        for step, v_pos, u_at in zip(count(first + 1), picks, block[:, 1].tolist()):
             starts, scores, before, after = _segments(order, pos, masks, score, v_pos, links, los)
             k, new_pos = _draw(starts, scores, p, u_at)
-            lo, hi = min(v_pos, new_pos), max(v_pos, new_pos)
-            v = order.pop(v_pos)
-            # the neighbours v passes swap their predecessor bits with v
-            nb = len(before)
-            for _, u, bit_u, bit_v in before[: nb - k] if k <= nb else after[: k - nb]:
-                masks[v] ^= bit_u
-                masks[u] ^= bit_v
-            order.insert(new_pos, v)
-            for at in range(lo, hi + 1):
-                pos[order[at]] = at
-            score = scores[k]
-            trace.move_distances[hi - lo] += 1
-            if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
-                trace.samples.append((tuple(order), score))
-    return trace
+            moves.append(v_pos)
+            moves.append(new_pos)
+            if new_pos != v_pos:
+                v = order.pop(v_pos)
+                order.insert(new_pos, v)
+                # the neighbours v passes swap their predecessor bits with v
+                nb = len(before)
+                mask_v = masks[v]
+                for _, (u, bit_u, bit_v, _) in before[: nb - k] if k <= nb else after[: k - nb]:
+                    mask_v ^= bit_u
+                    masks[u] ^= bit_v
+                masks[v] = mask_v
+                for at in range(min(v_pos, new_pos), max(v_pos, new_pos) + 1):
+                    pos[order[at]] = at
+                score = scores[k]
+            if step == record:
+                recorded.append(score)
+                record += config.thin
+    return ChainTrace(init, moves, recorded, config)
 
 
 def map_order(trace: ChainTrace) -> tuple[int, ...]:
@@ -200,19 +284,18 @@ def map_order(trace: ChainTrace) -> tuple[int, ...]:
     The chain's running score drifts by a few ulps from the exact order
     score, so orderings that tie exactly can differ in their last bits; the
     tolerance lets the sampling order, not that drift, break such ties.
+    Only the moves up to that sample are replayed.
     """
-    if not trace.samples:
+    scores = trace.scores
+    if not scores:
         raise ValidationError("trace holds no samples")
-    best = max(score for _, score in trace.samples)
+    best = max(scores)
     floor = best - max(1e-12 * abs(best), 1e-12)
-    return next(order for order, score in trace.samples if score >= floor)
+    index = next(i for i, score in enumerate(scores) if score >= floor)
+    return trace.samples[index][0]
 
 
 def dump_trace(trace: ChainTrace, fh) -> None:
     """One line per recorded sample: iteration, log score, comma-joined order."""
-    config = trace.config
-    start = (config.burn_in + 1) if config else 1
-    thin = config.thin if config else 1
-    for idx, (order, score) in enumerate(trace.samples):
-        it = start + idx * thin
+    for it, (order, score) in zip(trace._steps(), trace.samples):
         fh.write(f"{it}\t{score:.12g}\t{','.join(map(str, order))}\n")

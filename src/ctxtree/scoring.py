@@ -181,9 +181,12 @@ def _log_evidences(space: StateSpace, prior: PriorSpec, tables: Sequence[tuple])
         logs = _gammaln(distinct)[inverse]
         rows = len(stacked)
         log_cells = logs[3 * rows :].reshape(stacked.shape)
-        values[row_widths == d] = (
-            logs[:rows] - logs[rows : 2 * rows] + (log_cells - logs[2 * rows : 3 * rows, None]).sum(axis=1)
-        )
+        # inf - inf where an alpha has no finite log Gamma: the check below
+        # raises for it, so numpy need not warn first
+        with np.errstate(invalid="ignore"):
+            values[row_widths == d] = (
+                logs[:rows] - logs[rows : 2 * rows] + (log_cells - logs[2 * rows : 3 * rows, None]).sum(axis=1)
+            )
     finite = np.isfinite(values)
     if not finite.all():
         var, context_vars = owners[np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")]

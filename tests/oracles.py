@@ -468,7 +468,7 @@ def stateless_relocation_step(order, tables, u_pick, u_at):
     ``u_pick`` and ``u_at``: every candidate ordering is scored afresh (so
     positions and predecessor masks are rebuilt), and the new position is
     the inverse CDF at ``u_at`` over the p per-position weights.  Returns
-    (order, score of the new order, distance)."""
+    (order, score of the new order, v_pos, new_pos)."""
     p = len(order)
     v_pos = min(int(u_pick * p), p - 1)
     rest = list(order)
@@ -482,12 +482,17 @@ def stateless_relocation_step(order, tables, u_pick, u_at):
         cum.append(acc)
     target = u_at * acc
     new_pos = next(j for j, c in enumerate(cum) if c > target)
-    return candidates[new_pos], scores[new_pos], abs(new_pos - v_pos)
+    return candidates[new_pos], scores[new_pos], v_pos, new_pos
 
 
 def stateless_run_chain(tables, config):
     """``order_mcmc.run_chain`` with every step a ``stateless_relocation_step``,
-    reading the chain's uniforms as one (iterations x 2) block."""
+    reading the chain's uniforms as one (iterations x 2) block.  Returns the
+    chain's record as a ``ChainTrace`` of the oracle's moves and fresh
+    scores, the recorded (ordering, score) samples as the oracle reached
+    them, and its own count of the steps by move distance."""
+    from collections import Counter
+
     import numpy as np
 
     from ctxtree import ChainTrace
@@ -499,15 +504,15 @@ def stateless_run_chain(tables, config):
         order = tuple(int(v) for v in rng.permutation(p))
     else:
         order = validate_order(config.init, p)
-    score = tables.order_score(order)
-    trace = ChainTrace(config=config)
+    init, moves, samples, distances = order, [], [], Counter()
     uniforms = rng.random((config.iterations, 2)).tolist()
     for step, (u_pick, u_at) in enumerate(uniforms, 1):
-        order, score, dist = stateless_relocation_step(order, tables, u_pick, u_at)
-        trace.move_distances[dist] += 1
+        order, score, v_pos, new_pos = stateless_relocation_step(order, tables, u_pick, u_at)
+        moves += (v_pos, new_pos)
+        distances[abs(new_pos - v_pos)] += 1
         if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0:
-            trace.samples.append((order, score))
-    return trace
+            samples.append((order, score))
+    return ChainTrace(init, moves, [score for _, score in samples], config), samples, distances
 
 
 def _logsumexp(values):

@@ -1,10 +1,15 @@
+import io
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from itertools import permutations
+from collections.abc import MutableSequence, Sequence
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxtree import (
     ChainConfig,
@@ -123,7 +128,7 @@ def test_incremental_scores_match_full_recompute():
         rows = rng.integers(0, 2, size=(40, p))
         data = Dataset(rows, StateSpace([2] * p))
         tables = build_score_tables(build_count_table(data, pp), PriorSpec())
-        links = _links(tables._bits)
+        links = _links(tables._bits, tables._los)
         order = tuple(rng.permutation(p).tolist())
         pos, masks, base = chain_state(tables, order)
         assert base == set_order_score(order, tables)
@@ -136,8 +141,8 @@ def test_incremental_scores_match_full_recompute():
             for k, start in enumerate(starts):
                 lo, hi = min(v_pos, start), max(v_pos, start)
                 passed = before[: nb - k] if k <= nb else after[: k - nb]
-                assert [u for _, u, _, _ in passed] == sorted(
-                    (u for u, _, _ in links[order[v_pos]] if lo <= pos[u] <= hi),
+                assert [link[0] for _, link in passed] == sorted(
+                    (link[0] for link in links[order[v_pos]] if lo <= pos[link[0]] <= hi),
                     key=lambda u: abs(pos[u] - v_pos),
                 )
             expanded = expand(starts, scores, p)
@@ -160,7 +165,7 @@ def test_segment_draw_matches_position_probabilities():
     tables = ScoreTables(StateSpace([2] * 7), pp, 2, PriorSpec(), {}, los)
     order = (1, 5, 2, 0, 6, 3, 4)
     pos, masks, score = chain_state(tables, order)
-    starts, scores, _, _ = _segments(order, pos, masks, score, 3, _links(tables._bits), tables._los)
+    starts, scores, _, _ = _segments(order, pos, masks, score, 3, _links(tables._bits, tables._los), tables._los)
     assert starts == [0, 1, 3, 5, 6]
     full = np.array(set_candidate_scores(order, score, 3, tables))
     probs = np.exp(full - full.max())
@@ -203,22 +208,86 @@ def test_run_chain_matches_stateless_oracle():
         ChainConfig(iterations=_BLOCK + 100, burn_in=_BLOCK - 100, seed=6),
     ]
 
-    def check(trace, oracle):
-        assert [o for o, _ in trace.samples] == [o for o, _ in oracle.samples]
-        assert [s for _, s in trace.samples] == pytest.approx([s for _, s in oracle.samples], rel=1e-12)
-        assert trace.move_distances == oracle.move_distances
-
     for pp in (None, sparse):
         tables = build_score_tables(build_count_table(data, pp), PriorSpec())
         for cfg in configs:
             trace = run_chain(tables, cfg)
-            check(trace, stateless_run_chain(tables, cfg))
+            check_against_oracle(trace, tables, cfg)
             assert len(trace.move_distances) > 3  # moves of several distances ran
     for p in (1, 2):
         tables = make_tables(rng.integers(0, 2, size=(20, p)), [2] * p)
         init = tuple(range(p))
         for cfg in (ChainConfig(iterations=50, seed=4), ChainConfig(iterations=50, seed=5, init=init)):
-            check(run_chain(tables, cfg), stateless_run_chain(tables, cfg))
+            check_against_oracle(run_chain(tables, cfg), tables, cfg)
+
+
+def check_against_oracle(trace, tables, config):
+    """``trace`` records the moves the stateless oracle makes from the same
+    uniforms, its samples replay to the orderings the oracle reached, and
+    its scores match the oracle's fresh ones within 1e-12; the oracle's own
+    trace replays to them too."""
+    oracle, samples, distances = stateless_run_chain(tables, config)
+    assert trace.init == oracle.init and list(trace.moves) == oracle.moves
+    assert [o for o, _ in trace.samples] == [o for o, _ in samples]
+    assert list(trace.scores) == pytest.approx([s for _, s in samples], rel=1e-12)
+    assert list(oracle.samples) == samples
+    assert trace.move_distances == oracle.move_distances == distances
+
+
+def eager_map_order(samples):
+    """``map_order`` as a scan over a list of (ordering, score) samples."""
+    best = max(score for _, score in samples)
+    floor = best - max(1e-12 * abs(best), 1e-12)
+    return next(order for order, score in samples if score >= floor)
+
+
+def eager_dump(samples, config):
+    """``dump_trace``'s text for a list of (ordering, score) samples."""
+    start = config.burn_in + 1
+    return "".join(
+        f"{start + i * config.thin}\t{score:.12g}\t{','.join(map(str, order))}\n"
+        for i, (order, score) in enumerate(samples)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    data_seed=st.integers(0, 2**32 - 1),
+    chain_seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 150),
+    thin=st.integers(1, 9),
+    burn=st.floats(0, 1, exclude_max=True),
+    fixed_init=st.booleans(),
+)
+def test_trace_sequence_matches_stateless_oracle(p, data_seed, chain_seed, iterations, thin, burn, fixed_init):
+    # random cardinalities and K; the trace's sequence view (iteration,
+    # every index, negative ones too, a slice, reversed and index),
+    # map_order and dump_trace must agree with the eager list of the
+    # oracle's samples
+    rng = np.random.default_rng(data_seed)
+    cards = rng.integers(2, 4, size=p).tolist()
+    pp = PossibleParents([{u for u in range(p) if u != v and rng.random() < 0.5} for v in range(p)])
+    data = Dataset(rng.integers(0, cards, size=(30, p)), StateSpace(cards))
+    tables = build_score_tables(build_count_table(data, pp), PriorSpec())
+    init = tuple(rng.permutation(p).tolist()) if fixed_init else "random"
+    cfg = ChainConfig(iterations=iterations, burn_in=int(burn * iterations), seed=chain_seed, thin=thin, init=init)
+    trace = run_chain(tables, cfg)
+    check_against_oracle(trace, tables, cfg)
+    samples = list(trace.samples)
+    n = len(samples)
+    assert len(trace.samples) == n == len(range(cfg.burn_in, iterations, thin))
+    assert [trace.samples[i] for i in range(-n, n)] == samples + samples
+    assert trace.samples[n // 3 : n : 2] == samples[n // 3 : n : 2]
+    assert list(reversed(trace.samples)) == samples[::-1]
+    assert trace.samples.index(samples[-1], -2) == samples.index(samples[-1], -2)
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace.samples[bad]
+    assert map_order(trace) == eager_map_order(samples)
+    buf = io.StringIO()
+    dump_trace(trace, buf)
+    assert buf.getvalue() == eager_dump(samples, cfg)
 
 
 def test_run_chain_sample_count_and_determinism():
@@ -229,10 +298,41 @@ def test_run_chain_sample_count_and_determinism():
     assert len(trace.samples) == 1
     t1 = run_chain(tables, ChainConfig(iterations=500, burn_in=100, seed=5))
     t2 = run_chain(tables, ChainConfig(iterations=500, burn_in=100, seed=5))
-    assert t1.samples == t2.samples
+    assert list(t1.samples) == list(t2.samples)
     assert t1.move_distances == t2.move_distances
     t3 = run_chain(tables, ChainConfig(iterations=500, burn_in=100, seed=6))
-    assert t3.samples != t1.samples
+    assert list(t3.samples) != list(t1.samples)
+
+
+def test_trace_samples_are_read_only():
+    tables = make_tables(np.random.default_rng(3).integers(0, 2, size=(50, 3)), [2, 2, 2])
+    trace = run_chain(tables, ChainConfig(iterations=50, burn_in=10, seed=5))
+    before = list(trace.samples)
+    assert isinstance(trace.samples, Sequence) and not isinstance(trace.samples, MutableSequence)
+    with pytest.raises(TypeError):
+        trace.samples[0] = before[1]
+    with pytest.raises(TypeError):
+        del trace.samples[0]
+    with pytest.raises(AttributeError):
+        trace.samples.append(before[0])
+    with pytest.raises(AttributeError):
+        trace.samples = before[:1]
+    assert list(trace.samples) == before
+
+
+def test_trace_memory_does_not_grow_with_p():
+    # p = 400, |K| = 4: 16,000 recorded samples of 20,000 steps.  An
+    # ordering per sample would hold 16,000 x 400 references, about 54 MB;
+    # moves and scores take 12 bytes a step and a block of uniforms
+    tables = sparse_binary_tables(400, 4, 100, seed=0)
+    tracemalloc.start()
+    try:
+        trace = run_chain(tables, ChainConfig(iterations=20_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.samples) == 16_000
+    assert peak < 2 * 2**20
 
 
 def test_run_chain_thin():
@@ -258,20 +358,40 @@ def test_trace_scores_consistent():
         assert score == pytest.approx(tables.order_score(order), rel=1e-9, abs=1e-9)
 
 
+def relocation(a, b):
+    """The (v_pos, new_pos) of a relocation move that turns ordering a into b."""
+    for v_pos, new_pos in product(range(len(a)), repeat=2):
+        moved = list(a)
+        moved.insert(new_pos, moved.pop(v_pos))
+        if tuple(moved) == b:
+            return v_pos, new_pos
+
+
+def trace_of(samples):
+    """A trace without a config (so one sample per step) whose samples are
+    ``samples``: it starts at the first ordering and reaches each next one
+    by a relocation move."""
+    orders = [order for order, _ in samples]
+    moves = [at for a, b in zip(orders[:1] + orders, orders) for at in relocation(a, b)]
+    trace = ChainTrace(orders[0], moves, [score for _, score in samples])
+    assert list(trace.samples) == samples
+    return trace
+
+
 def test_map_order():
-    trace = ChainTrace(samples=[((0, 1), -5.0)])
+    trace = trace_of([((0, 1), -5.0)])
     assert map_order(trace) == (0, 1)
-    trace = ChainTrace(samples=[((0, 1), -5.0), ((1, 0), -2.0), ((0, 1), -2.0)])
+    trace = trace_of([((0, 1), -5.0), ((1, 0), -2.0), ((0, 1), -2.0)])
     assert map_order(trace) == (1, 0)  # first occurrence of the best score
     # orderings 1 ulp apart tie: the first sampled wins, not float drift
-    trace = ChainTrace(samples=[((0, 1), -13499.08329539441), ((1, 0), -13499.083295394408)])
+    trace = trace_of([((0, 1), -13499.08329539441), ((1, 0), -13499.083295394408)])
     assert map_order(trace) == (0, 1)
-    trace = ChainTrace(samples=[((0, 1), -5e-13), ((1, 0), 0.0)])
+    trace = trace_of([((0, 1), -5e-13), ((1, 0), 0.0)])
     assert map_order(trace) == (0, 1)  # the 1e-12 absolute floor near zero
-    trace = ChainTrace(samples=[((0, 1), -2.0 - 1e-9), ((1, 0), -2.0)])
+    trace = trace_of([((0, 1), -2.0 - 1e-9), ((1, 0), -2.0)])
     assert map_order(trace) == (1, 0)  # a real difference still decides
     with pytest.raises(ValidationError):
-        map_order(ChainTrace())
+        map_order(ChainTrace((0, 1), [], []))
 
 
 def test_map_order_identifies_strong_order():
@@ -318,6 +438,16 @@ def test_chain_matches_exact_posterior():
         emp = np.array([freq.get(o, 0) for o in orders], dtype=float)
         emp /= emp.sum()
         assert 0.5 * np.abs(exact - emp).sum() < 0.1
+
+
+def sparse_binary_tables(p, k, n, seed):
+    """Score tables of n independent uniform binary rows over p variables,
+    each K_v k other variables drawn at random."""
+    rng = np.random.default_rng(seed)
+    others = [[j for j in range(p) if j != i] for i in range(p)]
+    pp = PossibleParents([set(rng.choice(others[i], size=k, replace=False).tolist()) for i in range(p)])
+    data = Dataset(rng.integers(0, 2, size=(n, p)), StateSpace([2] * p))
+    return build_score_tables(build_count_table(data, pp), PriorSpec())
 
 
 def sparse_tables(p, beta, n, seed):
@@ -409,8 +539,6 @@ def test_position_marginal_check_catches_a_biased_draw(monkeypatch):
 
 
 def test_dump_trace_format(tmp_path):
-    import io
-
     tables = make_tables(np.random.default_rng(10).integers(0, 2, size=(30, 3)), [2, 2, 2])
     cfg = ChainConfig(iterations=30, burn_in=10, seed=0, thin=5)
     trace = run_chain(tables, cfg)
