@@ -26,7 +26,9 @@ whose context an outcome matches is its only one, so the masks are
 disjoint and the sum never carries.  The ids broadcast over the context
 columns alone: an open grid of level axes gives ids only as large as the
 axes the contexts read.  One outcome is the 0-d block whose columns are
-Python ints, so the masks are plain bools and the id a numpy scalar.
+Python ints, so the masks are plain bools and the id a numpy scalar.  A
+long block of rows (``block_stage_ids``) runs the same rule once over the
+outcomes of the context variables and reads each row's id from that table.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -271,12 +273,47 @@ def stage_ids(staging: Staging, column: Callable) -> np.ndarray:
     the union of the context columns: a single-stage level reads no column
     and gives 0-d ids, and with ``column`` giving Python ints the block is
     one outcome and the result a numpy scalar that indexes like an int.
-    Widen the ids before arithmetic that can pass their type's range."""
+    Widen the ids before arithmetic that can pass their type's range.
+    ``block_stage_ids`` gives the same ids for a long block of rows by
+    evaluating this rule once, over the outcomes of the context variables."""
     index = _stage_indices(len(staging.stages))
     ids = index[0]
     for idx in range(1, len(index)):
         ids = ids + staging.stages[idx].context.mask(column) * index[idx]
     return ids
+
+
+# Rows from which ``block_stage_ids`` reads a code table, not the masks.
+# Building a level's table costs about 20 us, which the cheaper lookup
+# repays from about 11k rows on 4-stage levels of 3 binary variables and
+# 16k rows on 3-stage levels of 2 (2-core x86-64 VM, numpy 2.4).
+_TABLE_ROWS = 1 << 14
+
+
+def block_stage_ids(staging: Staging, columns: np.ndarray, cards: Sequence[int]) -> np.ndarray:
+    """``stage_ids(staging, columns.__getitem__)`` for the rows of a (p x n)
+    block of narrow unsigned columns, as ``sample`` and ``Dataset._distinct``
+    hold them.  From ``_TABLE_ROWS`` rows, when the union U of the context
+    variables has at most n outcomes, the masks run once, over the open grid
+    of U's axes, and give a table of U's outcomes; each row then takes its
+    id from the table at its mixed-radix code over U (first variable most
+    significant, as in ``CountTable``), summed in the narrowest unsigned
+    type that holds the table's size."""
+    n = columns.shape[1]
+    if n < _TABLE_ROWS:
+        return stage_ids(staging, columns.__getitem__)
+    union = sorted(set().union(*(stage.context.vars for stage in staging.stages)))
+    shape = [cards[v] for v in union]
+    size = math.prod(shape)
+    if not union or size > n:
+        return stage_ids(staging, columns.__getitem__)
+    grid = dict(zip(union, np.ix_(*map(np.arange, shape))))
+    table = np.broadcast_to(stage_ids(staging, grid.get), shape).ravel()
+    code = columns[union[0]].astype(np.min_scalar_type(size - 1))
+    for v, d in zip(union[1:], shape[1:]):
+        code *= d
+        code += columns[v]
+    return table.take(code)
 
 
 @lru_cache(maxsize=64)

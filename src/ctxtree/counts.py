@@ -67,7 +67,7 @@ from .core import (
     StateSpace,
     ValidationError,
     as_int,
-    stage_ids,
+    block_stage_ids,
 )
 from .enumeration import _check_beta
 
@@ -582,7 +582,7 @@ def stage_counts(data: Dataset, var: int, staging: Staging) -> np.ndarray:
     d = data.space.cards[var]
     columns, weight = data._distinct
     # widened first: narrow ids times d can pass their type's range
-    code = stage_ids(staging, columns.__getitem__).astype(np.intp) * d + columns[var]
+    code = block_stage_ids(staging, columns, data.space.cards).astype(np.intp) * d + columns[var]
     counts = np.bincount(code, weights=weight, minlength=len(staging.stages) * d)
     # every count is an integer <= n < 2**53, so the float sums are exact
     return counts.astype(np.int64).reshape(-1, d)

@@ -15,6 +15,7 @@ from .core import (
     StateSpace,
     ValidationError,
     as_int,
+    block_stage_ids,
     stage_ids,
 )
 from .counts import Dataset, stage_counts
@@ -26,6 +27,11 @@ DEFAULT_JOINT_CAP = 1 << 25
 # Outcomes ``kl_divergence`` takes its logs of at a time: a block's
 # temporaries (64 KiB each) stay small beside the two joint tables.
 _KL_BLOCK = 1 << 13
+
+# Stages up to which ``_draw_level`` sizes its stages by one comparison pass
+# each; one ``bincount``, which widens the ids, costs about as much as 20
+# such passes (200k rows, 2-core x86-64 VM, numpy 2.4).
+_COUNTED_STAGES = 16
 
 
 def estimate_parameters(
@@ -154,9 +160,14 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     ``rng.choice(d, size=k, p=theta)`` per stage holding k > 0 rows, in
     stage order.
 
-    Each level sorts its rows by stage once, counts each stage's values by
-    d - 1 comparisons over the stage's contiguous slice of the uniforms,
-    and scatters the values back to row order in one step.
+    Each level finds its rows' stages with ``block_stage_ids``: from 2**14
+    rows, one table of the stage of each outcome of the context variables,
+    indexed by each row's code over them; below that, or when the table
+    would outgrow the rows, the stage masks.  The level then sorts its rows
+    by stage once (stably, so each stage keeps row order), counts each
+    stage's values by d - 1 comparisons over the stage's contiguous slice
+    of the uniforms, and scatters the values back to row order in one step.
+    How a level finds its stages does not change the stream.
     """
     if tree.params is None:
         raise ValidationError("tree has no parameters")
@@ -172,7 +183,7 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     tail = rows.reshape(-1).view(np.uint8)[rows.nbytes - rows.size * dtype.itemsize :]
     cols = tail.view(dtype).reshape(tree.p, n)
     for lvl, staging in enumerate(tree.stagings):
-        _draw_level(cols, tree.governed_var(lvl), staging, tree.params[lvl], rng)
+        _draw_level(cols, tree.governed_var(lvl), staging, tree.params[lvl], tree.space.cards, rng)
     # the range check reads the narrow columns, before the rows overwrite them
     bounds = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
     # a narrow copy first: the work array and the rows share memory
@@ -180,7 +191,7 @@ def sample(tree: CStree, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset._adopt(rows, tree.space, names=tree.names, bounds=bounds)
 
 
-def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, rng) -> None:
+def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, cards, rng) -> None:
     """Fill ``cols[var]`` by the stream contract of ``sample``; the level's
     temporaries are freed on return."""
     n = cols.shape[1]
@@ -189,18 +200,20 @@ def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, rng) -> No
     if len(cdfs) == 1:
         _count_at_or_below(cdfs[0], uniforms, cols[var])
         return
-    ids = stage_ids(staging, cols.__getitem__)
+    ids = block_stage_ids(staging, cols, cards)
     # a stable sort keeps each stage's rows in row order
     by_stage = np.argsort(ids, kind="stable")
-    # stage ids in their own narrow type, so the sorted ids are not widened
-    stages = np.arange(len(cdfs), dtype=ids.dtype)
-    ends = np.searchsorted(ids[by_stage], stages, side="right").tolist()
+    if len(cdfs) <= _COUNTED_STAGES:
+        sizes = [np.count_nonzero(ids == s) for s in range(len(cdfs))]
+    else:
+        sizes = np.bincount(ids, minlength=len(cdfs)).tolist()
     values = np.empty(n, dtype=cols.dtype)
     start = 0
-    for cdf, end in zip(cdfs, ends):
+    for cdf, size in zip(cdfs, sizes):
+        end = start + size
         _count_at_or_below(cdf, uniforms[start:end], values[start:end])
         start = end
-    cols[var, by_stage] = values
+    cols[var][by_stage] = values
 
 
 def _count_at_or_below(cdf: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> None:

@@ -23,7 +23,8 @@ from ctxtree import (
     stage_members,
     to_ldag,
 )
-from ctxtree.core import _check_partition, stage_ids
+from ctxtree import core
+from ctxtree.core import _check_partition, block_stage_ids, stage_ids
 from oracles import is_partition, level_size_partition_error
 
 
@@ -213,6 +214,38 @@ def test_stage_ids_reference_tree(four_var_tree_a):
         Context({2: 0}),
         Context({0: 1, 1: 1, 2: 1}),
     ]
+
+
+@pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14, (1 << 14) + 7])
+def test_block_stage_ids_reads_a_table_from_table_rows(n, monkeypatch):
+    # columns are uint16 for the 300-valued X0.  The ternary X1 alone gives a
+    # uint8 code; X0 and X1 give a uint16 code over 900 outcomes; a chain
+    # over the 15 binary variables would need a table of 2**15 outcomes, more
+    # than the block holds, so it reads the masks at every n
+    cards = (300, 3) + (2,) * 15
+    columns = np.random.default_rng(n).integers(0, cards, size=(n, len(cards))).T.astype(np.uint16)
+    chain = [{v: 1, **{u: 0 for u in range(2, v)}} for v in range(2, 17)]
+    stagings = {
+        "X1": [{1: x} for x in range(3)],
+        "X0,X1": [{1: 0}, {1: 2}] + [{0: x, 1: 1} for x in range(300)],
+        "chain": chain + [{u: 0 for u in range(2, 17)}],
+    }
+    grids = []
+    lookup = core.stage_ids
+
+    def spy(staging, column):
+        grids.append(isinstance(column.__self__, dict))
+        return lookup(staging, column)
+
+    for name, contexts in stagings.items():
+        staging = Staging(17, [Stage(Context(c), 17) for c in contexts])
+        expected = stage_ids(staging, columns.__getitem__)
+        grids.clear()
+        monkeypatch.setattr(core, "stage_ids", spy)
+        ids = block_stage_ids(staging, columns, cards)
+        monkeypatch.undo()
+        assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
+        assert grids == [n >= 1 << 14 and name != "chain"]
 
 
 def tree_with_last_level(staging: Staging, cards) -> CStree:

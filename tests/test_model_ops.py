@@ -25,7 +25,7 @@ from ctxtree import (
     random_cstree,
     sample,
 )
-from ctxtree.core import stage_ids
+from ctxtree.core import block_stage_ids, stage_ids
 from ctxtree.counts import stage_counts
 from oracles import (
     is_partition,
@@ -507,12 +507,11 @@ def test_sample_stream_at_work_dtype_boundary(d, n):
         assert rows[:, 0].max() == d - 1
 
 
-@pytest.mark.parametrize("stages", [100, 256, 257, 300])
-def test_stage_lookup_at_id_dtype_boundary(stages):
-    # level 1 holds one stage per value of X0, so its ids are uint8 up to
-    # 256 stages and uint16 past that; level 2 mixes context sizes over
-    # stages + 2 stages.  Every target is ternary, so ids * d passes 255 in
-    # each case and a product left in uint8 would wrap into other stages
+def _dtype_boundary_tree(stages):
+    """Level 1 holds one stage per value of X0, so its ids are uint8 up to
+    256 stages and uint16 past that; level 2 mixes context sizes over
+    stages + 2 stages.  Every target is ternary, so ids * d passes 255 in
+    each case and a product left in uint8 would wrap into other stages."""
     space = StateSpace([stages, 3, 3])
     level1 = Staging(1, [Stage(Context({0: x}), 1) for x in range(stages)])
     level2 = Staging(
@@ -525,8 +524,22 @@ def test_stage_lookup_at_id_dtype_boundary(stages):
     for staging in (level1, level2):
         draws = rng.dirichlet(np.ones(3), size=len(staging.stages))
         params.append(tuple(tuple((t / t.sum()).tolist()) for t in draws))
-    tree = CStree((0, 1, 2), space, [level1, level2]).with_params(tuple(params))
+    return CStree((0, 1, 2), space, [level1, level2]).with_params(tuple(params))
 
+
+def _check_counts_and_lml(tree, data):
+    for lvl, staging in enumerate(tree.stagings):
+        var = tree.governed_var(lvl)
+        assert stage_counts(data, var, staging).tolist() == [
+            mask_counts(data, var, stage.context).tolist() for stage in staging.stages
+        ]
+    prior = PriorSpec()
+    assert log_marginal_likelihood(tree, data, prior) == per_stage_lml(tree, data, prior)
+
+
+@pytest.mark.parametrize("stages", [100, 256, 257, 300])
+def test_stage_lookup_at_id_dtype_boundary(stages):
+    tree = _dtype_boundary_tree(stages)
     for staging in tree.stagings:
         level_vars = tree.order[: staging.level]
         outcomes = list(product(*(range(stages if v == 0 else 3) for v in level_vars)))
@@ -541,16 +554,63 @@ def test_stage_lookup_at_id_dtype_boundary(stages):
     data = sample(tree, 3000, g1)
     assert np.array_equal(data.rows, mask_sample(tree, 3000, g2).rows)
     assert g1.bit_generator.state == g2.bit_generator.state
-    for lvl, staging in enumerate(tree.stagings):
-        var = tree.governed_var(lvl)
-        assert stage_counts(data, var, staging).tolist() == [
-            mask_counts(data, var, stage.context).tolist() for stage in staging.stages
-        ]
     for mode in ("map", "mle"):
         assert estimate_parameters(tree, data, mode).params == per_stage_estimate(tree, data, mode).params
-    prior = PriorSpec()
-    assert log_marginal_likelihood(tree, data, prior) == per_stage_lml(tree, data, prior)
+    _check_counts_and_lml(tree, data)
     assert np.array_equal(joint_table(tree), mask_joint_table(tree))
+
+
+# blocks of rows on either side of the code-table threshold of ``block_stage_ids``
+TABLE_EDGE = [(1 << 14) - 1, 1 << 14, (1 << 14) + 7]
+INDEX_BITS = 15
+
+
+def _with_index_levels(tree):
+    """``tree`` with INDEX_BITS binary variables appended, one stage each,
+    and then one binary variable staged by the chain over them, whose code
+    table of 2**15 outcomes is larger than any block in TABLE_EDGE."""
+    p = tree.p
+    bits = range(p, p + INDEX_BITS)
+    cards = tree.space.cards + (2,) * (INDEX_BITS + 1)
+    chain = Staging(p + INDEX_BITS, [Stage(Context(c), p + INDEX_BITS) for c in chain_contexts(bits, cards)])
+    stagings = list(tree.stagings) + [Staging.full_level(lvl) for lvl in bits] + [chain]
+    params = tree.params + (((0.5, 0.5),),) * INDEX_BITS + (((0.25, 0.75), (0.75, 0.25)) * 8,)
+    order = tree.order + tuple(range(p, p + INDEX_BITS + 1))
+    return CStree(order, StateSpace(cards), stagings).with_params(params)
+
+
+def _check_long_blocks(tree, n, seed):
+    """``sample``, the block stage ids, ``stage_counts`` and
+    ``log_marginal_likelihood`` on n rows against their oracles.  The counts
+    read the rows with the index variables set to each row's index, so all
+    n rows are distinct and the counts look stages up in a block of n."""
+    tree = _with_index_levels(tree)
+    g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = sample(tree, n, g1).rows.copy()
+    assert np.array_equal(rows, mask_sample(tree, n, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    first = tree.p - INDEX_BITS - 1
+    rows[:, first:-1] = (np.arange(n)[:, None] >> np.arange(INDEX_BITS)) & 1
+    data = Dataset(rows, tree.space)
+    columns = data._distinct[0]
+    assert columns.shape[1] == n
+    for staging in tree.stagings:
+        ids = block_stage_ids(staging, columns, tree.space.cards)
+        expected = stage_ids(staging, columns.__getitem__)
+        assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
+    _check_counts_and_lml(tree, data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(parameterized_trees(max_card=5), st.sampled_from(TABLE_EDGE), st.integers(0, 2**32 - 1))
+def test_long_block_lookup_matches_per_stage_oracles(tree, n, seed):
+    _check_long_blocks(tree, n, seed)
+
+
+@pytest.mark.parametrize("n", TABLE_EDGE)
+@pytest.mark.parametrize("stages", [256, 257, 300])
+def test_long_block_lookup_at_id_dtype_boundary(stages, n):
+    _check_long_blocks(_dtype_boundary_tree(stages), n, stages)
 
 
 def test_sample_memory_bounded():
