@@ -28,11 +28,6 @@ DEFAULT_JOINT_CAP = 1 << 25
 # temporaries (64 KiB each) stay small beside the two joint tables.
 _KL_BLOCK = 1 << 13
 
-# Stages up to which ``_draw_level`` sizes its stages by one comparison pass
-# each; one ``bincount``, which widens the ids, costs about as much as 20
-# such passes (200k rows, 2-core x86-64 VM, numpy 2.4).
-_COUNTED_STAGES = 16
-
 
 def estimate_parameters(
     tree: CStree,
@@ -203,14 +198,12 @@ def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, cards, rng
     ids = block_stage_ids(staging, cols, cards)
     # a stable sort keeps each stage's rows in row order
     by_stage = np.argsort(ids, kind="stable")
-    if len(cdfs) <= _COUNTED_STAGES:
-        sizes = [np.count_nonzero(ids == s) for s in range(len(cdfs))]
-    else:
-        sizes = np.bincount(ids, minlength=len(cdfs)).tolist()
+    # stage ids in their own narrow type, so the sorted ids are not widened
+    stages = np.arange(len(cdfs), dtype=ids.dtype)
+    ends = np.searchsorted(ids[by_stage], stages, side="right").tolist()
     values = np.empty(n, dtype=cols.dtype)
     start = 0
-    for cdf, size in zip(cdfs, sizes):
-        end = start + size
+    for cdf, end in zip(cdfs, ends):
         _count_at_or_below(cdf, uniforms[start:end], values[start:end])
         start = end
     cols[var][by_stage] = values
