@@ -39,6 +39,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,6 +81,32 @@ def as_int(name: str, value) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error rather
+    than a silent overwrite."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated key {repeated[0]!r}")
+    return dict(pairs)
+
+
+def _variable_key(key, p: int) -> int:
+    """A document's variable key as an index in 0..p-1.  Only canonical
+    decimal is accepted, so no two keys name one variable (``"00"``,
+    ``" 0"`` and ``"+0"`` would all name 0)."""
+    if not (isinstance(key, str) and key.isdecimal() and key == str(int(key)) and int(key) < p):
+        raise ParseError(f"variable key {key!r} is not an integer in 0..{p - 1} in canonical decimal")
+    return int(key)
+
+
+def _probs(probs, level: int):
+    """A stage's ``probs`` entry of a model document: absent, or a list of
+    numbers (a string or a bool is not read as one)."""
+    if probs is not None and not (isinstance(probs, list) and all(type(t) in (int, float) for t in probs)):
+        raise ParseError(f"level-{level} stage probabilities must be a list of numbers, got {probs!r}")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -437,7 +464,16 @@ class CStree:
             if len(names) != p:
                 raise ValidationError(f"expected {p} names, got {len(names)}")
         if labels is not None:
-            labels = {int(v): tuple(str(s) for s in seq) for v, seq in labels.items()}
+            labels = {as_int("label variable", v): tuple(str(s) for s in seq) for v, seq in labels.items()}
+            for v, seq in labels.items():
+                if not 0 <= v < p:
+                    raise ValidationError(f"labels name variable {v}, outside 0..{p - 1}")
+                if len(set(seq)) != len(seq):
+                    raise ValidationError(f"labels of variable {v} repeat a label")
+                if len(seq) > space.cards[v]:
+                    raise ValidationError(
+                        f"variable {v} has {len(seq)} labels for {space.cards[v]} values"
+                    )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "stagings", stagings)
@@ -539,12 +575,12 @@ class CStree:
             params = []
             for lvl, entries in enumerate(doc["stagings"]):
                 stages = [
-                    Stage(Context({int(v): x for v, x in entry["context"].items()}), lvl)
+                    Stage(Context({_variable_key(v, space.p): x for v, x in entry["context"].items()}), lvl)
                     for entry in entries
                 ]
                 level_order = sorted(range(len(stages)), key=lambda s: stages[s].sort_key())
                 stagings.append(Staging(lvl, [stages[j] for j in level_order]))
-                params.append([entries[j].get("probs") for j in level_order])
+                params.append([_probs(entries[j].get("probs"), lvl) for j in level_order])
             bare = [q is None for level in params for q in level]
             if any(bare) and not all(bare):
                 raise ParseError("model document mixes parameterized and bare stages")
@@ -555,7 +591,7 @@ class CStree:
                 stagings,
                 params=None if all(bare) else params,
                 names=doc.get("names"),
-                labels={int(v): seq for v, seq in labels.items()} if labels else None,
+                labels={_variable_key(v, space.p): seq for v, seq in labels.items()} if labels else None,
             )
         except KeyError as exc:
             raise ParseError(f"model document is missing field {exc}") from None
@@ -566,7 +602,7 @@ class CStree:
     def from_json(path) -> "CStree":
         with open(path) as fh:
             try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # bad JSON or a repeated key
                 raise ParseError(f"{path}: invalid JSON ({exc})") from None
         return CStree.from_json_dict(doc)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import CStree, ParseError, PossibleParents, ValidationError, as_int
+from .core import CStree, ParseError, PossibleParents, ValidationError, _unique_keys, _variable_key, as_int
 from .counts import DEFAULT_MAX_CELLS, Dataset, build_count_table
 from .enumeration import EnumSpec, _check_beta
 from .model_ops import _fit
@@ -103,15 +102,6 @@ def possible_parents_from_cpdag(doc: dict, p: int) -> PossibleParents:
     return PossibleParents(sets)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's members as a dict; a repeated key is an error rather
-    than a silent overwrite."""
-    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
-    if repeated:
-        raise ValueError(f"repeated key {repeated[0]!r}")
-    return dict(pairs)
-
-
 def load_possible_parents(path: Union[str, Path], p: int) -> PossibleParents:
     """Read a possible-parents file: either a mapping from variable index to
     a list of integer indices, or a CPDAG document with edge lists.  This is
@@ -128,11 +118,7 @@ def load_possible_parents(path: Union[str, Path], p: int) -> PossibleParents:
             return possible_parents_from_cpdag(doc, p)
         sets: list[set[int]] = [set() for _ in range(p)]
         for key, members in doc.items():
-            if not (key.isdecimal() and key == str(int(key)) and int(key) < p):
-                raise ParseError(
-                    f"variable key {key!r} is not an integer in 0..{p - 1} in canonical decimal"
-                )
-            sets[int(key)] = set(_vars(members, p, f"K_{key}"))
+            sets[_variable_key(key, p)] = set(_vars(members, p, f"K_{key}"))
         return PossibleParents(sets)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -62,21 +62,18 @@ def _fit(tree: CStree, level_counts, mode: str, prior: Optional[PriorSpec]) -> C
     for lvl, staging in enumerate(tree.stagings):
         var = tree.governed_var(lvl)
         d = tree.space.cards[var]
-        level_params = []
-        for stage, counts in zip(staging.stages, np.asarray(level_counts[lvl], dtype=float)):
-            n = counts.sum()
-            if mode == "mle":
-                theta = counts / n if n > 0 else np.full(d, 1.0 / d)
-            else:
-                a = prior.alpha_cell(tree.space, var, stage.context.vars)
-                post = counts + a
-                if np.all(post > 1.0):
-                    theta = (post - 1.0) / (post.sum() - d)
-                else:
-                    theta = post / post.sum()
-            theta = theta / theta.sum()
-            level_params.append(theta.tolist())
-        params.append(level_params)
+        counts = np.asarray(level_counts[lvl], dtype=float)
+        if mode == "mle":
+            n = counts.sum(axis=1, keepdims=True)
+            theta = np.divide(counts, n, out=np.full(counts.shape, 1.0 / d), where=n > 0)
+        else:
+            post = counts + [[prior.alpha_cell(tree.space, var, s.context.vars)] for s in staging.stages]
+            total = post.sum(axis=1, keepdims=True)
+            # the posterior mode where every cell weight exceeds 1, else the mean
+            mode_rows = (post > 1.0).all(axis=1, keepdims=True)
+            theta = np.divide(post - 1.0, total - d, out=post / total, where=mode_rows)
+        theta /= theta.sum(axis=1, keepdims=True)
+        params.append(theta.tolist())
     return tree.with_params(params)
 
 
@@ -191,7 +188,8 @@ def _draw_level(cols: np.ndarray, var: int, staging: Staging, params, cards, rng
     temporaries are freed on return."""
     n = cols.shape[1]
     uniforms = rng.random(n)
-    cdfs = [cdf / cdf[-1] for cdf in map(np.cumsum, params)]
+    cdfs = np.cumsum(params, axis=1)
+    cdfs /= cdfs[:, -1:]
     if len(cdfs) == 1:
         _count_at_or_below(cdfs[0], uniforms, cols[var])
         return
@@ -266,11 +264,7 @@ def random_cstree(
         return tree
     params = []
     for lvl, staging in enumerate(tree.stagings):
-        d = space.cards[tree.governed_var(lvl)]
-        level_params = []
-        for _ in staging.stages:
-            draw = rng.dirichlet(np.ones(d))
-            draw = draw / draw.sum()
-            level_params.append(draw.tolist())
-        params.append(level_params)
+        # the stream of one rng.dirichlet(np.ones(d)) call per stage, in stage order
+        draws = rng.dirichlet(np.ones(space.cards[tree.governed_var(lvl)]), size=len(staging.stages))
+        params.append((draws / draws.sum(axis=1, keepdims=True)).tolist())
     return tree.with_params(params)

@@ -32,7 +32,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 from typing import Optional, Union
 
@@ -85,17 +86,17 @@ class ChainTrace:
     score) pairs, replayed from ``init`` and ``moves``: iterating replays
     every move once, and indexing replays from the start up to that
     sample, an O(p) list pop and insert per move.  ``move_distances``
-    counts the steps by |new_pos - v_pos|."""
+    counts the steps by |new_pos - v_pos| when it is first read."""
 
     init: tuple[int, ...]
     moves: Sequence[int]
     scores: Sequence[float]
     config: Optional[ChainConfig] = None
-    move_distances: Counter = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def move_distances(self) -> Counter:
         at = iter(self.moves)
-        object.__setattr__(self, "move_distances", Counter(abs(a - b) for a, b in zip(at, at)))
+        return Counter(abs(a - b) for a, b in zip(at, at))
 
     @property
     def samples(self) -> Sequence[tuple[tuple[int, ...], float]]:

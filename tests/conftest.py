@@ -1,5 +1,7 @@
+import os
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,16 @@ from ctxtree import Context, CStree, Stage, Staging, StateSpace
 
 def _staging(level, contexts):
     return Staging(level, [Stage(Context(c), level) for c in contexts])
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """The environment of a child Python process: the package's source tree
+    first on PYTHONPATH, so the package need not be installed, and warnings
+    as errors, as the suite's ``filterwarnings`` makes them in process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
 
 
 @pytest.fixture
@@ -91,6 +103,31 @@ MALFORMED_MODEL_DOCS = {
         "stagings": [[{"context": {}, "probs": ["a", "b"]}]],
     },
     "cards-not-a-list": {"order": [0], "cards": 2, "stagings": [[{"context": {}}]]},
+    # "00", " 0" and "+0" would each name variable 0 a second time
+    **{
+        f"non-canonical-key-{name}": {
+            "order": [0, 1],
+            "cards": [2, 2],
+            "stagings": [[{"context": {}}], [{"context": {"0": 0}}, {"context": {key: 1}}]],
+        }
+        for name, key in [("leading-zero", "00"), ("space", " 0"), ("sign", "+0")]
+    },
+    "string-probs": {
+        "order": [0],
+        "cards": [2],
+        "stagings": [[{"context": {}, "probs": ["0.5", "0.5"]}]],
+    },
+    "bool-probs": {
+        "order": [0],
+        "cards": [2],
+        "stagings": [[{"context": {}, "probs": [True, False]}]],
+    },
+    "label-key-outside-model": {
+        "order": [0],
+        "cards": [2],
+        "labels": {"5": ["a", "b"]},
+        "stagings": [[{"context": {}}]],
+    },
 }
 
 

@@ -87,7 +87,7 @@ PUBLIC_ATTRIBUTES = {
         "names", "p", "params", "stage_probs", "to_json", "to_json_dict", "with_params",
     ],
     "ChainConfig": ["burn_in", "init", "iterations", "seed", "thin"],
-    "ChainTrace": ["config", "samples"],
+    "ChainTrace": ["config", "move_distances", "samples"],
     "Context": ["as_dict", "check_in_space", "items", "mask", "size", "values", "vars"],
     "CorruptStagingError": [],
     "CountTable": ["counts", "tables"],

@@ -2,7 +2,6 @@ import argparse
 import codecs
 import importlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -173,6 +172,19 @@ def test_malformed_model_exit_2(tmp_path, capsys, malformed_model_doc):
     code, stdout, _ = run(capsys, *model_commands(str(model), str(out))["sample"])
     assert code == 2
     assert stdout == ""
+    assert not out.exists()
+
+
+def test_repeated_key_model_exit_2(tmp_path, capsys):
+    # json.load alone would keep the last "probs", a valid distribution
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    model.write_text(
+        '{"order": [0], "cards": [2], "stagings": '
+        '[[{"context": {}, "probs": [0.5, 0.6], "probs": [0.5, 0.5]}]]}'
+    )
+    code, stdout, err = run(capsys, *model_commands(str(model), str(out))["sample"])
+    assert (code, stdout) == (2, "")
+    assert "repeated key 'probs'" in err
     assert not out.exists()
 
 
@@ -366,25 +378,17 @@ def test_learn_empty_file_exit_2(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def src_env() -> dict:
-    """The environment with the package's source tree first on PYTHONPATH,
-    for CLI subprocesses: the package need not be installed."""
-    src = os.path.dirname(os.path.dirname(cli_module.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
-def test_memory_error_exit_3(tmp_path):
+def test_memory_error_exit_3(tmp_path, child_env):
     # the rows asked for pass the address space, so the allocation fails at
     # once and nothing is allocated
     tree = random_cstree(StateSpace([2, 2, 2]), 2, np.random.default_rng(1))
     tree.to_json(tmp_path / "m.json")
-    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ctxtree.cli", "sample", "--model", str(tmp_path / "m.json"),
          "-n", str(10**14), "--seed", "1", "--out", str(tmp_path / "d.csv")],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env,
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource error: ")
@@ -440,12 +444,12 @@ def test_resource_cap_exit_3(tmp_path, capsys):
     assert "resource" in err
 
 
-def test_console_script_version():
+def test_console_script_version(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "ctxtree.cli", "--version"],
         capture_output=True,
         text=True,
-        env=src_env(),
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "ctxtree" in proc.stdout
@@ -606,7 +610,7 @@ def test_learn_staging_cap_exit_3(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_learn_reads_data_from_a_pipe(tmp_path, capsys):
+def test_learn_reads_data_from_a_pipe(tmp_path, capsys, child_env):
     # a pipe can be read only once, so the header and the rows must come
     # from one read of the file
     model, csv_path = tmp_path / "m.json", tmp_path / "d.csv"
@@ -615,12 +619,11 @@ def test_learn_reads_data_from_a_pipe(tmp_path, capsys):
     flags = ["--iterations", "50", "--burn-in", "5", "--seed", "0"]
     from_file, from_pipe = tmp_path / "file.json", tmp_path / "pipe.json"
     assert run(capsys, "learn", "--data", str(csv_path), *flags, "--out", str(from_file))[0] == 0
-    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ctxtree.cli", "learn", "--data", "/dev/stdin", *flags, "--out", str(from_pipe)],
         input=csv_path.read_bytes(),
         capture_output=True,
-        env=env,
+        env=child_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()

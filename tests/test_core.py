@@ -443,6 +443,27 @@ def test_cstree_json_roundtrip_with_params(tmp_path):
     assert again.to_json() == tree.to_json()
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ({5: ("a", "b")}, r"labels name variable 5, outside 0\.\.1"),
+        ({-1: ("a", "b")}, r"labels name variable -1"),
+        ({"1": ("a", "b")}, "label variable must be an integer"),
+        ({1: ("lo", "lo")}, "labels of variable 1 repeat a label"),
+        ({1: ("lo", "mid", "hi", "top")}, "variable 1 has 4 labels for 3 values"),
+    ],
+)
+def test_labels_checked(labels, message):
+    with pytest.raises(ValidationError, match=message):
+        CStree((0, 1), StateSpace([2, 3]), [Staging.full_level(1)], labels=labels)
+
+
+def test_labels_may_name_fewer_values():
+    # load_csv codes a label column 0..k-1 under a declared cardinality above k
+    tree = CStree((0, 1), StateSpace([2, 3]), [Staging.full_level(1)], labels={1: ("lo",)})
+    assert CStree.from_json_dict(tree.to_json_dict()).labels == {1: ("lo",)}
+
+
 def _param_tree() -> CStree:
     return CStree((1, 0, 2), StateSpace([2, 3, 2]), [Staging.full_level(1), Staging.full_level(2)]).with_params(
         [[(0.2, 0.3, 0.5)], [(0.5, 0.5)], [(0.4, 0.6)]]

@@ -3,11 +3,9 @@ import csv
 import importlib
 import logging
 import math
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -337,14 +335,13 @@ def test_table_row_order_invariance(seed):
 
 
 @pytest.mark.parametrize("module", ["concurrent.futures", "scipy"])
-def test_import_starts_no_thread_pool(module):
+def test_import_starts_no_thread_pool(module, child_env):
     # the count table is built on one thread, so importing the package
     # loads no executor machinery; numpy is its only runtime dependency,
     # so it loads no scipy either
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, ctxtree; print({module!r} in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env,
         capture_output=True,
         text=True,
     )

@@ -1,6 +1,5 @@
 """Each demo script runs to completion against the library in ``src/``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +15,8 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def test_demo_runs(demo, tmp_path, child_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr

@@ -347,11 +347,18 @@ def test_unrank_pair_is_the_rth_combination():
         assert [_unrank_pair(r, m) for r in range(len(pairs))] == pairs
 
 
-@pytest.mark.parametrize("p", [5, 100, 400])
-def test_random_cstree_draws_match_stratum_oracle(p):
+# the last space's stage distributions have 8 to 10 entries, where numpy's
+# sums switch from one running total to eight
+ORACLE_SPACES = {str(p): [2, 3, 2, 4] * (p // 4) + [2] * (p % 4) for p in (5, 100, 400)}
+ORACLE_SPACES["cards-8-to-10"] = [2, 3, 2, 4, 9, 10, 8]
+
+
+@pytest.mark.parametrize("cards", ORACLE_SPACES.values(), ids=ORACLE_SPACES.keys())
+def test_random_cstree_draws_match_stratum_oracle(cards):
     # the same tree and the generator left in the same state as with the
     # per-stratum sampler on checked specs
-    space = StateSpace([2, 3, 2, 4][: min(p, 4)] * (p // 4) + [2] * (p % 4))
+    space = StateSpace(cards)
+    p = space.p
     g1, g2 = np.random.default_rng(p), np.random.default_rng(p)
     assert random_cstree(space, 2, g1).to_json() == stratum_random_cstree(space, 2, g2).to_json()
     assert g1.bit_generator.state == g2.bit_generator.state

@@ -478,6 +478,20 @@ def test_sample_stream_matches_choice_oracle(tree, n, seed):
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(parameterized_trees(max_card=10), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_fit_and_sample_match_per_stage_oracles_to_card_10(tree, n, seed):
+    # stage rows of 8 to 10 entries, where numpy's sums switch from one
+    # running total to eight; few rows over many stages leave some empty
+    g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    data = sample(tree, n, g1)
+    assert np.array_equal(data.rows, mask_sample(tree, n, g2).rows)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    for mode, prior in [("mle", None), ("map", None), ("map", PriorSpec("unit"))]:
+        fitted = estimate_parameters(tree, data, mode, prior)
+        assert fitted.params == per_stage_estimate(tree, data, mode, prior).params
+
+
 @pytest.mark.parametrize("d", [256, 257])
 @pytest.mark.parametrize("n", [1, 3000])
 def test_sample_stream_at_work_dtype_boundary(d, n):
