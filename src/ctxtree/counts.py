@@ -28,8 +28,12 @@ read-only row view of the first such sum of i that holds S (the sums are of
 integers, so any would do).
 
 ``load_csv`` reads the file's bytes once, less a leading byte-order mark.  A
-file whose header is a quote-free first line and whose body holds only
-ASCII digits, commas and line breaks is parsed in numpy, a block of whole
+file whose header is a quote-free first line and whose every later line is
+p one-digit cells ended by the header's own line break, as ``write_csv``
+writes any dataset of cardinalities up to 10, is read as one fixed-width
+byte grid: a block of whole lines at a time is checked and decoded by one
+XOR with the line ``0,0,...,0``.  Otherwise, a body that holds only ASCII
+digits, commas and line breaks is parsed in numpy, a block of whole
 lines at a time: the cells end where a digit meets a separator, each row's
 shape is checked from the separator bytes, and each cell's value is its
 digits summed by place.  The blocks stay in narrow types until they are
@@ -244,13 +248,17 @@ def _int_records(raw: bytes, start: int, p: int) -> Optional[np.ndarray]:
     that is at most 2**63 - 1; None otherwise.  The body, when there is one,
     starts with a line break.
 
-    The body is read in numpy blocks of whole lines, views of ``raw``, each
+    A body of one-digit cells is read by ``_grid_records``.  Any other body
+    is read in numpy blocks of whole lines, views of ``raw``, each
     cut at the first line break at or after ``_READ_BLOCK_BYTES`` from its
     start, and the blocks are joined straight into int64.  Runs of CR and LF
     are blank lines and are skipped, as csv.reader skips them.  Anything
     that ``int()`` could read otherwise (a sign, whitespace, an underscore,
     a non-ASCII digit), an empty cell, a ragged row, a value past the int64
     range or a cell of 20 or more digits gives None."""
+    rows = _grid_records(raw, start, p)
+    if rows is not None:
+        return rows
     if start == len(raw) or len(raw.translate(None, _INT_BYTES)) != len(raw[:start].translate(None, _INT_BYTES)):
         return None
     whole = np.frombuffer(raw, dtype=np.uint8)
@@ -271,6 +279,39 @@ def _int_records(raw: bytes, start: int, p: int) -> Optional[np.ndarray]:
         start = end
     rows = np.concatenate(blocks, dtype=np.int64)
     return rows if len(rows) else None
+
+
+def _grid_records(raw: bytes, start: int, p: int) -> Optional[np.ndarray]:
+    """The records of the body ``raw[start:]`` as int64 rows, when it holds
+    at least one line and every line is p one-digit cells joined by commas
+    and ended by the header's own line break t; None otherwise.
+
+    The body after t is then an (n x width) grid of lines, a view of
+    ``raw``, width = 2p - 1 + |t|.  XOR with the line ``0,0,...,0`` + t maps
+    exactly the bytes '0' to '9' to 0 to 9, and a line's commas and break
+    to 0, so a block of whole lines is valid when its XOR is at most 9 at
+    the digit columns and 0 at every other column, and the digit columns
+    then hold the values."""
+    brk = raw[start : start + 2]
+    if brk != b"\r\n":
+        brk = brk[:1]
+    template = np.frombuffer(b"0," * (p - 1) + b"0" + brk, dtype=np.uint8)
+    width = len(template)
+    n, extra = divmod(len(raw) - start - len(brk), width)
+    if extra or not n:
+        return None
+    grid = np.frombuffer(raw, dtype=np.uint8, offset=start + len(brk)).reshape(n, width)
+    limit = np.zeros(width, dtype=np.uint8)
+    limit[: 2 * p : 2] = 9
+    rows = np.empty((n, p), dtype=np.int64)
+    step = max(1, _READ_BLOCK_BYTES // width)
+    buffer = np.empty((min(step, n), width), dtype=np.uint8)
+    for top in range(0, n, step):
+        block = np.bitwise_xor(grid[top : top + step], template, out=buffer[: min(step, n - top)])
+        if (block > limit).any():
+            return None
+        rows[top : top + step] = block[:, : 2 * p : 2]
+    return rows
 
 
 def _int_block(block: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -322,7 +363,7 @@ def _read_header(path, raw: bytes) -> list[str]:
     return [cell.strip() for cell in header]
 
 
-def _declared_cards(path, cards_row: str, head: list, rest_below) -> Optional[list[int]]:
+def _declared_cards(path, cards_row: str, names: list, head: list, rest_below) -> Optional[list[int]]:
     """The cardinalities the second record declares under the cards-row rule,
     or None.  ``head`` holds that record's integers (None for a cell that is
     not one); ``rest_below()`` tells whether later records exist and each of
@@ -334,6 +375,9 @@ def _declared_cards(path, cards_row: str, head: list, rest_below) -> Optional[li
             raise ParseError(f"{path}: cards row requested but second row is not all integers")
         return None
     if cards_row == "yes" or (min(head) >= 2 and rest_below()):
+        for name, d in zip(names, head):
+            if d < 2:
+                raise ParseError(f"{path}: column {name!r} declares cardinality {d}, below 2")
         return head
     return None
 
@@ -381,7 +425,7 @@ def _label_codes(path, raw: bytes, cards_row: str):
                 return False
         return True
 
-    declared = _declared_cards(path, cards_row, head, rest_below)
+    declared = _declared_cards(path, cards_row, names, head, rest_below)
     if declared is not None:
         inverse = inverse[:, 1:]
 
@@ -424,7 +468,8 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     cardinalities are inferred as max observed value + 1.  ``cards_row`` is
     one of "yes", "no", or "auto"; in auto mode the second row is taken as a
     declaration when all its cells are integers >= 2 that strictly bound
-    every later value in their column.
+    every later value in their column; in "yes" mode a declared value
+    below 2 is a ParseError.
 
     Values are parsed as integers when a whole column is numeric; otherwise
     the column's string labels are coded in first-appearance order and the
@@ -436,10 +481,12 @@ def load_csv(path, cards_row: str = "auto") -> Dataset:
     is skipped.  When the header is its first line and holds no quote, and
     every later line is blank or holds as many cells as the header, each a
     run of at most 19 ASCII digits whose value is at most 2**63 - 1, the
-    rows are parsed from the bytes in numpy blocks of whole lines.  Any
-    other file (labels, missing cells, signs, whitespace, quotes, ragged
-    rows, longer or larger numbers) goes through ``csv.reader``.  Both
-    paths give the same dataset or the same error.
+    rows are parsed from the bytes in numpy blocks of whole lines; when
+    every such line is p one-digit cells ended by the header's own line
+    break, the blocks are read as a fixed-width grid.  Any other file
+    (labels, missing cells, signs, whitespace, quotes, ragged rows, longer
+    or larger numbers) goes through ``csv.reader``.  Both paths give the
+    same dataset or the same error.
     """
     if cards_row not in ("auto", "yes", "no"):
         raise ValidationError(f"cards_row must be auto/yes/no, got {cards_row!r}")
@@ -467,7 +514,9 @@ def _parse_csv(path, raw: bytes, cards_row: str) -> Dataset:
         head, codes = records[0], records[1:]
         # with no rows below, the head's own range holds no value below it
         bounds = _column_bounds(codes) or (head, head)
-        declared = _declared_cards(path, cards_row, head.tolist(), lambda: bool((bounds[1] < head).all()))
+        declared = _declared_cards(
+            path, cards_row, names, head.tolist(), lambda: bool((bounds[1] < head).all())
+        )
         if declared is None:
             codes = records
             bounds = np.minimum(bounds[0], head), np.maximum(bounds[1], head)
@@ -541,7 +590,7 @@ def _encode_rows(block: np.ndarray, width: int) -> bytes:
     ``width`` digits.  Each code gets a fixed cell of ``width`` digits and a
     comma, with NUL bytes in place of leading zeros; the last comma of a
     line is followed by a line feed and becomes a carriage return, and the
-    NUL bytes are then deleted."""
+    NUL bytes are then deleted; one-digit cells have none."""
     m, p = block.shape
     lines = np.empty((m, p * (width + 1) + 1), dtype=np.uint8)
     cells = lines[:, :-1].reshape(m, p, width + 1)
@@ -554,7 +603,7 @@ def _encode_rows(block: np.ndarray, width: int) -> bytes:
         if e:
             digit[block < place] = 0
         cells[..., width - 1 - e] = digit
-    return lines.tobytes().translate(None, b"\0")
+    return lines.tobytes() if width == 1 else lines.tobytes().translate(None, b"\0")
 
 
 def _check_target(space: StateSpace, var, context: Context) -> int:

@@ -729,6 +729,9 @@ def cellwise_load_csv(path, cards_row="auto"):
         if all(_is_int(c) for c in head):
             cand = [int(c) for c in head]
             if cards_row == "yes":
+                for name, d in zip(names, cand):
+                    if d < 2:
+                        raise ParseError(f"{path}: column {name!r} declares cardinality {d}, below 2")
                 declared = cand
             elif all(d >= 2 for d in cand):
                 rest = body[1:]

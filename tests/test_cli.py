@@ -360,6 +360,20 @@ def test_learn_unreadable_data_exit_2(tmp_path, capsys, raw, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "1", "-1"])
+def test_learn_declared_cardinality_below_two_exit_2(tmp_path, capsys, value):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text(f"a,b\n2,{value}\n0,0\n1,0\n")
+    out_path = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "learn", "--data", str(csv_path), "--cards-row", "yes",
+        "--iterations", "10", "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert f"column 'b' declares cardinality {value}, below 2" in err
+    assert not out_path.exists()
+
+
 def test_score_unreadable_header_exit_2(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_bytes(b"a\xff,b\n0,1\n1,0\n")

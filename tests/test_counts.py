@@ -30,7 +30,14 @@ from ctxtree import (
     random_cstree,
     write_csv,
 )
-from ctxtree.counts import _WRITE_BLOCK_CELLS, _collapse, _int_records, _split_header, stage_counts
+from ctxtree.counts import (
+    _WRITE_BLOCK_CELLS,
+    _collapse,
+    _grid_records,
+    _int_records,
+    _split_header,
+    stage_counts,
+)
 from oracles import (
     cellwise_load_csv,
     csv_module_write_csv,
@@ -47,6 +54,13 @@ def write(tmp_path, text, name="d.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _reader(raw, start, p):
+    """The reader ``load_csv`` gives a file's body to."""
+    if _grid_records(raw, start, p) is not None:
+        return "grid"
+    return "int" if _int_records(raw, start, p) is not None else "csv"
 
 
 def test_load_declared_cards(tmp_path):
@@ -100,14 +114,14 @@ def test_load_label_mapping(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body, fast",
-    [("0,1\r\n1,0\r\n1,1\r\n", True), ("red,0\nblue,1\nred,1\n", False)],
-    ids=["int-path", "csv-reader-path"],
+    "body, reader",
+    [("0,1\r\n1,0\r\n1,1\r\n", "grid"), ("0,1\r\n10,0\r\n1,1\r\n", "int"), ("red,0\nblue,1\nred,1\n", "csv")],
+    ids=["grid-path", "int-path", "csv-reader-path"],
 )
-def test_load_skips_one_byte_order_mark(tmp_path, body, fast):
+def test_load_skips_one_byte_order_mark(tmp_path, body, reader):
     raw = ("a,b\r\n" + body).encode()
     names, start = _split_header(raw)
-    assert (_int_records(raw, start, len(names)) is not None) == fast
+    assert _reader(raw, start, len(names)) == reader
     (tmp_path / "plain.csv").write_bytes(raw)
     (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + raw)
     (tmp_path / "bom2.csv").write_bytes(codecs.BOM_UTF8 * 2 + raw)
@@ -133,6 +147,19 @@ def test_load_errors(tmp_path):
         load_csv(write(tmp_path, "a,b\n\n\n0,1\n0\n"))
     with pytest.raises(ParseError, match="line 5 has 1 cells, expected 2"):
         load_csv(write(tmp_path, 'a,b\n"x\ny",1\n\n0\n'))
+
+
+@pytest.mark.parametrize(
+    "value, reader", [("0", "grid"), ("1", "grid"), ("-1", "csv")], ids=["zero", "one", "minus-one"]
+)
+def test_load_rejects_declared_cardinality_below_two(tmp_path, value, reader):
+    text = f"a,b\n2,{value}\n0,0\n1,0\n"
+    raw = text.encode()
+    names, start = _split_header(raw)
+    assert _reader(raw, start, len(names)) == reader
+    path = write(tmp_path, text, "cards.csv")
+    with pytest.raises(ParseError, match=f"cards.csv: column 'b' declares cardinality {value}, below 2"):
+        load_csv(path, cards_row="yes")
 
 
 def test_load_integer_outside_int64(tmp_path):
@@ -749,39 +776,67 @@ def test_load_int_texts_match_cellwise_oracle(tmp_path_factory, text):
 WIDE_ROWS = "".join(
     f"{'1' * w},{'0' * (w - 1)}7,{'9' * w}\r\n" for w in range(1, 19)
 )
-# (text, whether the integer path reads it rather than csv.reader)
+# (text, the reader that takes it: the fixed-width grid, the general integer
+# path or csv.reader)
 BLOCK_TEXTS = [
     # CRLF line ends: small blocks end between a CR and its LF
-    ("c0,c1\r\n0,1\r\n1,0\r\n\r\n10,2\r\n", True),
+    ("c0,c1\r\n0,1\r\n1,0\r\n\r\n10,2\r\n", "int"),
     # a line longer than any block
-    ("c0,c1,c2,c3,c4,c5\n" + "0123,456,7,89,1000,2\n" * 3 + "5,4,3,2,1,0", True),
-    ("c0,c1,c2\r\n" + WIDE_ROWS, True),
-    ("c0,c1,c2\r\n2,3,4\r\n" + WIDE_ROWS, True),
+    ("c0,c1,c2,c3,c4,c5\n" + "0123,456,7,89,1000,2\n" * 3 + "5,4,3,2,1,0", "int"),
+    ("c0,c1,c2\r\n" + WIDE_ROWS, "int"),
+    ("c0,c1,c2\r\n2,3,4\r\n" + WIDE_ROWS, "int"),
     # 19-digit cells are read in uint64 up to the int64 maximum
-    ("c0\n1\n9223372036854775807\n", True),
-    ("c0,c1\n0,1\n1234567890123456789,0\n", True),
+    ("c0\n1\n9223372036854775807\n", "int"),
+    ("c0,c1\n0,1\n1234567890123456789,0\n", "int"),
     # a trailing comma, at a block's end at some sizes, makes a ragged row
-    ("c0,c1\n0,1,\n1,0\n", False),
-    ("c0,c1,c2\n0,1,\n1,0\n", False),
-    ("c0,c1\n0,1\n1,0,", False),
-    ("c0,c1\n,0,1\n1,0\n", False),
-    ("c0,c1\n0,,1\n1,0\n", False),
-    ("c0\r1\r\r0\r", True),
+    ("c0,c1\n0,1,\n1,0\n", "csv"),
+    ("c0,c1,c2\n0,1,\n1,0\n", "csv"),
+    ("c0,c1\n0,1\n1,0,", "csv"),
+    ("c0,c1\n,0,1\n1,0\n", "csv"),
+    ("c0,c1\n0,,1\n1,0\n", "csv"),
+    ("c0\r1\r\r0\r", "int"),
     # a zero-padded 19-digit cell under a cards row; 2**63 and a 20th digit,
     # even a padding zero, are left to csv.reader
-    ("c0,c1\n3,2\n0000000000000000002,1\n0,0\n", True),
-    ("c0\n1\n9223372036854775808\n", False),
-    ("c0,c1\n0,1\n00000000000000000001,0\n", False),
+    ("c0,c1\n3,2\n0000000000000000002,1\n0,0\n", "int"),
+    ("c0\n1\n9223372036854775808\n", "csv"),
+    ("c0,c1\n0,1\n00000000000000000001,0\n", "csv"),
+    # one-digit cells ended by the header's own line break, cards row or not
+    ("c0,c1\r\n0,1\r\n1,0\r\n", "grid"),
+    ("c0,c1,c2\n2,3,9\n0,2,8\n1,0,0\n", "grid"),
+    ("c0,c1\r0,1\r9,1\r", "grid"),
+    ("c0\n0\n1\n1\n", "grid"),
+    ("c0\r\n1\r\n", "grid"),
+    # near misses: a blank line (of the grid's length too), no final break,
+    # mixed breaks, a lone CR among CRLFs, a LF under a CR header
+    ("c0,c1\r\n0,1\r\n\r\n1,0\r\n", "int"),
+    ("c0\n0\n\n1\n\n", "int"),
+    ("c0,c1\n0,1\n1,0", "int"),
+    ("c0,c1\r\n0,1\n1,0\r\n", "int"),
+    ("c0,c1\r\n0,1\r1,0\r\n", "int"),
+    ("c0,c1\r0,1\n1,0\r", "int"),
+    # a byte either side of the digits, one two-digit cell, a cards row of 10
+    ("c0,c1\n0,/\n1,0\n", "csv"),
+    ("c0,c1\n0,1\n:,0\n", "csv"),
+    ("c0,c1\n0,1\n10,0\n", "int"),
+    ("c0,c1\n10,2\n9,1\n0,0\n", "int"),
+    # a grid's length, but a comma short or a line break late
+    ("c0,c1\n0,1\n101\n", "csv"),
+    ("c0,c1\n0,1,1,0\n", "csv"),
+    # a byte one bit off a comma or a line feed
+    ("c0,c1\n0,1\n1-0\n", "csv"),
+    ("c0,c1\n0,1\n1,0\x0b", "csv"),
+    # a trailing comma on every line
+    ("c0,c1\n0,1,\n1,0,\n", "csv"),
 ]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-@pytest.mark.parametrize("text, fast", BLOCK_TEXTS, ids=range(len(BLOCK_TEXTS)))
-def test_int_path_at_block_boundaries(tmp_path_factory, block, text, fast):
+@pytest.mark.parametrize("text, reader", BLOCK_TEXTS, ids=range(len(BLOCK_TEXTS)))
+def test_int_path_at_block_boundaries(tmp_path_factory, block, text, reader):
     raw = text.encode()
     names, start = _split_header(raw)
     with mock.patch.object(counts_module, "_READ_BLOCK_BYTES", block):
-        assert (_int_records(raw, start, len(names)) is not None) == fast
+        assert _reader(raw, start, len(names)) == reader
         _assert_loads_as_oracle(tmp_path_factory, text)
 
 
@@ -793,13 +848,67 @@ def test_load_int_texts_match_cellwise_oracle_in_small_blocks(tmp_path_factory, 
         _assert_loads_as_oracle(tmp_path_factory, text)
 
 
-def test_load_csv_memory_bounded(tmp_path):
-    # the bytes are parsed a block at a time into narrow values; the peak
-    # holds the file's bytes, the narrow blocks and the int64 rows
+@st.composite
+def grid_csv_texts(draw):
+    """One-digit cells ended by the header's own line break, as the grid
+    reader takes them, or with one defect that must send the file to the
+    other readers; and whether the grid reader takes the text."""
+    p = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    cells = []
+    if draw(st.booleans()):
+        cells.append([draw(st.sampled_from(["2", "3", "9", "10"])) for _ in range(p)])
+    digit = st.sampled_from("0123456789")
+    for _ in range(draw(st.integers(1, 8))):
+        cells.append([draw(digit) for _ in range(p)])
+    commas, breaks = [","] * len(cells), [newline] * len(cells)
+    defects = ["blank", "unended", "mixed", "separator", "byte", "two-digit", "comma"]
+    defect = draw(st.sampled_from([None, None, *defects]))
+    r, j = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, p - 1))
+    if defect == "blank":
+        cells.insert(r, [])
+        breaks.append(newline)
+    elif defect == "mixed":
+        breaks[r] = draw(st.sampled_from([b for b in ["\n", "\r\n", "\r"] if b != newline]))
+    elif defect == "separator" and p > 1:
+        # one bit off a comma or a line feed
+        commas[r] = draw(st.sampled_from("-."))
+    elif defect == "separator":
+        breaks[r] = "\x0b"
+    elif defect == "byte":
+        cells[r][j] = draw(st.sampled_from("/:"))
+    elif defect == "two-digit":
+        cells[r][j] = draw(st.sampled_from(["00", "07", "10", "99"]))
+    elif defect == "comma":
+        cells[r].append("")
+    header = ",".join(f"c{j}" for j in range(p)) + newline
+    text = header + "".join(c.join(row) + b for row, c, b in zip(cells, commas, breaks))
+    if defect == "unended":
+        text = text.removesuffix(newline)
+    return text, defect is None and "10" not in cells[0]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, counts_module._READ_BLOCK_BYTES])
+@given(case=grid_csv_texts())
+@settings(max_examples=60, deadline=None)
+def test_load_grid_texts_match_cellwise_oracle(tmp_path_factory, block, case):
+    text, grid = case
+    raw = text.encode()
+    names, start = _split_header(raw)
+    with mock.patch.object(counts_module, "_READ_BLOCK_BYTES", block):
+        assert (_reader(raw, start, len(names)) == "grid") == grid
+        _assert_loads_as_oracle(tmp_path_factory, text)
+
+
+@pytest.mark.parametrize("d", [2, 12], ids=["one-digit", "two-digit"])
+def test_load_csv_memory_bounded(tmp_path, d):
+    # the bytes are read a block at a time, by the grid reader for one-digit
+    # cells and into narrow values otherwise; the peak holds the file's
+    # bytes, one block's temporaries and the int64 rows
     import tracemalloc
 
-    rows = np.random.default_rng(12).integers(0, 2, size=(200_000, 20))
-    write_csv(Dataset(rows, StateSpace([2] * 20)), tmp_path / "d.csv")
+    rows = np.random.default_rng(12).integers(0, d, size=(200_000, 20))
+    write_csv(Dataset(rows, StateSpace([d] * 20)), tmp_path / "d.csv")
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

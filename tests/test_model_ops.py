@@ -478,6 +478,36 @@ def test_sample_stream_matches_choice_oracle(tree, n, seed):
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
+class _FixedUniforms:
+    """A generator stub whose ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms)
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return self.uniforms.copy()
+
+
+def test_sample_divides_the_cdf_by_its_last_entry():
+    # 0.2 + 0.7 + 0.1 sums to 1 - 2**-53, and each partial sum over it is
+    # below its product with the sum's reciprocal: a uniform equal to the
+    # quotient tells rng.choice's division from that multiplication
+    theta = (0.2, 0.7, 0.1)
+    cdf = np.cumsum(theta)
+    assert (cdf[:-1] * (1 / cdf[-1]) > cdf[:-1] / cdf[-1]).all()
+    uniforms = cdf[:-1] / cdf[-1]
+    # rng.choice's rule: cumsum, divide by the last entry, searchsorted right
+    want = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
+    assert want.tolist() == [1, 2]
+    # a one-stage root level, then a level of one stage per value of X0,
+    # which gets the uniforms in stage order (the rows' own order here)
+    staging = Staging(1, [Stage(Context({0: v}), 1) for v in range(3)])
+    tree = CStree((0, 1), StateSpace([3, 3]), [staging]).with_params(((theta,), (theta,) * 3))
+    rows = sample(tree, 2, _FixedUniforms(uniforms)).rows
+    assert rows.tolist() == [[1, 1], [2, 2]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(parameterized_trees(max_card=10), st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_fit_and_sample_match_per_stage_oracles_to_card_10(tree, n, seed):
